@@ -32,7 +32,6 @@ from .errors import (
     CodecError,
     ConfigError,
     GbtmarkError,
-    IneligibleFrameError,
     KeyFormatError,
     NumericError,
     ValidationError,
@@ -62,10 +61,7 @@ from .watermark import (
     WatermarkImage,
     WatermarkedResult,
     embed,
-    embed_bit,
     extract,
-    extract_bit,
-    frame_energy,
     frame_signal,
     reshape_for_svd,
     select_frames,

@@ -9,9 +9,7 @@ from .attacks import ATTACK_KINDS, AttackSpec, CodecCommand, MP3_BITRATES
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import (
     AudioFormatError,
-    CapacityError,
     CodecError,
-    ConfigError,
     GbtmarkError,
     KeyFormatError,
     ValidationError,
@@ -25,6 +23,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_TOOL = 3
+
+# Exit status per exception type. An error takes the entry of the nearest
+# listed class in its MRO, so config, validation and capacity errors, like
+# any other GbtmarkError, are usage errors.
+_EXIT_CODES = {
+    AudioFormatError: EXIT_IO,
+    KeyFormatError: EXIT_IO,
+    OSError: EXIT_IO,
+    CodecError: EXIT_TOOL,
+    GbtmarkError: EXIT_USAGE,
+}
 
 CODEC_ENCODE_ENV = "GBTMARK_CODEC_ENCODE"
 CODEC_DECODE_ENV = "GBTMARK_CODEC_DECODE"
@@ -183,18 +192,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, CapacityError) as exc:
+    except (GbtmarkError, OSError) as exc:
         print(f"gbtmark: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AudioFormatError, KeyFormatError, OSError) as exc:
-        print(f"gbtmark: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CodecError as exc:
-        print(f"gbtmark: error: {exc}", file=sys.stderr)
-        return EXIT_TOOL
-    except GbtmarkError as exc:
-        print(f"gbtmark: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in _EXIT_CODES)
 
 
 def entry() -> None:

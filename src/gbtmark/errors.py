@@ -29,10 +29,6 @@ class CapacityError(GbtmarkError):
         self.required = required
 
 
-class IneligibleFrameError(GbtmarkError):
-    """Frame's largest singular value is too small to carry a bit."""
-
-
 class KeyFormatError(GbtmarkError):
     """Embedding key file is malformed or inconsistent."""
 

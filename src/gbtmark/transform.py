@@ -123,19 +123,27 @@ def make_plan(config: GraphConfig) -> TransformPlan:
     return TransformPlan(config=config, laplacian=lap, eigenvalues=vals, basis=vecs)
 
 
-def forward(plan: TransformPlan, frame) -> np.ndarray:
-    """Project a frame onto the graph eigenbasis (coefficients = V^T s)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (plan.frame_size,):
+def forward(plan: TransformPlan, frames) -> np.ndarray:
+    """Project frames onto the graph eigenbasis (coefficients = V^T s).
+
+    The last axis holds the samples of one frame; any leading axes are
+    a batch of frames.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1:] != (plan.frame_size,):
         raise ValidationError(
-            f"frame must have {plan.frame_size} samples, got shape {frame.shape}")
-    return plan.basis.T @ frame
+            f"frame must have {plan.frame_size} samples, got shape {frames.shape}")
+    return frames @ plan.basis
 
 
 def inverse(plan: TransformPlan, coeffs) -> np.ndarray:
-    """Rebuild a frame from its transform coefficients (s = V c)."""
+    """Rebuild frames from their transform coefficients (s = V c).
+
+    The last axis holds the coefficients of one frame; any leading axes
+    are a batch of frames.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (plan.frame_size,):
+    if coeffs.shape[-1:] != (plan.frame_size,):
         raise ValidationError(
             f"expected {plan.frame_size} coefficients, got shape {coeffs.shape}")
-    return plan.basis @ coeffs
+    return coeffs @ plan.basis.T

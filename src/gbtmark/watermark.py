@@ -14,13 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import AudioSignal
-from .errors import (
-    CapacityError,
-    ConfigError,
-    IneligibleFrameError,
-    KeyFormatError,
-    ValidationError,
-)
+from .errors import CapacityError, ConfigError, KeyFormatError, ValidationError
 from .transform import GraphConfig, TransformPlan, forward, inverse, make_plan
 
 KEY_FORMAT_VERSION = 1
@@ -120,6 +114,15 @@ class WatermarkedResult:
     key: EmbeddingKey
 
 
+def _frames(samples, frame_size: int, count: int) -> np.ndarray:
+    # the first count frames as a (count, frame_size) array; a view when
+    # the samples reach that far, otherwise a copy zero-padded at the end
+    needed = count * frame_size
+    if samples.size < needed:
+        samples = np.concatenate([samples, np.zeros(needed - samples.size)])
+    return samples[:needed].reshape(count, frame_size)
+
+
 def frame_signal(signal: AudioSignal, frame_size: int) -> np.ndarray:
     """Split into consecutive non-overlapping frames, dropping the tail.
 
@@ -129,14 +132,7 @@ def frame_signal(signal: AudioSignal, frame_size: int) -> np.ndarray:
     if total < frame_size:
         raise ValidationError(
             f"signal has {total} samples, need at least {frame_size} for one frame")
-    count = total // frame_size
-    return signal.samples[: count * frame_size].reshape(count, frame_size)
-
-
-def frame_energy(frame) -> float:
-    """Sum of squared samples."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return float(frame @ frame)
+    return _frames(signal.samples, frame_size, total // frame_size)
 
 
 def _svd_shape(k: int):
@@ -149,18 +145,27 @@ def _svd_shape(k: int):
 
 
 def reshape_for_svd(coeffs) -> np.ndarray:
-    """Row-major reshape of k coefficients into the squarest r x c matrix."""
+    """Row-major reshape of k coefficients into the squarest r x c matrix.
+
+    The last axis holds the k coefficients; any leading axes are kept,
+    giving one matrix per frame of a batch.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    rows, cols = _svd_shape(coeffs.size)
-    return coeffs.reshape(rows, cols)
+    rows, cols = _svd_shape(coeffs.shape[-1])
+    return coeffs.reshape(coeffs.shape[:-1] + (rows, cols))
 
 
-def _leading_smax(plan, frames, k):
-    # batched largest singular value of the reshaped leading-k
-    # coefficients of every frame
-    coeffs = frames @ plan.basis
-    rows, cols = _svd_shape(k)
-    mats = coeffs[:, :k].reshape(len(frames), rows, cols)
+def _leading(plan, frames, k):
+    # transform coefficients of a batch of frames, and their leading k
+    # reshaped into one small matrix per frame
+    coeffs = forward(plan, frames)
+    return coeffs, reshape_for_svd(coeffs[:, :k])
+
+
+def _smax(mats):
+    # Largest singular value of each matrix. Eligibility, the key's
+    # reference value and the extracted reading all come from this one
+    # call, so an unmarked frame compares equal to its key and reads 0.
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
@@ -177,7 +182,8 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
         raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
     frames = frame_signal(signal, plan.frame_size)
     energies = np.einsum("ij,ij->i", frames, frames)
-    smax = _leading_smax(plan, frames, params.coeff_count)
+    _, mats = _leading(plan, frames, params.coeff_count)
+    smax = _smax(mats)
     eligible = np.flatnonzero(smax > params.ws)
     if eligible.size < bit_count:
         raise CapacityError(eligible=int(eligible.size), required=int(bit_count))
@@ -185,66 +191,35 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     return np.sort(ranked[:bit_count])
 
 
-def embed_bit(frame, bit, params: EmbedParams, plan: TransformPlan):
-    """Embed one bit into one frame.
-
-    Returns the modified frame and the frame's original largest singular
-    value, which the extractor will need.
-    """
-    if bit not in (0, 1):
-        raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
-    coeffs = forward(plan, frame)
-    k = params.coeff_count
-    u, s, vt = np.linalg.svd(reshape_for_svd(coeffs[:k]), full_matrices=False)
-    s_original = float(s[0])
-    if s_original <= params.ws:
-        raise IneligibleFrameError(
-            f"largest singular value {s_original:.6g} does not exceed "
-            f"watermark strength {params.ws:.6g}")
-    shifted = s.copy()
-    shifted[0] = s_original + params.ws if bit else s_original - params.ws
-    modified = (u * shifted) @ vt
-    new_coeffs = coeffs.copy()
-    new_coeffs[:k] = modified.reshape(-1)
-    return inverse(plan, new_coeffs), s_original
-
-
-def extract_bit(frame, s_max_original: float, params: EmbedParams,
-                plan: TransformPlan) -> int:
-    """Read one bit back by comparing against the stored singular value."""
-    coeffs = forward(plan, frame)
-    mat = reshape_for_svd(coeffs[: params.coeff_count])
-    smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-    return 1 if smax > s_max_original else 0
-
-
 def embed(host: AudioSignal, watermark: WatermarkImage,
           params: EmbedParams | None = None) -> WatermarkedResult:
     """Embed a binary image into the host signal.
 
     Bits map row-major onto the selected frames in ascending frame
-    order. Frames that carry no bit keep their exact samples; modified
-    frames are clamped to [-1, 1].
+    order. Each selected frame's leading coefficient matrix M becomes
+    M + (+-ws) u1 v1^T, which moves its largest singular value by ws.
+    Frames that carry no bit keep their exact samples; modified frames
+    are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
     plan = make_plan(params.graph)
     chosen = select_frames(host, params, watermark.bits.size, plan)
+    k = params.coeff_count
     samples = host.samples.copy()
-    size = plan.frame_size
-    records = []
-    for index, bit in zip(chosen, watermark.bits):
-        start = index * size
-        new_frame, s_original = embed_bit(samples[start:start + size], int(bit),
-                                          params, plan)
-        samples[start:start + size] = np.clip(new_frame, -1.0, 1.0)
-        records.append(FrameRecord(int(index), s_original))
+    frames = _frames(samples, plan.frame_size, len(samples) // plan.frame_size)
+    coeffs, mats = _leading(plan, frames[chosen], k)
+    s_ref = _smax(mats)
+    u, _, vt = np.linalg.svd(mats, full_matrices=False)
+    shift = np.where(watermark.bits == 1, params.ws, -params.ws)[:, None, None]
+    coeffs[:, :k] = (mats + shift * u[:, :, :1] * vt[:, :1, :]).reshape(-1, k)
+    frames[chosen] = np.clip(inverse(plan, coeffs), -1.0, 1.0)
     key = EmbeddingKey(
         format_version=KEY_FORMAT_VERSION,
         sample_rate=host.sample_rate,
         params=params,
         watermark_width=watermark.width,
         watermark_height=watermark.height,
-        records=tuple(records),
+        records=tuple(map(FrameRecord, chosen.tolist(), s_ref.tolist())),
     )
     return WatermarkedResult(signal=AudioSignal(samples, host.sample_rate), key=key)
 
@@ -252,19 +227,19 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
 def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
     """Recover the watermark image from a (possibly attacked) signal.
 
-    A signal too short to reach the last keyed frame is zero-padded at
-    the end before framing. Each bit is read independently from its own
-    frame.
+    The signal must have the key's sample rate. A signal too short to
+    reach the last keyed frame is zero-padded at the end. Each bit is
+    read independently from its own frame: 1 when the frame's largest
+    singular value exceeds the key's, else 0, so an unmarked copy of
+    the host reads all zeros.
     """
+    if signal.sample_rate != key.sample_rate:
+        raise ValidationError(
+            f"signal is sampled at {signal.sample_rate} Hz but the key was "
+            f"made at {key.sample_rate} Hz")
     plan = make_plan(key.params.graph)
-    size = plan.frame_size
-    needed = (key.records[-1].frame_index + 1) * size
-    samples = signal.samples
-    if samples.size < needed:
-        samples = np.concatenate([samples, np.zeros(needed - samples.size)])
-    frames = samples[: (samples.size // size) * size].reshape(-1, size)
-    bits = np.empty(len(key.records), dtype=np.uint8)
-    for i, record in enumerate(key.records):
-        bits[i] = extract_bit(frames[record.frame_index], record.s_max_original,
-                              key.params, plan)
+    indices, s_ref = (np.array(column) for column in zip(*key.records))
+    frames = _frames(signal.samples, plan.frame_size, int(indices[-1]) + 1)
+    _, mats = _leading(plan, frames[indices], key.params.coeff_count)
+    bits = (_smax(mats) > s_ref).astype(np.uint8)
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)

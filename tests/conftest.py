@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from gbtmark import EmbedParams, GraphConfig, WatermarkImage, embed, make_plan
+from gbtmark import (
+    AudioSignal,
+    EmbedParams,
+    GraphConfig,
+    WatermarkImage,
+    embed,
+    forward,
+    frame_signal,
+    make_plan,
+    reshape_for_svd,
+)
 from gbtmark.synth import speech_like
+
+from oracles import shift_top_singular_value
 
 # Fixed corpus for the heavier end-to-end tests: three clips, one
 # balanced random watermark. Clip seed 2 is also the anchor for the
@@ -14,6 +26,32 @@ WATERMARK_SEED = 7
 def random_watermark(width=25, height=25, seed=WATERMARK_SEED):
     rng = np.random.default_rng(seed)
     return WatermarkImage(width, height, rng.integers(0, 2, width * height))
+
+
+def embed_oracle_gap(plan, candidates, params):
+    """Largest gap between frames marked by ``embed`` and the 2x2 oracle.
+
+    Keeps the candidate frames that are eligible and whose two singular
+    values are at least 1e-6 apart (the oracle's top singular pair is
+    ill-defined otherwise). A host made of exactly those frames gets an
+    all-ones mark, then separately an all-zeros mark, so every kept
+    frame carries both bits in turn. Each marked frame's leading
+    coefficient matrix is compared with ``shift_top_singular_value``.
+    Returns the number of frames kept and the largest absolute gap.
+    """
+    sv = np.linalg.svd(reshape_for_svd(forward(plan, candidates)[:, :4]),
+                       compute_uv=False)
+    frames = candidates[(sv[:, 0] > params.ws) & (sv[:, 0] - sv[:, 1] >= 1e-6)]
+    before = reshape_for_svd(forward(plan, frames)[:, :4])
+    host = AudioSignal(frames.reshape(-1), 8000)
+    gap = 0.0
+    for bit, delta in ((1, params.ws), (0, -params.ws)):
+        mark = WatermarkImage(len(frames), 1, np.full(len(frames), bit))
+        marked = frame_signal(embed(host, mark, params).signal, plan.frame_size)
+        after = reshape_for_svd(forward(plan, marked)[:, :4])
+        for got, mat in zip(after, before):
+            gap = max(gap, np.max(np.abs(got - shift_top_singular_value(mat, delta))))
+    return len(frames), gap
 
 
 @pytest.fixture(scope="session")

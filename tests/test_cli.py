@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbtmark import read_pbm, read_wav, write_pbm, write_wav
+from gbtmark import AudioSignal, read_pbm, read_wav, write_pbm, write_wav
 from gbtmark.cli import main
 from gbtmark.synth import speech_like
 
@@ -67,6 +67,17 @@ def test_embed_missing_watermark_file(workspace, capsys):
     status = run_cli(["embed", workspace / "host.wav", workspace / "nope.pbm",
                       workspace / "m.wav", workspace / "m.key"])
     assert status == 2
+
+
+def test_extract_rate_mismatch(workspace, capsys):
+    marked = workspace / "marked.wav"
+    key = workspace / "marked.key"
+    run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm", marked, key])
+    write_wav(marked, AudioSignal(read_wav(marked).samples, 16000))
+    capsys.readouterr()
+    status = run_cli(["extract", marked, key, workspace / "out.pbm"])
+    assert status == 1
+    assert "16000" in capsys.readouterr().err
 
 
 def test_extract_corrupt_key(workspace, capsys):

@@ -181,6 +181,11 @@ def test_roundtrip_identity_1000_random_frames(default_plan):
         back = inverse(default_plan, forward(default_plan, frame))
         worst = max(worst, np.max(np.abs(back - frame)))
     assert worst <= 1e-9
+    # a batch of frames transforms row by row, like the single frames
+    coeffs = forward(default_plan, frames.reshape(10, 100, 10)).reshape(1000, 10)
+    rows = np.array([forward(default_plan, frame) for frame in frames])
+    assert np.max(np.abs(coeffs - rows)) <= 1e-12
+    assert np.max(np.abs(inverse(default_plan, coeffs) - frames)) <= 1e-9
 
 
 def test_length_mismatch_rejected(default_plan):
@@ -188,6 +193,10 @@ def test_length_mismatch_rejected(default_plan):
         forward(default_plan, np.zeros(9))
     with pytest.raises(ValidationError):
         inverse(default_plan, np.zeros(11))
+    with pytest.raises(ValidationError):
+        forward(default_plan, np.zeros((3, 9)))
+    with pytest.raises(ValidationError):
+        inverse(default_plan, np.zeros((10, 3)))
 
 
 def test_energy_compaction_on_correlated_frames(default_plan):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,12 @@ from gbtmark import (
     EmbeddingKey,
     FrameRecord,
     GraphConfig,
-    IneligibleFrameError,
     KeyFormatError,
     ValidationError,
     WatermarkImage,
     embed,
-    embed_bit,
     extract,
-    extract_bit,
     forward,
-    frame_energy,
     frame_signal,
     make_plan,
     psnr,
@@ -26,9 +24,9 @@ from gbtmark import (
     select_frames,
 )
 from gbtmark.synth import ar_noise, speech_like
+from gbtmark.watermark import _leading, _smax
 
-from conftest import random_watermark
-from oracles import shift_top_singular_value
+from conftest import embed_oracle_gap, random_watermark
 
 
 def constant_frames_signal(levels, frame_size=10, rate=8000):
@@ -55,14 +53,6 @@ def test_frame_signal_too_short():
         frame_signal(AudioSignal(np.zeros(9), 8000), 10)
 
 
-def test_frame_energy():
-    assert frame_energy(np.zeros(8)) == 0.0
-    assert frame_energy([0.5, -0.5]) == pytest.approx(0.5, abs=1e-15)
-    frame = np.array([0.1, -0.3, 0.2])
-    assert frame_energy(3.0 * frame) == pytest.approx(9.0 * frame_energy(frame),
-                                                      rel=1e-12)
-
-
 def test_reshape_k4_row_major():
     mat = reshape_for_svd([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(mat, [[1.0, 2.0], [3.0, 4.0]])
@@ -70,6 +60,9 @@ def test_reshape_k4_row_major():
 
 def test_reshape_k6_is_2x3():
     assert reshape_for_svd(np.arange(6.0)).shape == (2, 3)
+    batch = reshape_for_svd(np.arange(30.0).reshape(5, 6))
+    assert batch.shape == (5, 2, 3)
+    assert np.array_equal(batch[3], reshape_for_svd(np.arange(18.0, 24.0)))
 
 
 def test_reshape_prime_is_row_and_smax_is_norm():
@@ -121,72 +114,68 @@ def test_select_frames_real_clip_capacity(default_plan):
     assert np.all(np.diff(chosen) > 0)
 
 
-def test_embed_bit_shifts_largest_singular_value(default_plan):
-    params = EmbedParams()
-    rng = np.random.default_rng(11)
-    for bit in (0, 1):
-        frame = ar_noise(10, seed=rng.integers(1 << 30), rms=0.2).samples
-        new_frame, s_orig = embed_bit(frame, bit, params, default_plan)
-        coeffs = forward(default_plan, new_frame)
-        smax = np.linalg.svd(reshape_for_svd(coeffs[:4]), compute_uv=False)[0]
-        expected = s_orig + params.ws if bit else s_orig - params.ws
-        assert smax == pytest.approx(expected, abs=1e-9)
+def test_select_frames_eligibility_threshold(default_plan):
+    # eligible means the kernel's smax > ws: a frame exactly at the
+    # strength is out, and one a single ulp above it is in
+    signal = ar_noise(10, seed=21, rms=0.2)
+    smax = float(_smax(_leading(default_plan, frame_signal(signal, 10), 4)[1])[0])
+    with pytest.raises(CapacityError):
+        select_frames(signal, EmbedParams(ws=smax), 1, default_plan)
+    below = EmbedParams(ws=np.nextafter(smax, 0.0))
+    assert list(select_frames(signal, below, 1, default_plan)) == [0]
 
 
-def test_embed_bit_k1_changes_coefficient_magnitude():
+def test_embed_k1_changes_coefficient_magnitude():
     params = EmbedParams(coeff_fraction=0.1)  # one coefficient, 1x1 matrix
     plan = make_plan(params.graph)
-    frame = np.full(10, 0.2)
-    coeff = forward(plan, frame)[0]
-    new_frame, s_orig = embed_bit(frame, 1, params, plan)
-    assert s_orig == pytest.approx(abs(coeff), abs=1e-12)
-    new_coeff = forward(plan, new_frame)[0]
-    assert abs(new_coeff) == pytest.approx(abs(coeff) + params.ws, abs=1e-9)
+    host = constant_frames_signal([0.2, -0.3])
+    result = embed(host, WatermarkImage(2, 1, [1, 0]), params)
+    coeff = forward(plan, frame_signal(host, 10))[:, 0]
+    new_coeff = forward(plan, frame_signal(result.signal, 10))[:, 0]
+    s_ref = [record.s_max_original for record in result.key.records]
+    assert s_ref == pytest.approx(np.abs(coeff), abs=1e-12)
+    assert new_coeff == pytest.approx(coeff + np.sign(coeff) * [params.ws, -params.ws],
+                                      abs=1e-9)
 
 
-def test_embed_bit_matches_closed_form_oracle(default_plan):
+def test_embed_prime_k_rescales_the_coefficient_row():
+    # k = 5 gives a 1x5 matrix whose one singular value is the row's
+    # norm, so a bit rescales the five coefficients to norm +- ws
+    params = EmbedParams(coeff_fraction=0.5)
+    plan = make_plan(params.graph)
+    host = ar_noise(40, seed=22, rms=0.2)  # four frames, all of them carry a bit
+    watermark = WatermarkImage(2, 2, [1, 0, 0, 1])
+    result = embed(host, watermark, params)
+    before = forward(plan, frame_signal(host, 10))[:, :5]
+    after = forward(plan, frame_signal(result.signal, 10))[:, :5]
+    norms = np.linalg.norm(before, axis=1)
+    s_ref = [record.s_max_original for record in result.key.records]
+    assert s_ref == pytest.approx(norms, abs=1e-12)
+    target = norms + np.where(watermark.bits == 1, params.ws, -params.ws)
+    assert np.max(np.abs(after - before * (target / norms)[:, None])) <= 1e-9
+
+
+def test_embed_matches_closed_form_oracle(default_plan):
     # rank-1 singular value shift cross-checked against an independent
     # quadratic-formula SVD of the 2x2 coefficient matrix
-    params = EmbedParams()
     rng = np.random.default_rng(12)
-    for _ in range(100):
-        frame = rng.uniform(-0.5, 0.5, 10)
-        coeffs = forward(default_plan, frame)
-        mat = reshape_for_svd(coeffs[:4])
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[0] <= params.ws or sv[0] - sv[1] < 1e-6:
-            continue
-        for bit, delta in ((1, params.ws), (0, -params.ws)):
-            expected = shift_top_singular_value(mat, delta)
-            new_frame, _ = embed_bit(frame, bit, params, default_plan)
-            got = reshape_for_svd(forward(default_plan, new_frame)[:4])
-            assert np.max(np.abs(got - expected)) <= 1e-9
+    kept, gap = embed_oracle_gap(default_plan, rng.uniform(-0.5, 0.5, (100, 10)),
+                                 EmbedParams())
+    assert kept >= 50
+    assert gap <= 1e-9
 
 
-def test_embed_bit_rejects_tiny_frames(default_plan):
-    with pytest.raises(IneligibleFrameError):
-        embed_bit(np.full(10, 1e-4), 0, EmbedParams(), default_plan)
+def test_extract_unmarked_host_reads_zero(speech_clips, embedded_clips):
+    # the key holds each frame's smax from the same kernel extract uses,
+    # so the unmarked host ties everywhere, and a tie reads as bit 0
+    for host, result in zip(speech_clips, embedded_clips):
+        assert not np.any(extract(host, result.key).bits)
 
 
-def test_embed_bit_rejects_bad_bit(default_plan):
-    with pytest.raises(ValidationError):
-        embed_bit(np.full(10, 0.2), 2, EmbedParams(), default_plan)
-
-
-def test_extract_bit_roundtrip(default_plan):
-    params = EmbedParams()
-    frame = ar_noise(10, seed=21, rms=0.2).samples
-    for bit in (0, 1):
-        new_frame, s_orig = embed_bit(frame, bit, params, default_plan)
-        assert extract_bit(new_frame, s_orig, params, default_plan) == bit
-
-
-def test_extract_bit_tie_resolves_to_zero(default_plan):
-    params = EmbedParams()
-    frame = np.full(10, 0.2)
-    coeffs = forward(default_plan, frame)
-    smax = float(np.linalg.svd(reshape_for_svd(coeffs[:4]), compute_uv=False)[0])
-    assert extract_bit(frame, smax, params, default_plan) == 0
+def test_extract_rejects_rate_mismatch(embedded_clips):
+    relabeled = AudioSignal(embedded_clips[0].signal.samples, 16000)
+    with pytest.raises(ValidationError, match="16000"):
+        extract(relabeled, embedded_clips[0].key)
 
 
 def test_embed_extract_roundtrip_random_hosts():
@@ -232,17 +221,15 @@ def test_embed_distortion_identity(embedded_clips, speech_clips, watermark):
         assert mse == pytest.approx(expected, abs=1e-9)
 
 
-def test_key_records_aligned_and_independent(embedded_clips, watermark,
-                                             default_plan):
+def test_key_records_aligned_and_independent(embedded_clips, watermark):
     result = embedded_clips[1]
     indices = [record.frame_index for record in result.key.records]
     assert all(b > a for a, b in zip(indices, indices[1:]))
-    frames = frame_signal(result.signal, 10)
-    for i in (0, 17, 311, 624):  # spot-check bits independently
-        record = result.key.records[i]
-        bit = extract_bit(frames[record.frame_index], record.s_max_original,
-                          EmbedParams(), default_plan)
-        assert bit == watermark.bits[i]
+    for i in (0, 17, 311, 624):  # each bit read alone, through a one-record key
+        single = dataclasses.replace(result.key, watermark_width=1,
+                                     watermark_height=1,
+                                     records=(result.key.records[i],))
+        assert extract(result.signal, single).bits[0] == watermark.bits[i]
 
 
 def test_embed_capacity_error_propagates(watermark):
