@@ -22,9 +22,12 @@ class AudioSignal:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValidationError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("samples must be finite")
-        if np.max(np.abs(samples)) > 1.0:
+        # max and min propagate NaN, so this one test also rejects NaN
+        # and +-inf; isfinite runs only to pick the message
+        peak = max(samples.max(), -samples.min())
+        if not peak <= 1.0:
+            if not np.isfinite(samples).all():
+                raise ValidationError("samples must be finite")
             raise ValidationError("samples must lie in [-1, 1]")
         rate = self.sample_rate
         if not (isinstance(rate, (int, np.integer)) and rate > 0):

@@ -177,18 +177,40 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     strength cannot take a bit-0 shift and are ineligible. Among the
     rest, the ``bit_count`` highest-energy frames win (ties to the lower
     index); the result is sorted by ascending frame index.
+
+    Cost: every frame's energy, but singular values only for a prefix
+    of the frames ranked by (-energy, index). The prefix starts at the
+    ``bit_count`` loudest frames (whole tie runs kept) and at least
+    doubles while too few of it are eligible; each frame is tested at
+    most once, so the worst case costs what a full scan costs. When
+    loud frames are ineligible (e.g. high-frequency content the leading
+    coefficients miss), the prefix can grow to a full scan of the host.
     """
     if bit_count < 1:
         raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
     frames = frame_signal(signal, plan.frame_size)
     energies = np.einsum("ij,ij->i", frames, frames)
-    _, mats = _leading(plan, frames, params.coeff_count)
-    smax = _smax(mats)
-    eligible = np.flatnonzero(smax > params.ws)
-    if eligible.size < bit_count:
-        raise CapacityError(eligible=int(eligible.size), required=int(bit_count))
-    ranked = eligible[np.lexsort((eligible, -energies[eligible]))]
-    return np.sort(ranked[:bit_count])
+    total = energies.size
+    winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
+    upper = np.inf  # frames at or above this energy are already tested
+    tested = 0
+    wanted = bit_count
+    while True:
+        # the wanted-th largest energy; every frame at or above it joins,
+        # so a tie run is never split and the tested frames stay a prefix
+        wanted = min(wanted, total)
+        cut = np.partition(energies, total - wanted)[total - wanted]
+        new = np.flatnonzero((energies >= cut) & (energies < upper))
+        new = new[np.lexsort((new, -energies[new]))]
+        smax = _smax(_leading(plan, frames[new], params.coeff_count)[1])
+        winners = np.concatenate([winners, new[smax > params.ws]])
+        if winners.size >= bit_count:
+            return np.sort(winners[:bit_count])
+        tested += new.size
+        if tested == total:
+            raise CapacityError(eligible=int(winners.size), required=int(bit_count))
+        upper = cut
+        wanted = 2 * tested
 
 
 def embed(host: AudioSignal, watermark: WatermarkImage,

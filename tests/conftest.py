@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gbtmark import (
     AudioSignal,
@@ -15,6 +16,11 @@ from gbtmark import (
 from gbtmark.synth import speech_like
 
 from oracles import shift_top_singular_value
+
+# Property tests draw the same examples on every run (derandomize) and
+# have no per-example time limit, so a slow machine cannot fail them.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 # Fixed corpus for the heavier end-to-end tests: three clips, one
 # balanced random watermark. Clip seed 2 is also the anchor for the

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to cross-check tests.
 
 These deliberately avoid the library's code paths: the 2x2 SVD comes
-from the quadratic formula applied to the eigenproblem of M^T M.
+from the quadratic formula applied to the eigenproblem of M^T M, and
+frame selection scans every frame instead of an energy-ranked prefix.
 """
 
 import math
 
 import numpy as np
+
+from gbtmark import CapacityError
 
 
 def svd2_closed_form(mat):
@@ -39,3 +42,27 @@ def shift_top_singular_value(mat, delta):
     """
     s1, _, u1, v1 = svd2_closed_form(mat)
     return np.asarray(mat, dtype=np.float64) + delta * np.outer(u1, v1)
+
+
+def select_frames_full_scan(samples, basis, k, ws, bit_count):
+    """Frame selection that computes the singular value of every frame.
+
+    Splits the samples into frames of ``basis.shape[0]`` (dropping the
+    tail), takes the largest singular value of each frame's leading k
+    coefficients (the squarest matrix, row-major), keeps the frames
+    above ws, ranks them by (-energy, index) and returns the first
+    bit_count sorted by index. Raises CapacityError when fewer than
+    bit_count frames are eligible.
+    """
+    size = basis.shape[0]
+    count = len(samples) // size
+    frames = np.asarray(samples, dtype=np.float64)[:count * size].reshape(count, size)
+    energies = np.einsum("ij,ij->i", frames, frames)
+    rows = max(r for r in range(1, math.isqrt(k) + 1) if k % r == 0)
+    mats = (frames @ basis)[:, :k].reshape(count, rows, k // rows)
+    smax = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    eligible = np.flatnonzero(smax > ws)
+    if eligible.size < bit_count:
+        raise CapacityError(eligible=int(eligible.size), required=int(bit_count))
+    ranked = eligible[np.lexsort((eligible, -energies[eligible]))]
+    return np.sort(ranked[:bit_count])

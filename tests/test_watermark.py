@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gbtmark.watermark
 
 from gbtmark import (
     AudioSignal,
@@ -27,6 +33,7 @@ from gbtmark.synth import ar_noise, speech_like
 from gbtmark.watermark import _leading, _smax
 
 from conftest import embed_oracle_gap, random_watermark
+from oracles import select_frames_full_scan
 
 
 def constant_frames_signal(levels, frame_size=10, rate=8000):
@@ -123,6 +130,139 @@ def test_select_frames_eligibility_threshold(default_plan):
         select_frames(signal, EmbedParams(ws=smax), 1, default_plan)
     below = EmbedParams(ws=np.nextafter(smax, 0.0))
     assert list(select_frames(signal, below, 1, default_plan)) == [0]
+
+
+def full_scan(signal, params, bit_count, plan):
+    # the oracle behind select_frames' signature
+    return select_frames_full_scan(signal.samples, plan.basis, params.coeff_count,
+                                   params.ws, bit_count)
+
+
+@contextlib.contextmanager
+def smax_batches():
+    """Record the batch size of every singular-value call select_frames makes."""
+    sizes = []
+
+    def counting(mats):
+        sizes.append(len(mats))
+        return _smax(mats)
+
+    with mock.patch.object(gbtmark.watermark, "_smax", counting):
+        yield sizes
+
+
+# Loud alternating-sign (Nyquist) frames put little energy in the leading
+# coefficients: at amplitude 0.34 their smax is 0.29, ineligible at
+# ws = 0.3, while a quieter constant frame at 0.15 has smax 0.47.
+NYQUIST = np.array([1.0, -1.0] * 5)
+
+
+def test_select_frames_tie_run_straddling_the_cut(default_plan):
+    # frames 0, 2, 3 and 5 share one energy; the cut for 3 bits falls
+    # inside that run, and its lowest indices win
+    signal = constant_frames_signal([0.3, 0.5, -0.3, 0.3, 0.1, -0.3])
+    params = EmbedParams()
+    with smax_batches() as sizes:
+        chosen = select_frames(signal, params, 3, default_plan)
+    assert list(chosen) == [0, 1, 2]
+    assert sizes == [5]  # the whole tie run is tested at once
+    assert np.array_equal(chosen, full_scan(signal, params, 3, default_plan))
+
+
+def test_select_frames_prefix_grows_past_loud_ineligible_frames(default_plan):
+    # twelve loud frames of distinct energies outrank every quiet one
+    loud = [(0.34 - 0.01 * i) * NYQUIST for i in range(12)]
+    quiet = [np.full(10, 0.15), np.full(10, -0.15), np.full(10, 0.12)]
+    signal = AudioSignal(np.concatenate(loud[:5] + quiet + loud[5:]), 8000)
+    params = EmbedParams(ws=0.3)
+    with smax_batches() as sizes:
+        chosen = select_frames(signal, params, 2, default_plan)
+    assert list(chosen) == [5, 6]
+    # the tested prefix doubles (2, 4, 8, then all 15 frames), and each
+    # frame is tested once
+    assert sizes == [2, 2, 4, 7]
+    assert np.array_equal(chosen, full_scan(signal, params, 2, default_plan))
+
+
+def test_select_frames_capacity_error_reports_exact_eligible_count(default_plan):
+    # eligible count known from the full scan; the prefix has to reach
+    # every frame before the error can be raised
+    clip = speech_like(10.0, 8000, seed=5)
+    params = EmbedParams(ws=0.2)
+    with smax_batches() as sizes, pytest.raises(CapacityError) as info:
+        select_frames(clip, params, 1600, default_plan)
+    assert (info.value.eligible, info.value.required) == (1594, 1600)
+    assert sum(sizes) == 8000
+    assert np.array_equal(select_frames(clip, params, 1594, default_plan),
+                          full_scan(clip, params, 1594, default_plan))
+
+
+def test_embed_with_full_scan_selection_gives_the_same_key(
+        speech_clips, embedded_clips, watermark, monkeypatch):
+    monkeypatch.setattr(gbtmark.watermark, "select_frames", full_scan)
+    for clip, result in zip(speech_clips, embedded_clips):
+        reference = embed(clip, watermark, EmbedParams())
+        assert reference.key.records == result.key.records
+        assert np.array_equal(reference.signal.samples, result.signal.samples)
+
+
+def frame_strategy():
+    # (kind, scale, seed); a frame's peak is scale * ws, capped at 1. A
+    # Nyquist frame is ineligible below scale 1.17 (its smax is 0.85 of
+    # its peak) and a smooth one above scale 0.32 is eligible, so loud
+    # ineligible frames often outrank quieter eligible ones. Scales
+    # partly come from a small set, so tie runs are common.
+    scale = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.1]), st.floats(0.0, 1.5))
+    return st.tuples(st.sampled_from(["nyquist", "smooth", "noise"]), scale,
+                     st.integers(0, 2**16))
+
+
+def build_frame(ws, kind, scale, seed):
+    peak = min(1.0, scale * ws)
+    if kind == "nyquist":
+        return peak * NYQUIST
+    if kind == "smooth":
+        return np.full(10, peak)
+    return np.random.default_rng(seed).uniform(-peak, peak, 10)
+
+
+def test_select_frames_matches_full_scan_oracle(default_plan):
+    grew = []
+
+    @settings(max_examples=300)
+    @given(specs=st.lists(frame_strategy(), min_size=1, max_size=60),
+           tail=st.integers(0, 9),
+           ws=st.one_of(st.sampled_from([0.05, 0.3]), st.floats(0.001, 0.9)),
+           data=st.data())
+    def check(specs, tail, ws, data):
+        samples = np.concatenate([build_frame(ws, *spec) for spec in specs]
+                                 + [np.full(tail, 0.05)])
+        signal = AudioSignal(samples, 8000)
+        params = EmbedParams(ws=ws)
+        # up to the frame count, small counts drawn more often
+        bit_count = data.draw(st.one_of(st.integers(1, max(1, len(specs) // 4)),
+                                        st.integers(1, len(specs))), label="bit_count")
+        try:
+            expected = full_scan(signal, params, bit_count, default_plan)
+        except CapacityError as error:
+            expected = error
+        with smax_batches() as sizes:
+            try:
+                chosen = select_frames(signal, params, bit_count, default_plan)
+            except CapacityError as error:
+                chosen = error
+        # every round tests new frames, and no frame is tested twice
+        assert 0 not in sizes and sum(sizes) <= len(specs)
+        if isinstance(expected, CapacityError):
+            assert isinstance(chosen, CapacityError)
+            assert (chosen.eligible, chosen.required) == (expected.eligible,
+                                                          expected.required)
+        else:
+            assert np.array_equal(chosen, expected)
+            grew.append(len(sizes) > 1)
+
+    check()
+    assert any(grew)  # some hosts made the tested prefix grow
 
 
 def test_embed_k1_changes_coefficient_magnitude():
