@@ -10,9 +10,11 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import signal as sps
@@ -25,9 +27,6 @@ FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
 MP3_ALIGN_MAX_LAG = 2048
 MP3_BITRATES = (16, 32, 64)
 
-ATTACK_KINDS = ("awgn", "mp3", "lowpass", "highpass", "resample",
-                "requantize", "amplitude_scale", "crop")
-
 
 def _fit_length(samples, length):
     if samples.size >= length:
@@ -37,8 +36,7 @@ def _fit_length(samples, length):
 
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
     """Add white Gaussian noise at the given signal-to-noise ratio in dB."""
-    if not math.isfinite(snr_db):
-        raise ValidationError(f"snr_db must be finite, got {snr_db!r}")
+    snr_db = _checked("awgn", snr_db)
     x = signal.samples
     power = float(np.mean(x * x))
     if power == 0.0:
@@ -72,8 +70,9 @@ def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     A cutoff at the Nyquist frequency is allowed and degenerates to an
     identity filter.
     """
+    cutoff_hz = _checked("lowpass", cutoff_hz)
     nyquist = signal.sample_rate / 2.0
-    if not 0 < cutoff_hz <= nyquist:
+    if not cutoff_hz <= nyquist:
         raise ValidationError(
             f"lowpass cutoff must be in (0, {nyquist:g}] Hz, got {cutoff_hz!r}")
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
@@ -83,8 +82,9 @@ def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
 
 def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     """Spectral-inversion complement of the lowpass filter (zero gain at DC)."""
+    cutoff_hz = _checked("highpass", cutoff_hz)
     nyquist = signal.sample_rate / 2.0
-    if not 0 < cutoff_hz < nyquist:
+    if not cutoff_hz < nyquist:
         raise ValidationError(
             f"highpass cutoff must be in (0, {nyquist:g}) Hz, got {cutoff_hz!r}")
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
@@ -95,10 +95,7 @@ def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
 
 def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioSignal:
     """Polyphase-resample down to an intermediate rate and back up."""
-    rate = int(intermediate_rate_hz)
-    if rate <= 0:
-        raise ValidationError(
-            f"intermediate rate must be > 0 Hz, got {intermediate_rate_hz!r}")
+    rate = _checked("resample", intermediate_rate_hz)
     ratio = Fraction(rate, signal.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     if up == down:
@@ -111,9 +108,7 @@ def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioS
 
 def requantize(signal: AudioSignal, bits: int) -> AudioSignal:
     """Mid-rise requantization onto a grid of 2**bits - 1 levels."""
-    bits = int(bits)
-    if not 2 <= bits <= 32:
-        raise ValidationError(f"bit depth must be in [2, 32], got {bits}")
+    bits = _checked("requantize", bits)
     scale = float(2 ** (bits - 1) - 1)
     out = np.round(signal.samples * scale) / scale
     return AudioSignal(np.clip(out, -1.0, 1.0), signal.sample_rate)
@@ -121,21 +116,17 @@ def requantize(signal: AudioSignal, bits: int) -> AudioSignal:
 
 def amplitude_scale(signal: AudioSignal, factor: float) -> AudioSignal:
     """Multiply every sample by a positive factor, clamping to [-1, 1]."""
-    if not factor > 0:
-        raise ValidationError(f"scale factor must be > 0, got {factor!r}")
+    factor = _checked("amplitude_scale", factor)
     return AudioSignal(np.clip(signal.samples * factor, -1.0, 1.0),
                        signal.sample_rate)
 
 
 def crop_leading(signal: AudioSignal, fraction: float) -> AudioSignal:
     """Remove the leading fraction of samples and zero-pad the end."""
-    if not 0 <= fraction < 1:
-        raise ValidationError(f"crop fraction must be in [0, 1), got {fraction!r}")
+    fraction = _checked("crop", fraction)
     cut = int(fraction * len(signal))
-    out = np.zeros(len(signal))
-    kept = signal.samples[cut:]
-    out[: kept.size] = kept
-    return AudioSignal(out, signal.sample_rate)
+    return AudioSignal(_fit_length(signal.samples[cut:], len(signal)),
+                       signal.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -201,10 +192,7 @@ def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
     over lags up to +-2048 samples, then trimmed or zero-padded to the
     original length.
     """
-    bitrate = int(bitrate_kbps)
-    if bitrate not in MP3_BITRATES:
-        raise ValidationError(
-            f"bitrate must be one of {MP3_BITRATES} kbps, got {bitrate_kbps!r}")
+    bitrate = _checked("mp3", bitrate_kbps)
     codec = codec if codec is not None else CodecCommand()
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         wav_in = str(Path(tmp) / "roundtrip_in.wav")
@@ -224,14 +212,60 @@ def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
     return AudioSignal(np.clip(aligned, -1.0, 1.0), signal.sample_rate)
 
 
+class Attack(NamedTuple):
+    """One attack: its function and the one parameter it takes."""
+
+    function: Callable   # (signal, parameter, **extras) -> AudioSignal
+    flag: str            # CLI option carrying the parameter, without "--"
+    type: type           # int parameters must be integral
+    meaning: str         # what the parameter is, with its unit
+    rule: str            # the signal-independent range rule, as text
+    allows: Callable     # the same rule as a test on a finite value
+    extras: tuple = ()   # AttackSpec.apply arguments the function also takes
+
+
+# Every attack, keyed by kind. AttackSpec, the attack functions and the
+# CLI all read this table. Rate-relative rules (filter cutoffs below
+# Nyquist) are checked by the functions when they run.
+ATTACKS = {
+    "awgn": Attack(awgn, "snr", float, "SNR in dB", "finite",
+                   math.isfinite, ("seed",)),
+    "mp3": Attack(mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
+                  f"one of {MP3_BITRATES}", MP3_BITRATES.__contains__,
+                  ("codec", "workdir")),
+    "lowpass": Attack(lowpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+                      lambda hz: hz > 0),
+    "highpass": Attack(highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+                       lambda hz: hz > 0),
+    "resample": Attack(resample_roundtrip, "rate", int, "intermediate rate in Hz",
+                       "an integer > 0", lambda hz: hz > 0),
+    "requantize": Attack(requantize, "bits", int, "bit depth",
+                         "an integer in [2, 32]", lambda bits: 2 <= bits <= 32),
+    "amplitude_scale": Attack(amplitude_scale, "factor", float, "gain factor",
+                              "finite and > 0", lambda factor: factor > 0),
+    "crop": Attack(crop_leading, "fraction", float, "leading fraction removed",
+                   "in [0, 1)", lambda fraction: 0 <= fraction < 1),
+}
+
+
+def _checked(kind, value):
+    # the parameter as its row's type, once it passes the row's rule; no
+    # kind takes NaN or +-inf, and int kinds take only integral values
+    attack = ATTACKS[kind]
+    number = float(value)
+    if not (math.isfinite(number) and attack.allows(number)) or (
+            attack.type is int and not number.is_integer()):
+        raise ValidationError(
+            f"{kind} {attack.meaning} must be {attack.rule}, got {value!r}")
+    return attack.type(number)
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """One attack plus its parameter, ready to apply to any signal.
 
-    ``parameter`` is kind-specific: SNR in dB (awgn), bitrate in kbps
-    (mp3), cutoff in Hz (lowpass/highpass), intermediate rate in Hz
-    (resample), bit depth (requantize), gain factor (amplitude_scale) or
-    leading fraction (crop). ``seed`` only affects awgn.
+    ``kind`` is a key of :data:`ATTACKS`, whose entry says what
+    ``parameter`` means and may be; ``seed`` only affects awgn.
     """
 
     kind: str
@@ -239,44 +273,15 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
+        if self.kind not in ATTACKS:
             raise ValidationError(
-                f"unknown attack {self.kind!r}, expected one of {ATTACK_KINDS}")
-        # signal-independent range checks; rate-relative ones (cutoffs)
-        # happen when the attack runs
-        if self.kind == "mp3" and int(self.parameter) not in MP3_BITRATES:
-            raise ValidationError(
-                f"mp3 bitrate must be one of {MP3_BITRATES}, got {self.parameter!r}")
-        if self.kind in ("lowpass", "highpass", "resample") and not self.parameter > 0:
-            raise ValidationError(
-                f"{self.kind} parameter must be > 0, got {self.parameter!r}")
-        if self.kind == "requantize" and not 2 <= int(self.parameter) <= 32:
-            raise ValidationError(
-                f"requantize bits must be in [2, 32], got {self.parameter!r}")
-        if self.kind == "amplitude_scale" and not self.parameter > 0:
-            raise ValidationError(
-                f"amplitude factor must be > 0, got {self.parameter!r}")
-        if self.kind == "crop" and not 0 <= self.parameter < 1:
-            raise ValidationError(
-                f"crop fraction must be in [0, 1), got {self.parameter!r}")
-        if self.kind == "awgn" and not math.isfinite(self.parameter):
-            raise ValidationError(f"awgn SNR must be finite, got {self.parameter!r}")
+                f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
+        _checked(self.kind, self.parameter)
 
     def apply(self, signal: AudioSignal, codec: CodecCommand | None = None,
               workdir=None) -> AudioSignal:
-        """Run the attack on a signal."""
-        if self.kind == "awgn":
-            return awgn(signal, self.parameter, self.seed)
-        if self.kind == "mp3":
-            return mp3_roundtrip(signal, int(self.parameter), codec, workdir)
-        if self.kind == "lowpass":
-            return lowpass(signal, self.parameter)
-        if self.kind == "highpass":
-            return highpass(signal, self.parameter)
-        if self.kind == "resample":
-            return resample_roundtrip(signal, int(self.parameter))
-        if self.kind == "requantize":
-            return requantize(signal, int(self.parameter))
-        if self.kind == "amplitude_scale":
-            return amplitude_scale(signal, self.parameter)
-        return crop_leading(signal, self.parameter)
+        """Run the attack on a signal; ``codec`` and ``workdir`` serve mp3."""
+        attack = ATTACKS[self.kind]
+        given = {"seed": self.seed, "codec": codec, "workdir": workdir}
+        return attack.function(signal, self.parameter,
+                               **{name: given[name] for name in attack.extras})

@@ -2,7 +2,7 @@
 attack, extract, and tabulate bit error rates."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +76,10 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
                   grid=DEFAULT_GRID) -> BenchmarkReport:
     """Embed, attack and extract over every WAV file in a directory.
 
-    Files are processed in name order. The awgn seed is offset by the
-    file's position so clips get independent noise, reproducibly. MP3
-    rows turn into skipped entries when the codec is unavailable.
+    Files are processed in name order. Each attack's seed (only awgn
+    reads one) is offset by the file's position so clips get independent
+    noise, reproducibly. MP3 rows turn into skipped entries when the
+    codec is unavailable.
     """
     params = params if params is not None else EmbedParams()
     paths = sorted(Path(corpus_dir).glob("*.wav"))
@@ -95,11 +96,9 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
             if spec is None:
                 attacked = marked.signal
             else:
-                if spec.kind == "awgn":
-                    spec = AttackSpec(spec.kind, spec.parameter,
-                                      seed=seed + file_index)
                 try:
-                    attacked = spec.apply(marked.signal, codec=codec)
+                    attacked = replace(spec, seed=seed + file_index).apply(
+                        marked.signal, codec=codec)
                 except CodecError:
                     table[row_index].append(None)
                     continue

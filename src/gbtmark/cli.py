@@ -5,7 +5,7 @@ import os
 import sys
 from pathlib import Path
 
-from .attacks import ATTACK_KINDS, AttackSpec, CodecCommand, MP3_BITRATES
+from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import (
     AudioFormatError,
@@ -48,16 +48,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_embed_flags(parser):
-    parser.add_argument("--frame-size", type=int, default=10,
-                        help="samples per frame (default 10)")
-    parser.add_argument("--ws", type=float, default=0.05,
-                        help="watermark strength (default 0.05)")
-    parser.add_argument("--coeff-fraction", type=float, default=0.4,
-                        help="fraction of leading coefficients used (default 0.4)")
-    parser.add_argument("--w1", type=float, default=1.0,
-                        help="first-neighbour edge weight (default 1.0)")
-    parser.add_argument("--w2", type=float, default=0.3,
-                        help="second-neighbour edge weight (default 0.3)")
+    defaults = EmbedParams()
+    parser.add_argument("--frame-size", type=int, default=defaults.graph.frame_size,
+                        help="samples per frame (default %(default)s)")
+    parser.add_argument("--ws", type=float, default=defaults.ws,
+                        help="watermark strength (default %(default)s)")
+    parser.add_argument("--coeff-fraction", type=float, default=defaults.coeff_fraction,
+                        help="fraction of leading coefficients used (default %(default)s)")
+    parser.add_argument("--w1", type=float, default=defaults.graph.w1,
+                        help="first-neighbour edge weight (default %(default)s)")
+    parser.add_argument("--w2", type=float, default=defaults.graph.w2,
+                        help="second-neighbour edge weight (default %(default)s)")
 
 
 def _add_codec_flags(parser):
@@ -105,22 +106,14 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _attack_spec_from(args) -> AttackSpec:
-    flags = {"awgn": ("snr", args.snr), "mp3": ("bitrate", args.bitrate),
-             "lowpass": ("cutoff", args.cutoff), "highpass": ("cutoff", args.cutoff),
-             "resample": ("rate", args.rate), "requantize": ("bits", args.bits),
-             "amplitude_scale": ("factor", args.factor),
-             "crop": ("fraction", args.fraction)}
-    name, value = flags[args.kind]
-    if value is None:
-        raise ValidationError(f"attack {args.kind!r} requires --{name}")
-    return AttackSpec(args.kind, float(value), seed=args.seed)
-
-
 def _cmd_attack(args) -> int:
+    attack = ATTACKS[args.kind]
+    value = getattr(args, attack.flag)
+    if value is None:
+        raise ValidationError(f"attack {args.kind!r} requires --{attack.flag}")
+    spec = AttackSpec(args.kind, value, seed=args.seed)
     signal = read_wav(args.wav_in)
-    spec = _attack_spec_from(args)
-    codec = _codec_from(args) if spec.kind == "mp3" else None
+    codec = _codec_from(args) if "codec" in attack.extras else None
     write_wav(args.wav_out, spec.apply(signal, codec=codec))
     return EXIT_OK
 
@@ -159,18 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_extract)
 
     cmd = commands.add_parser("attack", help="apply one attack to a WAV")
-    cmd.add_argument("kind", choices=ATTACK_KINDS)
+    cmd.add_argument("kind", choices=ATTACKS)
     cmd.add_argument("wav_in")
     cmd.add_argument("wav_out")
-    cmd.add_argument("--snr", type=float, help="awgn: target SNR in dB")
+    # one option per flag: lowpass and highpass share --cutoff
+    for flag, attack in {a.flag: a for a in ATTACKS.values()}.items():
+        kinds = "/".join(kind for kind, a in ATTACKS.items() if a.flag == flag)
+        cmd.add_argument(f"--{flag}", type=attack.type,
+                         help=f"{kinds}: {attack.meaning}, {attack.rule}")
     cmd.add_argument("--seed", type=int, default=0, help="awgn noise seed")
-    cmd.add_argument("--bitrate", type=int, choices=MP3_BITRATES,
-                     help="mp3: bitrate in kbps")
-    cmd.add_argument("--cutoff", type=float, help="lowpass/highpass: cutoff in Hz")
-    cmd.add_argument("--rate", type=int, help="resample: intermediate rate in Hz")
-    cmd.add_argument("--bits", type=int, help="requantize: target bit depth")
-    cmd.add_argument("--factor", type=float, help="amplitude_scale: gain factor")
-    cmd.add_argument("--fraction", type=float, help="crop: leading fraction removed")
     _add_codec_flags(cmd)
     cmd.set_defaults(func=_cmd_attack)
 

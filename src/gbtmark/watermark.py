@@ -85,7 +85,7 @@ class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
     Record i belongs to watermark bit i (row-major); frame indices are
-    strictly increasing.
+    non-negative and strictly increasing.
     """
 
     format_version: int
@@ -97,13 +97,17 @@ class EmbeddingKey:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        if self.watermark_width < 1 or self.watermark_height < 1:
+            raise KeyFormatError("key watermark dimensions must be positive, got "
+                                 f"{self.watermark_width}x{self.watermark_height}")
         expected = self.watermark_width * self.watermark_height
         if len(self.records) != expected:
             raise KeyFormatError(
                 f"key has {len(self.records)} records, watermark needs {expected}")
-        indices = [rec.frame_index for rec in self.records]
+        indices = [-1] + [rec.frame_index for rec in self.records]
         if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise KeyFormatError("key frame indices must be strictly increasing")
+            raise KeyFormatError(
+                "key frame indices must be non-negative and strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)

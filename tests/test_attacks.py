@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -143,6 +144,10 @@ def test_resample_length_preserved_odd_sizes():
 def test_resample_rejects_nonpositive_rate():
     with pytest.raises(ValidationError):
         resample_roundtrip(ar_noise(100, seed=0), 0)
+    # an integer parameter is checked, not truncated or overflowed
+    for rate in (6000.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            resample_roundtrip(ar_noise(100, seed=0), rate)
 
 
 # ---------------------------------------------------------- requantize
@@ -170,7 +175,7 @@ def test_requantize_2_bits_snaps_to_crude_grid():
 
 def test_requantize_validates_depth():
     signal = ar_noise(100, seed=0)
-    for bits in (1, 33):
+    for bits in (1, 33, 8.7, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
             requantize(signal, bits)
 
@@ -278,8 +283,10 @@ def test_mp3_failing_codec(tmp_path):
 
 
 def test_mp3_validates_bitrate(tmp_path):
-    with pytest.raises(ValidationError):
-        mp3_roundtrip(speech_like(0.5, 8000, seed=1), 48, codec=fake_codec(tmp_path))
+    for bitrate in (48, 64.9):
+        with pytest.raises(ValidationError):
+            mp3_roundtrip(speech_like(0.5, 8000, seed=1), bitrate,
+                          codec=fake_codec(tmp_path))
 
 
 def test_codec_template_placeholders_required():
@@ -330,6 +337,14 @@ def test_attack_spec_validation():
         AttackSpec("amplitude_scale", 0.0)
     with pytest.raises(ValidationError):
         AttackSpec("awgn", float("nan"))
+    # integer kinds reject what int() would truncate or fail on, and no
+    # kind takes an infinite parameter
+    for kind, value in (("requantize", math.nan), ("mp3", math.nan),
+                        ("resample", math.inf), ("resample", -math.inf),
+                        ("requantize", 8.7), ("resample", 6000.5), ("mp3", 64.9),
+                        ("lowpass", math.inf), ("amplitude_scale", math.inf)):
+        with pytest.raises(ValidationError, match="must be"):
+            AttackSpec(kind, value)
 
 
 def test_wav_helpers_roundtrip(tmp_path):

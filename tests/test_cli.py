@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from gbtmark import AudioSignal, read_pbm, read_wav, write_pbm, write_wav
+from gbtmark import AttackSpec, AudioSignal, read_pbm, read_wav, write_pbm, write_wav
+from gbtmark.attacks import ATTACKS
 from gbtmark.cli import main
 from gbtmark.synth import speech_like
 
@@ -85,9 +86,20 @@ def test_extract_corrupt_key(workspace, capsys):
     key = workspace / "marked.key"
     run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm", marked, key])
     capsys.readouterr()
-    key.write_text(key.read_text()[:100])
+    text = key.read_text()
+    key.write_text(text[:100])
     status = run_cli(["extract", marked, key, workspace / "out.pbm"])
     assert status == 2
+    # keys that address no frame or a frame counted from the end
+    lines = text.splitlines()
+    header, records = lines[:9], lines[9:]
+    negative = header + [f"-5 {records[0].split()[1]}"] + records[1:]
+    empty = [line.replace("wm_width 25", "wm_width 0") for line in header]
+    for bad in (negative, empty):
+        key.write_text("\n".join(bad) + "\n")
+        status = run_cli(["extract", marked, key, workspace / "out.pbm"])
+        assert status == 2
+        assert "gbtmark: error:" in capsys.readouterr().err
 
 
 def test_attack_awgn_deterministic(workspace):
@@ -98,6 +110,8 @@ def test_attack_awgn_deterministic(workspace):
         assert run_cli(["attack", "awgn", marked, out,
                         "--snr", 20, "--seed", 7]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert run_cli(["attack", "awgn", marked, b, "--snr", 20, "--seed", 8]) == 0
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_attack_crop_preserves_length(workspace):
@@ -107,17 +121,49 @@ def test_attack_crop_preserves_length(workspace):
     assert len(read_wav(out)) == len(read_wav(workspace / "host.wav"))
 
 
+# each kind's option and one valid value for it, none a grid default
+CLI_PARAMETERS = {"awgn": ("--snr", 15.0), "mp3": ("--bitrate", 32),
+                  "lowpass": ("--cutoff", 3000.0), "highpass": ("--cutoff", 100.0),
+                  "resample": ("--rate", 6000), "requantize": ("--bits", 8),
+                  "amplitude_scale": ("--factor", 0.8), "crop": ("--fraction", 0.25)}
+
+
 def test_attack_requires_its_parameter(workspace, capsys):
     status = run_cli(["attack", "lowpass", workspace / "host.wav",
                       workspace / "out.wav"])
     assert status == 1
     assert "--cutoff" in capsys.readouterr().err
+    for kind, (flag, _) in CLI_PARAMETERS.items():
+        status = run_cli(["attack", kind, workspace / "host.wav",
+                          workspace / "out.wav"])
+        assert status == 1
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ATTACKS)
+def test_attack_writes_what_the_spec_writes(kind, workspace, monkeypatch, tmp_path):
+    codec = fake_codec(tmp_path)
+    monkeypatch.setenv("GBTMARK_CODEC_ENCODE", codec.encode_template)
+    monkeypatch.setenv("GBTMARK_CODEC_DECODE", codec.decode_template)
+    flag, value = CLI_PARAMETERS[kind]
+    out = workspace / "cli.wav"
+    assert run_cli(["attack", kind, workspace / "host.wav", out, flag, value]) == 0
+    expected = workspace / "spec.wav"
+    host = read_wav(workspace / "host.wav")
+    write_wav(expected, AttackSpec(kind, value).apply(host, codec=codec))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_attack_validation_failure(workspace, capsys):
     status = run_cli(["attack", "lowpass", workspace / "host.wav",
                       workspace / "out.wav", "--cutoff", 6000])
     assert status == 1
+    # integer options take integers only, and mp3 only its bitrates
+    for kind, flag, value in (("mp3", "--bitrate", 48), ("mp3", "--bitrate", "32.0"),
+                              ("requantize", "--bits", "8.7")):
+        status = run_cli(["attack", kind, workspace / "host.wav",
+                          workspace / "out.wav", flag, value])
+        assert status == 1
 
 
 def test_attack_unknown_kind_is_usage_error(workspace, capsys):

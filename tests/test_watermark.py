@@ -414,3 +414,17 @@ def test_embedding_key_validation():
         EmbeddingKey(1, 8000, params, 1, 3, records)
     with pytest.raises(KeyFormatError):
         EmbeddingKey(1, 8000, params, 2, 2, records)  # count mismatch
+
+
+def test_embedding_key_rejects_negative_frame_index():
+    # extract would read frame -5 counted from the end of the signal
+    records = (FrameRecord(-5, 0.5), FrameRecord(2, 0.4))
+    with pytest.raises(KeyFormatError, match="non-negative"):
+        EmbeddingKey(1, 8000, EmbedParams(), 2, 1, records)
+
+
+def test_embedding_key_rejects_empty_watermark():
+    # no records to read: extract would fail outside the error hierarchy
+    for width, height in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(KeyFormatError, match="dimensions"):
+            EmbeddingKey(1, 8000, EmbedParams(), width, height, ())
