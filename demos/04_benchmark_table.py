@@ -2,8 +2,10 @@
 
 Generates a handful of clips, runs the complete attack grid over each
 (embed, attack, extract), and renders the per-attack mean BER table
-plus the raw CSV. MP3 rows report 'skipped' unless an MP3 codec such as
-lame is installed or configured via GBTMARK_CODEC_ENCODE/DECODE.
+plus the raw CSV. MP3 rows run through the ``lame`` command-line tool
+and report 'skipped' when it is not installed; ``run_benchmark`` takes
+another encoder/decoder pair as a ``CodecCommand``, and the CLI reads
+one from --codec-encode/--codec-decode or GBTMARK_CODEC_ENCODE/DECODE.
 
 The command-line equivalent:
 

@@ -19,19 +19,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import signal as sps
 
-from .audio import AudioSignal
+from .audio import AudioSignal, _fit_length
 from .errors import CodecError, ValidationError
 from .fileio import read_wav, write_wav
 
 FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
 MP3_ALIGN_MAX_LAG = 2048
 MP3_BITRATES = (16, 32, 64)
-
-
-def _fit_length(samples, length):
-    if samples.size >= length:
-        return samples[:length]
-    return np.concatenate([samples, np.zeros(length - samples.size)])
 
 
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
@@ -169,12 +163,12 @@ def _run_codec(step, template, mapping):
             f"{step} command exited with status {result.returncode}: {tail}")
 
 
-def _align_to(reference, decoded, max_lag):
+def _align_to(reference, decoded):
     # codecs delay their output; find the lag of best correlation and
     # undo it before comparing frame by frame
     corr = sps.correlate(decoded, reference, mode="full", method="fft")
     lags = sps.correlation_lags(decoded.size, reference.size, mode="full")
-    window = np.abs(lags) <= max_lag
+    window = np.abs(lags) <= MP3_ALIGN_MAX_LAG
     lag = int(lags[window][np.argmax(corr[window])])
     if lag >= 0:
         shifted = decoded[lag:]
@@ -184,8 +178,7 @@ def _align_to(reference, decoded, max_lag):
 
 
 def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
-                  codec: CodecCommand | None = None,
-                  workdir=None) -> AudioSignal:
+                  codec: CodecCommand | None = None) -> AudioSignal:
     """Compress to MP3 and decode back using external commands.
 
     The decoded audio is re-aligned to the input by cross-correlation
@@ -194,7 +187,7 @@ def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
     """
     bitrate = _checked("mp3", bitrate_kbps)
     codec = codec if codec is not None else CodecCommand()
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         wav_in = str(Path(tmp) / "roundtrip_in.wav")
         mp3_path = str(Path(tmp) / "roundtrip.mp3")
         wav_out = str(Path(tmp) / "roundtrip_out.wav")
@@ -208,7 +201,7 @@ def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
         raise CodecError(
             f"decoder returned {decoded.sample_rate} Hz audio for a "
             f"{signal.sample_rate} Hz input; fix the codec templates")
-    aligned = _align_to(signal.samples, decoded.samples, MP3_ALIGN_MAX_LAG)
+    aligned = _align_to(signal.samples, decoded.samples)
     return AudioSignal(np.clip(aligned, -1.0, 1.0), signal.sample_rate)
 
 
@@ -232,7 +225,7 @@ ATTACKS = {
                    math.isfinite, ("seed",)),
     "mp3": Attack(mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
                   f"one of {MP3_BITRATES}", MP3_BITRATES.__contains__,
-                  ("codec", "workdir")),
+                  ("codec",)),
     "lowpass": Attack(lowpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
                       lambda hz: hz > 0),
     "highpass": Attack(highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
@@ -278,10 +271,10 @@ class AttackSpec:
                 f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
         _checked(self.kind, self.parameter)
 
-    def apply(self, signal: AudioSignal, codec: CodecCommand | None = None,
-              workdir=None) -> AudioSignal:
-        """Run the attack on a signal; ``codec`` and ``workdir`` serve mp3."""
+    def apply(self, signal: AudioSignal,
+              codec: CodecCommand | None = None) -> AudioSignal:
+        """Run the attack on a signal; ``codec`` serves mp3."""
         attack = ATTACKS[self.kind]
-        given = {"seed": self.seed, "codec": codec, "workdir": workdir}
+        given = {"seed": self.seed, "codec": codec}
         return attack.function(signal, self.parameter,
                                **{name: given[name] for name in attack.extras})

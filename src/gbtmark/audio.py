@@ -43,3 +43,11 @@ class AudioSignal:
     def duration(self) -> float:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
+
+
+def _fit_length(samples, length):
+    # the first length samples: a view when the samples reach that far,
+    # otherwise a copy zero-padded at the end
+    if samples.size >= length:
+        return samples[:length]
+    return np.concatenate([samples, np.zeros(length - samples.size)])

@@ -43,7 +43,6 @@ class BenchmarkRow:
     parameter: str
     bers: tuple          # one entry per file; None where skipped
     mean_ber: float | None
-    mean_psnr: float
     skipped: bool
 
 
@@ -54,20 +53,17 @@ class BenchmarkReport:
     files: tuple
     psnrs: tuple         # embedding PSNR per file
     rows: tuple
-    ws: float
-    frame_size: int
-    coeff_fraction: float
+    params: EmbedParams
     seed: int
-    codec_available: bool
 
 
 def _parameter_label(spec):
     if spec is None:
         return ""
-    value = spec.parameter
-    if float(value).is_integer():
+    value = float(spec.parameter)
+    if value.is_integer():
         return str(int(value))
-    return f"{value:g}"
+    return repr(value)
 
 
 def run_benchmark(corpus_dir, watermark: WatermarkImage,
@@ -104,7 +100,6 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
                     continue
             table[row_index].append(ber(watermark, extract(attacked, marked.key)))
 
-    mean_psnr = float(np.mean(psnrs))
     rows = []
     for (kind, spec), bers in zip(grid, table):
         skipped = any(b is None for b in bers)
@@ -115,18 +110,14 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
             parameter=_parameter_label(spec),
             bers=tuple(bers),
             mean_ber=mean_ber,
-            mean_psnr=mean_psnr,
             skipped=skipped,
         ))
     return BenchmarkReport(
         files=tuple(p.name for p in paths),
         psnrs=tuple(psnrs),
         rows=tuple(rows),
-        ws=params.ws,
-        frame_size=params.graph.frame_size,
-        coeff_fraction=params.coeff_fraction,
+        params=params,
         seed=seed,
-        codec_available=not any(row.skipped for row in rows),
     )
 
 
@@ -144,11 +135,13 @@ def report_to_csv(report: BenchmarkReport) -> str:
     Per-file rows come first (sorted by file name, then grid order),
     followed by one mean row per attack.
     """
+    params, graph = report.params, report.params.graph
+    codec = "missing" if any(row.skipped for row in report.rows) else "available"
     lines = [
         "# gbtmark benchmark",
-        (f"# ws={report.ws!r} frame_size={report.frame_size} "
-         f"coeff_fraction={report.coeff_fraction!r} seed={report.seed} "
-         f"codec={'available' if report.codec_available else 'missing'}"),
+        (f"# ws={params.ws!r} frame_size={graph.frame_size} "
+         f"coeff_fraction={params.coeff_fraction!r} w1={graph.w1!r} "
+         f"w2={graph.w2!r} seed={report.seed} codec={codec}"),
         "file,attack,parameter,ber,psnr_embed",
     ]
     for file_index, name in enumerate(report.files):
@@ -158,11 +151,11 @@ def report_to_csv(report: BenchmarkReport) -> str:
                 _format_ber(row.bers[file_index]),
                 _format_psnr(report.psnrs[file_index]),
             ]))
+    mean_psnr = _format_psnr(float(np.mean(report.psnrs)))
     for row in report.rows:
         lines.append(",".join([
             "mean", row.attack, row.parameter,
-            _format_ber(row.mean_ber),
-            _format_psnr(row.mean_psnr),
+            _format_ber(row.mean_ber), mean_psnr,
         ]))
     return "\n".join(lines) + "\n"
 
@@ -173,13 +166,13 @@ def report_to_markdown(report: BenchmarkReport) -> str:
         "| Attack | Parameter | Mean BER | Mean PSNR (dB) |",
         "|---|---|---|---|",
     ]
+    mean_psnr = _format_psnr(float(np.mean(report.psnrs)))
     measured = []
     for row in report.rows:
         label = "skipped" if row.skipped else f"{row.mean_ber:.3f}"
         if not row.skipped:
             measured.append(row.mean_ber)
-        lines.append(f"| {row.attack} | {row.parameter} | {label} | "
-                     f"{_format_psnr(row.mean_psnr)} |")
+        lines.append(f"| {row.attack} | {row.parameter} | {label} | {mean_psnr} |")
     if measured:
         lines.append(f"| average | | {float(np.mean(measured)):.3f} | |")
     return "\n".join(lines) + "\n"

@@ -14,13 +14,7 @@ import numpy as np
 from .audio import AudioSignal
 from .errors import AudioFormatError, ConfigError, KeyFormatError
 from .transform import GraphConfig
-from .watermark import (
-    KEY_FORMAT_VERSION,
-    EmbeddingKey,
-    EmbedParams,
-    FrameRecord,
-    WatermarkImage,
-)
+from .watermark import EmbeddingKey, EmbedParams, FrameRecord, WatermarkImage
 
 MAX_PBM_DIMENSION = 4096
 
@@ -97,6 +91,7 @@ def write_pbm(path, image: WatermarkImage) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+KEY_FORMAT_VERSION = 1
 _KEY_HEADER = ("version", "sample_rate", "frame_size", "ws", "coeff_fraction",
                "w1", "w2", "wm_width", "wm_height")
 
@@ -108,7 +103,7 @@ def write_key(path, key: EmbeddingKey) -> None:
     to the identical 64-bit value.
     """
     lines = [
-        f"version {key.format_version}",
+        f"version {KEY_FORMAT_VERSION}",
         f"sample_rate {key.sample_rate}",
         f"frame_size {key.params.graph.frame_size}",
         f"ws {key.params.ws!r}",
@@ -134,7 +129,10 @@ def _header_value(lines, position, name, path):
 
 def read_key(path) -> EmbeddingKey:
     """Read an embedding key written by :func:`write_key`."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise KeyFormatError(f"{path}: not a plain-text key file") from exc
     raw = {name: _header_value(lines, i, name, path)
            for i, name in enumerate(_KEY_HEADER)}
     try:
@@ -166,7 +164,6 @@ def read_key(path) -> EmbeddingKey:
         params = EmbedParams(ws=ws, coeff_fraction=coeff_fraction,
                              graph=GraphConfig(frame_size=frame_size, w1=w1, w2=w2))
         return EmbeddingKey(
-            format_version=version,
             sample_rate=sample_rate,
             params=params,
             watermark_width=width,

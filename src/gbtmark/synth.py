@@ -13,12 +13,12 @@ from .audio import AudioSignal
 
 
 def speech_like(duration_s: float = 3.0, sample_rate: int = 8000,
-                seed: int = 0, level: float = 0.05) -> AudioSignal:
+                seed: int = 0) -> AudioSignal:
     """Generate a clip that mimics a voiced utterance.
 
     A pitch-modulated harmonic buzz is gated by a syllabic envelope and
-    mixed with a faint low-passed noise floor; ``level`` sets the RMS of
-    the whole clip.
+    mixed with a faint low-passed noise floor; the whole clip is scaled
+    to an RMS of 0.05.
     """
     rng = np.random.default_rng(seed)
     count = int(round(duration_s * sample_rate))
@@ -42,21 +42,21 @@ def speech_like(duration_s: float = 3.0, sample_rate: int = 8000,
     floor /= np.sqrt(np.mean(floor ** 2))
 
     clip = envelope * voiced + 0.06 * floor
-    clip *= level / np.sqrt(np.mean(clip ** 2))
+    clip *= 0.05 / np.sqrt(np.mean(clip ** 2))
     return AudioSignal(np.clip(clip, -0.95, 0.95), sample_rate)
 
 
-def tone(freq_hz: float, duration_s: float = 1.0, sample_rate: int = 8000,
-         amplitude: float = 0.5) -> AudioSignal:
-    """Pure sine tone, handy for measuring filter responses."""
+def tone(freq_hz: float, duration_s: float = 1.0,
+         sample_rate: int = 8000) -> AudioSignal:
+    """Pure sine tone of amplitude 0.5, handy for measuring filter responses."""
     t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
-    return AudioSignal(amplitude * np.sin(2 * np.pi * freq_hz * t), sample_rate)
+    return AudioSignal(0.5 * np.sin(2 * np.pi * freq_hz * t), sample_rate)
 
 
-def ar_noise(count: int, coeff: float = 0.95, seed: int = 0,
-             rms: float = 0.1, sample_rate: int = 8000) -> AudioSignal:
-    """First-order autoregressive noise scaled to the requested RMS."""
+def ar_noise(count: int, seed: int = 0, rms: float = 0.1,
+             sample_rate: int = 8000) -> AudioSignal:
+    """First-order autoregressive noise (pole 0.95) at the requested RMS."""
     rng = np.random.default_rng(seed)
-    x = sps.lfilter([1.0], [1.0, -coeff], rng.normal(size=count))
+    x = sps.lfilter([1.0], [1.0, -0.95], rng.normal(size=count))
     x *= rms / np.sqrt(np.mean(x ** 2))
     return AudioSignal(np.clip(x, -0.99, 0.99), sample_rate)

@@ -13,11 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import AudioSignal
+from .audio import AudioSignal, _fit_length
 from .errors import CapacityError, ConfigError, KeyFormatError, ValidationError
 from .transform import GraphConfig, TransformPlan, forward, inverse, make_plan
-
-KEY_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
     Record i belongs to watermark bit i (row-major); frame indices are
-    non-negative and strictly increasing.
+    non-negative and strictly increasing, and every ``s_max_original``
+    is finite and non-negative.
     """
 
-    format_version: int
     sample_rate: int
     params: EmbedParams
     watermark_width: int
@@ -108,6 +106,9 @@ class EmbeddingKey:
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise KeyFormatError(
                 "key frame indices must be non-negative and strictly increasing")
+        # a NaN or +inf reference reads every bit as 0, a negative one as 1
+        if not all(0 <= rec.s_max_original < math.inf for rec in self.records):
+            raise KeyFormatError("key s_max values must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +121,8 @@ class WatermarkedResult:
 
 def _frames(samples, frame_size: int, count: int) -> np.ndarray:
     # the first count frames as a (count, frame_size) array; a view when
-    # the samples reach that far, otherwise a copy zero-padded at the end
-    needed = count * frame_size
-    if samples.size < needed:
-        samples = np.concatenate([samples, np.zeros(needed - samples.size)])
-    return samples[:needed].reshape(count, frame_size)
+    # the samples reach that far (embed writes through it)
+    return _fit_length(samples, count * frame_size).reshape(count, frame_size)
 
 
 def frame_signal(signal: AudioSignal, frame_size: int) -> np.ndarray:
@@ -240,7 +238,6 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     coeffs[:, :k] = (mats + shift * u[:, :, :1] * vt[:, :1, :]).reshape(-1, k)
     frames[chosen] = np.clip(inverse(plan, coeffs), -1.0, 1.0)
     key = EmbeddingKey(
-        format_version=KEY_FORMAT_VERSION,
         sample_rate=host.sample_rate,
         params=params,
         watermark_width=watermark.width,

@@ -209,3 +209,14 @@ def test_benchmark_grid_covers_every_documented_attack():
     for kind, spec in DEFAULT_GRID:
         if spec is not None:
             assert isinstance(spec, AttackSpec)
+
+
+def test_benchmark_labels_tell_close_parameters_apart(tmp_path, watermark):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(3.0, 8000, seed=2))
+    grid = (("awgn", AttackSpec("awgn", 12.3456789)),
+            ("awgn", AttackSpec("awgn", 12.3457)),
+            ("crop", AttackSpec("crop", 0.2)))
+    report = run_benchmark(corpus, watermark, grid=grid)
+    assert [row.parameter for row in report.rows] == ["12.3456789", "12.3457", "0.2"]

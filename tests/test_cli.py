@@ -95,8 +95,12 @@ def test_extract_corrupt_key(workspace, capsys):
     header, records = lines[:9], lines[9:]
     negative = header + [f"-5 {records[0].split()[1]}"] + records[1:]
     empty = [line.replace("wm_width 25", "wm_width 0") for line in header]
-    for bad in (negative, empty):
-        key.write_text("\n".join(bad) + "\n")
+    # a reference that would read one bit the same on any signal
+    nan = header + [f"{records[0].split()[0]} nan"] + records[1:]
+    # one non-ASCII byte in a header value
+    utf8 = [header[0] + "\u00b5"] + header[1:] + records
+    for bad in (negative, empty, nan, utf8):
+        key.write_text("\n".join(bad) + "\n", encoding="utf-8")
         status = run_cli(["extract", marked, key, workspace / "out.pbm"])
         assert status == 2
         assert "gbtmark: error:" in capsys.readouterr().err
@@ -228,6 +232,16 @@ def test_benchmark_small_corpus(workspace, tmp_path, capsys):
                     "--seed", 0]) == 0
     capsys.readouterr()
     assert again.read_bytes() == csv_path.read_bytes()
+
+    # the header names every embedding setting, so other settings show
+    other = tmp_path / "bench_w2.csv"
+    assert run_cli(["benchmark", corpus, workspace / "wm.pbm", other,
+                    "--seed", 0, "--w2", 0.5]) == 0
+    header = other.read_text().splitlines()[1]
+    for name in ("ws=", "frame_size=", "coeff_fraction=", "w1=", "w2="):
+        assert f" {name}" in header
+    assert " w2=0.5 " in header
+    assert header != lines[1]
 
 
 def test_benchmark_empty_corpus(workspace, tmp_path, capsys):

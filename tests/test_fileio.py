@@ -160,15 +160,15 @@ def sample_key(records=None):
                    FrameRecord(17, 7.062499999999999e-05),
                    FrameRecord(40, 0.4517292817991246),
                    FrameRecord(41, 1.0 / 3.0))
-    return EmbeddingKey(1, 8000, params, 2, 2, records)
+    return EmbeddingKey(8000, params, 2, 2, records)
 
 
 def test_key_roundtrip_bit_exact(tmp_path):
     key = sample_key()
     path = tmp_path / "k.key"
     write_key(path, key)
+    assert path.read_text().splitlines()[0] == "version 1"
     back = read_key(path)
-    assert back.format_version == key.format_version
     assert back.sample_rate == key.sample_rate
     assert back.params == key.params
     assert back.watermark_width == key.watermark_width
@@ -181,7 +181,7 @@ def test_key_roundtrip_625_records(tmp_path):
     records = tuple(FrameRecord(int(i), float(s))
                     for i, s in zip(sorted(rng.choice(5000, 625, replace=False)),
                                     rng.uniform(0.05, 3.0, 625)))
-    key = EmbeddingKey(1, 8000, EmbedParams(), 25, 25, records)
+    key = EmbeddingKey(8000, EmbedParams(), 25, 25, records)
     path = tmp_path / "k625.key"
     write_key(path, key)
     assert read_key(path).records == key.records
@@ -238,4 +238,12 @@ def test_key_unparseable_float(tmp_path):
     text = path.read_text().replace("0.30000000000000004", "zero.three")
     path.write_text(text)
     with pytest.raises(KeyFormatError):
+        read_key(path)
+
+
+def test_key_non_ascii(tmp_path):
+    path = tmp_path / "utf8.key"
+    write_key(path, sample_key())
+    path.write_bytes(path.read_bytes().replace(b"0.3", "0.3µ".encode(), 1))
+    with pytest.raises(KeyFormatError, match="plain-text"):
         read_key(path)

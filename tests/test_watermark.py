@@ -411,20 +411,25 @@ def test_embedding_key_validation():
     params = EmbedParams()
     records = (FrameRecord(0, 0.5), FrameRecord(2, 0.4), FrameRecord(1, 0.3))
     with pytest.raises(KeyFormatError):
-        EmbeddingKey(1, 8000, params, 1, 3, records)
+        EmbeddingKey(8000, params, 1, 3, records)
     with pytest.raises(KeyFormatError):
-        EmbeddingKey(1, 8000, params, 2, 2, records)  # count mismatch
+        EmbeddingKey(8000, params, 2, 2, records)  # count mismatch
+    # a NaN or +inf reference always reads 0, a negative one always 1
+    for s_max in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(KeyFormatError, match="s_max"):
+            EmbeddingKey(8000, params, 1, 2,
+                         (FrameRecord(0, 0.5), FrameRecord(1, s_max)))
 
 
 def test_embedding_key_rejects_negative_frame_index():
     # extract would read frame -5 counted from the end of the signal
     records = (FrameRecord(-5, 0.5), FrameRecord(2, 0.4))
     with pytest.raises(KeyFormatError, match="non-negative"):
-        EmbeddingKey(1, 8000, EmbedParams(), 2, 1, records)
+        EmbeddingKey(8000, EmbedParams(), 2, 1, records)
 
 
 def test_embedding_key_rejects_empty_watermark():
     # no records to read: extract would fail outside the error hierarchy
     for width, height in ((0, 3), (3, 0), (0, 0)):
         with pytest.raises(KeyFormatError, match="dimensions"):
-            EmbeddingKey(1, 8000, EmbedParams(), width, height, ())
+            EmbeddingKey(8000, EmbedParams(), width, height, ())
