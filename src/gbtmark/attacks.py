@@ -52,10 +52,7 @@ def _apply_fir(x, taps):
     # causal filter, then advance by the group delay and zero-pad the
     # tail so the output stays aligned with the input
     delay = (FIR_TAP_COUNT - 1) // 2
-    filtered = sps.lfilter(taps, 1.0, x)
-    out = np.zeros_like(x)
-    out[: x.size - delay] = filtered[delay:]
-    return out
+    return _fit_length(np.convolve(x, taps)[delay:x.size], x.size)
 
 
 def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
@@ -92,8 +89,6 @@ def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioS
     rate = _checked("resample", intermediate_rate_hz)
     ratio = Fraction(rate, signal.sample_rate)
     up, down = ratio.numerator, ratio.denominator
-    if up == down:
-        return AudioSignal(signal.samples, signal.sample_rate)
     mid = sps.resample_poly(signal.samples, up, down)
     back = sps.resample_poly(mid, down, up)
     out = _fit_length(back, len(signal))

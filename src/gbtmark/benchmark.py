@@ -7,43 +7,50 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, CodecCommand
+from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .errors import CodecError, ValidationError
 from .fileio import read_wav
 from .metrics import ber, psnr
 from .watermark import EmbedParams, WatermarkImage, embed, extract
 
 # Union of the attack parameters reported for this scheme; both 64/32
-# and 32/16 kbps readings of the MP3 attack are covered.
-DEFAULT_GRID = (
-    ("none", None),
-    ("awgn", AttackSpec("awgn", 20.0)),
-    ("awgn", AttackSpec("awgn", 10.0)),
-    ("mp3", AttackSpec("mp3", 64)),
-    ("mp3", AttackSpec("mp3", 32)),
-    ("mp3", AttackSpec("mp3", 16)),
-    ("resample", AttackSpec("resample", 6000)),
-    ("resample", AttackSpec("resample", 4000)),
-    ("lowpass", AttackSpec("lowpass", 4000.0)),
-    ("highpass", AttackSpec("highpass", 50.0)),
-    ("amplitude_scale", AttackSpec("amplitude_scale", 0.9)),
-    ("amplitude_scale", AttackSpec("amplitude_scale", 0.7)),
-    ("requantize", AttackSpec("requantize", 24)),
-    ("requantize", AttackSpec("requantize", 8)),
-    ("crop", AttackSpec("crop", 0.20)),
-    ("crop", AttackSpec("crop", 0.30)),
-)
+# and 32/16 kbps readings of the MP3 attack are covered. Each row is
+# (label, spec), and a spec's label is its kind.
+DEFAULT_GRID = (("none", None), *((spec.kind, spec) for spec in (
+    AttackSpec("awgn", 20.0), AttackSpec("awgn", 10.0),
+    AttackSpec("mp3", 64), AttackSpec("mp3", 32), AttackSpec("mp3", 16),
+    AttackSpec("resample", 6000), AttackSpec("resample", 4000),
+    AttackSpec("lowpass", 4000.0), AttackSpec("highpass", 50.0),
+    AttackSpec("amplitude_scale", 0.9), AttackSpec("amplitude_scale", 0.7),
+    AttackSpec("requantize", 24), AttackSpec("requantize", 8),
+    AttackSpec("crop", 0.20), AttackSpec("crop", 0.30),
+)))
 
 
 @dataclass(frozen=True)
 class BenchmarkRow:
     """Results of one attack across the whole corpus."""
 
-    attack: str
-    parameter: str
-    bers: tuple          # one entry per file; None where skipped
-    mean_ber: float | None
-    skipped: bool
+    attack: str              # the grid label
+    spec: AttackSpec | None  # the attack that ran; None for no attack
+    bers: tuple              # one entry per file; None where skipped
+
+    @property
+    def parameter(self) -> str:
+        # integral values print without a decimal point, others with
+        # repr, so close parameters never share a label
+        if self.spec is None:
+            return ""
+        value = float(self.spec.parameter)
+        return str(int(value)) if value.is_integer() else repr(value)
+
+    @property
+    def skipped(self) -> bool:
+        return None in self.bers
+
+    @property
+    def mean_ber(self) -> float | None:
+        return None if self.skipped else float(np.mean(self.bers))
 
 
 @dataclass(frozen=True)
@@ -55,15 +62,6 @@ class BenchmarkReport:
     rows: tuple
     params: EmbedParams
     seed: int
-
-
-def _parameter_label(spec):
-    if spec is None:
-        return ""
-    value = float(spec.parameter)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
 
 
 def run_benchmark(corpus_dir, watermark: WatermarkImage,
@@ -100,22 +98,11 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
                     continue
             table[row_index].append(ber(watermark, extract(attacked, marked.key)))
 
-    rows = []
-    for (kind, spec), bers in zip(grid, table):
-        skipped = any(b is None for b in bers)
-        measured = [b for b in bers if b is not None]
-        mean_ber = float(np.mean(measured)) if measured and not skipped else None
-        rows.append(BenchmarkRow(
-            attack=kind,
-            parameter=_parameter_label(spec),
-            bers=tuple(bers),
-            mean_ber=mean_ber,
-            skipped=skipped,
-        ))
     return BenchmarkReport(
         files=tuple(p.name for p in paths),
         psnrs=tuple(psnrs),
-        rows=tuple(rows),
+        rows=tuple(BenchmarkRow(label, spec, tuple(bers))
+                   for (label, spec), bers in zip(grid, table)),
         params=params,
         seed=seed,
     )
@@ -133,10 +120,15 @@ def report_to_csv(report: BenchmarkReport) -> str:
     """Render a report as CSV with a commented metadata header.
 
     Per-file rows come first (sorted by file name, then grid order),
-    followed by one mean row per attack.
+    followed by one mean row per attack. The header's ``codec=`` reads
+    ``unused`` when no row's attack takes a codec, ``missing`` when such
+    a row was skipped, and ``available`` otherwise.
     """
     params, graph = report.params, report.params.graph
-    codec = "missing" if any(row.skipped for row in report.rows) else "available"
+    codec_rows = [row for row in report.rows if row.spec is not None
+                  and "codec" in ATTACKS[row.spec.kind].extras]
+    codec = ("unused" if not codec_rows else
+             "missing" if any(row.skipped for row in codec_rows) else "available")
     lines = [
         "# gbtmark benchmark",
         (f"# ws={params.ws!r} frame_size={graph.frame_size} "
@@ -167,11 +159,9 @@ def report_to_markdown(report: BenchmarkReport) -> str:
         "|---|---|---|---|",
     ]
     mean_psnr = _format_psnr(float(np.mean(report.psnrs)))
-    measured = []
+    measured = [row.mean_ber for row in report.rows if not row.skipped]
     for row in report.rows:
         label = "skipped" if row.skipped else f"{row.mean_ber:.3f}"
-        if not row.skipped:
-            measured.append(row.mean_ber)
         lines.append(f"| {row.attack} | {row.parameter} | {label} | {mean_psnr} |")
     if measured:
         lines.append(f"| average | | {float(np.mean(measured)):.3f} | |")

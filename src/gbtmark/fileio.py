@@ -6,6 +6,7 @@ coercing (no down-mixing, no resampling); writers produce files the
 readers round-trip exactly, up to the documented WAV quantization.
 """
 
+import operator
 import wave
 from pathlib import Path
 
@@ -92,28 +93,36 @@ def write_pbm(path, image: WatermarkImage) -> None:
 
 
 KEY_FORMAT_VERSION = 1
-_KEY_HEADER = ("version", "sample_rate", "frame_size", "ws", "coeff_fraction",
-               "w1", "w2", "wm_width", "wm_height")
+# The key's header lines in file order: name, type, and where write_key
+# finds the value.
+_KEY_HEADER = (
+    ("version", int, lambda key: KEY_FORMAT_VERSION),
+    ("sample_rate", int, lambda key: key.sample_rate),
+    ("frame_size", int, lambda key: key.params.graph.frame_size),
+    ("ws", float, lambda key: key.params.ws),
+    ("coeff_fraction", float, lambda key: key.params.coeff_fraction),
+    ("w1", float, lambda key: key.params.graph.w1),
+    ("w2", float, lambda key: key.params.graph.w2),
+    ("wm_width", int, lambda key: key.watermark_width),
+    ("wm_height", int, lambda key: key.watermark_height),
+)
+
+
+def _key_text(kind, value):
+    return repr(float(value)) if kind is float else str(operator.index(value))
 
 
 def write_key(path, key: EmbeddingKey) -> None:
     """Serialize an embedding key as line-oriented text.
 
-    Floats are printed with repr, the shortest decimal that reads back
-    to the identical 64-bit value.
+    Floats are written with repr of ``float``, the shortest decimal that
+    reads back to the identical 64-bit value, and ints through
+    ``operator.index``, which refuses (TypeError) rather than truncate.
     """
-    lines = [
-        f"version {KEY_FORMAT_VERSION}",
-        f"sample_rate {key.sample_rate}",
-        f"frame_size {key.params.graph.frame_size}",
-        f"ws {key.params.ws!r}",
-        f"coeff_fraction {key.params.coeff_fraction!r}",
-        f"w1 {key.params.graph.w1!r}",
-        f"w2 {key.params.graph.w2!r}",
-        f"wm_width {key.watermark_width}",
-        f"wm_height {key.watermark_height}",
-    ]
-    lines += [f"{rec.frame_index} {rec.s_max_original!r}" for rec in key.records]
+    lines = [f"{name} {_key_text(kind, get(key))}" for name, kind, get in _KEY_HEADER]
+    # _key_text's rule written out, as this runs once per watermark bit
+    lines += [f"{operator.index(index)} {float(s_max)!r}"
+              for index, s_max in key.records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -133,41 +142,31 @@ def read_key(path) -> EmbeddingKey:
         lines = Path(path).read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"{path}: not a plain-text key file") from exc
-    raw = {name: _header_value(lines, i, name, path)
-           for i, name in enumerate(_KEY_HEADER)}
     try:
-        version = int(raw["version"])
-        sample_rate = int(raw["sample_rate"])
-        frame_size = int(raw["frame_size"])
-        ws = float(raw["ws"])
-        coeff_fraction = float(raw["coeff_fraction"])
-        w1 = float(raw["w1"])
-        w2 = float(raw["w2"])
-        width = int(raw["wm_width"])
-        height = int(raw["wm_height"])
+        header = {name: kind(_header_value(lines, i, name, path))
+                  for i, (name, kind, _) in enumerate(_KEY_HEADER)}
     except ValueError as exc:
         raise KeyFormatError(f"{path}: malformed key header: {exc}") from exc
-    if version != KEY_FORMAT_VERSION:
+    if header["version"] != KEY_FORMAT_VERSION:
         raise KeyFormatError(
-            f"{path}: key version {version} is not supported "
+            f"{path}: key version {header['version']} is not supported "
             f"(expected {KEY_FORMAT_VERSION})")
     records = []
     for line in lines[len(_KEY_HEADER):]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise KeyFormatError(f"{path}: bad key record {line!r}")
         try:
-            records.append(FrameRecord(int(parts[0]), float(parts[1])))
+            index, s_max = line.split()
+            records.append(FrameRecord(int(index), float(s_max)))
         except ValueError as exc:
             raise KeyFormatError(f"{path}: bad key record {line!r}") from exc
     try:
-        params = EmbedParams(ws=ws, coeff_fraction=coeff_fraction,
-                             graph=GraphConfig(frame_size=frame_size, w1=w1, w2=w2))
+        graph = GraphConfig(frame_size=header["frame_size"],
+                            w1=header["w1"], w2=header["w2"])
         return EmbeddingKey(
-            sample_rate=sample_rate,
-            params=params,
-            watermark_width=width,
-            watermark_height=height,
+            sample_rate=header["sample_rate"],
+            params=EmbedParams(ws=header["ws"], graph=graph,
+                               coeff_fraction=header["coeff_fraction"]),
+            watermark_width=header["wm_width"],
+            watermark_height=header["wm_height"],
             records=tuple(records),
         )
     except ConfigError as exc:

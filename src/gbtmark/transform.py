@@ -8,6 +8,7 @@ Laplacian, ordered from low to high graph frequency, so the leading
 coefficients concentrate most of the frame energy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,10 @@ class GraphConfig:
     def __post_init__(self):
         if not (isinstance(self.frame_size, (int, np.integer)) and self.frame_size >= 3):
             raise ConfigError(f"frame_size must be an integer >= 3, got {self.frame_size!r}")
-        if not self.w1 > 0:
-            raise ConfigError(f"w1 must be > 0, got {self.w1!r}")
-        if not self.w2 >= 0:
-            raise ConfigError(f"w2 must be >= 0, got {self.w2!r}")
+        if not 0 < self.w1 < math.inf:
+            raise ConfigError(f"w1 must be finite and > 0, got {self.w1!r}")
+        if not 0 <= self.w2 < math.inf:
+            raise ConfigError(f"w2 must be finite and >= 0, got {self.w2!r}")
         object.__setattr__(self, "frame_size", int(self.frame_size))
         object.__setattr__(self, "w1", float(self.w1))
         object.__setattr__(self, "w2", float(self.w2))

@@ -27,8 +27,9 @@ class EmbedParams:
     graph: GraphConfig = field(default_factory=GraphConfig)
 
     def __post_init__(self):
-        if not self.ws > 0:
-            raise ConfigError(f"watermark strength must be > 0, got {self.ws!r}")
+        if not 0 < self.ws < math.inf:
+            raise ConfigError(
+                f"watermark strength must be finite and > 0, got {self.ws!r}")
         if not 0 < self.coeff_fraction <= 1:
             raise ConfigError(
                 f"coeff_fraction must be in (0, 1], got {self.coeff_fraction!r}")
@@ -178,7 +179,8 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     Frames whose largest singular value does not exceed the watermark
     strength cannot take a bit-0 shift and are ineligible. Among the
     rest, the ``bit_count`` highest-energy frames win (ties to the lower
-    index); the result is sorted by ascending frame index.
+    index); the result is sorted by ascending frame index. ``plan``
+    must be built for ``params.graph``.
 
     Cost: every frame's energy, but singular values only for a prefix
     of the frames ranked by (-energy, index). The prefix starts at the
@@ -190,6 +192,8 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     """
     if bit_count < 1:
         raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
+    if plan.config != params.graph:
+        raise ValidationError(f"plan is for {plan.config}, not {params.graph}")
     frames = frame_signal(signal, plan.frame_size)
     energies = np.einsum("ij,ij->i", frames, frames)
     total = energies.size

@@ -33,6 +33,7 @@ from gbtmark import (
     payload,
     psnr,
     read_wav,
+    report_to_csv,
     requantize,
     resample_roundtrip,
     run_benchmark,
@@ -41,6 +42,7 @@ from gbtmark import (
 from gbtmark.synth import speech_like
 
 from conftest import embed_oracle_gap, random_watermark
+from test_attacks import fake_codec
 from test_transform import PUBLISHED_8x8
 
 
@@ -220,3 +222,18 @@ def test_benchmark_labels_tell_close_parameters_apart(tmp_path, watermark):
             ("crop", AttackSpec("crop", 0.2)))
     report = run_benchmark(corpus, watermark, grid=grid)
     assert [row.parameter for row in report.rows] == ["12.3456789", "12.3457", "0.2"]
+
+
+def test_benchmark_header_says_whether_a_codec_ran(tmp_path, watermark):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(3.0, 8000, seed=2))
+    no_codec = (("none", None), ("crop", AttackSpec("crop", 0.2)))
+    with_mp3 = no_codec + (("mp3", AttackSpec("mp3", 64)),)
+    absent = CodecCommand("no-such-enc {input} {output} {bitrate}",
+                          "no-such-dec {input} {output}")
+    for grid, codec, expected in ((no_codec, absent, "unused"),
+                                  (with_mp3, absent, "missing"),
+                                  (with_mp3, fake_codec(tmp_path), "available")):
+        report = run_benchmark(corpus, watermark, codec=codec, grid=grid)
+        assert report_to_csv(report).splitlines()[1].endswith(f" codec={expected}")

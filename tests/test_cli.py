@@ -99,7 +99,10 @@ def test_extract_corrupt_key(workspace, capsys):
     nan = header + [f"{records[0].split()[0]} nan"] + records[1:]
     # one non-ASCII byte in a header value
     utf8 = [header[0] + "\u00b5"] + header[1:] + records
-    for bad in (negative, empty, nan, utf8):
+    # settings no embed accepts: an infinite edge weight or strength
+    inf_w1 = [line.replace("w1 1.0", "w1 inf") for line in header] + records
+    inf_ws = [line.replace("ws 0.05", "ws inf") for line in header] + records
+    for bad in (negative, empty, nan, utf8, inf_w1, inf_ws):
         key.write_text("\n".join(bad) + "\n", encoding="utf-8")
         status = run_cli(["extract", marked, key, workspace / "out.pbm"])
         assert status == 2

@@ -1,8 +1,11 @@
+import dataclasses
 import struct
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gbtmark import (
     AudioFormatError,
@@ -185,6 +188,76 @@ def test_key_roundtrip_625_records(tmp_path):
     path = tmp_path / "k625.key"
     write_key(path, key)
     assert read_key(path).records == key.records
+
+
+def assert_same_key(back, key):
+    # every field and record, bit for bit (float.hex tells -0.0 from 0.0)
+    def bits(k):
+        graph = k.params.graph
+        return ([int(k.sample_rate), int(graph.frame_size), int(k.watermark_width),
+                 int(k.watermark_height)]
+                + [float(v).hex() for v in (k.params.ws, k.params.coeff_fraction,
+                                            graph.w1, graph.w2)]
+                + [(int(i), float(s).hex()) for i, s in k.records])
+    assert bits(back) == bits(key)
+
+
+def test_key_roundtrip_numpy_scalars(tmp_path):
+    # keys built from numpy values write plain numbers read_key accepts
+    params = EmbedParams(ws=np.float64(0.05), coeff_fraction=np.float64(0.4),
+                         graph=GraphConfig(np.int64(10), np.float64(1.0),
+                                           np.float32(0.3)))
+    records = (FrameRecord(np.int64(3), np.float64(0.5)),
+               FrameRecord(np.int32(17), np.float32(0.1)))
+    key = EmbeddingKey(np.int64(8000), params, np.int64(2), np.int64(1), records)
+    path = tmp_path / "np.key"
+    write_key(path, key)
+    assert "np." not in path.read_text()
+    assert_same_key(read_key(path), key)
+    # an int field takes no fraction, rather than lose it
+    with pytest.raises(TypeError):
+        write_key(path, dataclasses.replace(key, sample_rate=8000.5))
+
+
+def maybe_numpy(strategy, numpy_type):
+    return st.one_of(strategy, strategy.map(numpy_type))
+
+
+FINITE_POSITIVE = st.floats(0.0, 1.7976931348623157e308, exclude_min=True)
+
+
+@st.composite
+def keys(draw):
+    frame_size = draw(maybe_numpy(st.integers(3, 64), np.int64))
+    graph = GraphConfig(frame_size,
+                        draw(maybe_numpy(FINITE_POSITIVE, np.float64)),
+                        draw(maybe_numpy(st.floats(0.0, 1e308), np.float64)))
+    # at least 1/frame_size keeps one coefficient
+    params = EmbedParams(ws=draw(maybe_numpy(FINITE_POSITIVE, np.float64)),
+                         coeff_fraction=draw(st.floats(1.0 / frame_size, 1.0)),
+                         graph=graph)
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = width * height
+    indices = sorted(draw(st.lists(st.integers(0, 2**40), min_size=count,
+                                   max_size=count, unique=True)))
+    s_max = st.one_of(st.sampled_from([0.0, 5e-324, 1.7e308]),
+                      st.floats(0.0, 1.7976931348623157e308))
+    records = [FrameRecord(draw(maybe_numpy(st.just(i), np.int64)),
+                           draw(maybe_numpy(s_max, np.float64)))
+               for i in indices]
+    rate = draw(maybe_numpy(st.integers(1, 384000), np.int64))
+    return EmbeddingKey(rate, params, width, height, records)
+
+
+def test_key_roundtrip_property(tmp_path):
+    path = tmp_path / "prop.key"
+
+    @given(key=keys())
+    def check(key):
+        write_key(path, key)
+        assert_same_key(read_key(path), key)
+
+    check()
 
 
 def test_key_truncated_file(tmp_path):

@@ -55,6 +55,8 @@ def test_adjacency_banded_symmetric_zero_diagonal():
     {"frame_size": 10, "w1": 0.0},
     {"frame_size": 10, "w1": -1.0},
     {"frame_size": 10, "w2": -0.1},
+    {"frame_size": 10, "w1": np.inf},
+    {"frame_size": 10, "w2": np.inf},
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):

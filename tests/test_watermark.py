@@ -87,7 +87,8 @@ def test_coeff_count_rounds_half_up():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"ws": 0.0}, {"ws": -0.1}, {"coeff_fraction": 0.0}, {"coeff_fraction": 1.1},
+    {"ws": 0.0}, {"ws": -0.1}, {"ws": np.inf},
+    {"coeff_fraction": 0.0}, {"coeff_fraction": 1.1},
 ])
 def test_embed_params_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):
@@ -104,6 +105,13 @@ def test_select_frames_tie_goes_to_lower_index(default_plan):
     signal = constant_frames_signal([0.3, 0.3, 0.2])
     assert list(select_frames(signal, EmbedParams(), 1, default_plan)) == [0]
     assert list(select_frames(signal, EmbedParams(), 2, default_plan)) == [0, 1]
+
+
+def test_select_frames_rejects_a_plan_for_another_graph():
+    # a 16-sample plan would pick frames on a grid the key never names
+    other = make_plan(GraphConfig(frame_size=16))
+    with pytest.raises(ValidationError, match="plan"):
+        select_frames(speech_like(2.0, 8000, seed=1), EmbedParams(), 5, other)
 
 
 def test_select_frames_silent_signal_has_no_capacity(default_plan):
