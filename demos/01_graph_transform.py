@@ -27,7 +27,7 @@ print("\nLaplacian row sums (all zero):", laplacian.sum(axis=1))
 #    constant vector sits at zero, wiggly vectors at the top.
 plan = make_plan(config)
 print("\neigenvalues (graph frequencies):")
-print(np.round(plan.eigenvalues, 4))
+print(np.round(np.linalg.eigvalsh(laplacian), 4))
 print("\nfirst basis vector (constant, the 'DC' of the graph):")
 print(np.round(plan.basis[:, 0], 4))
 

@@ -34,7 +34,7 @@ print(f"artifacts land in {workdir}\n")
 # 1. A host clip and a payload image. The glyph is a hollow square
 #    with a diagonal, easy to recognize in ASCII.
 host = speech_like(duration_s=3.0, sample_rate=8000, seed=42)
-print(f"host: {host.duration:.1f} s at {host.sample_rate} Hz, "
+print(f"host: {len(host) / host.sample_rate:.1f} s at {host.sample_rate} Hz, "
       f"{payload(host.sample_rate, 10):g} bits/s of capacity")
 
 grid = np.zeros((25, 25), dtype=int)

@@ -62,8 +62,6 @@ from .watermark import (
     WatermarkedResult,
     embed,
     extract,
-    frame_signal,
-    reshape_for_svd,
     select_frames,
 )
 

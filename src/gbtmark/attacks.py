@@ -31,6 +31,8 @@ MP3_BITRATES = (16, 32, 64)
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
     """Add white Gaussian noise at the given signal-to-noise ratio in dB."""
     snr_db = _checked("awgn", snr_db)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"awgn seed must be a non-negative integer, got {seed!r}")
     x = signal.samples
     power = float(np.mean(x * x))
     if power == 0.0:

@@ -39,11 +39,6 @@ class AudioSignal:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
 
 def _fit_length(samples, length):
     # the first length samples: a view when the samples reach that far,

@@ -39,8 +39,9 @@ def read_wav(path) -> AudioSignal:
         raise AudioFormatError(
             f"{path}: only 16-bit PCM is supported, file has "
             f"{8 * sample_width}-bit samples")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioSignal(samples, rate)
+    if rate < 1:
+        raise AudioFormatError(f"{path}: sample rate must be positive, file has {rate}")
+    return AudioSignal(np.frombuffer(data, dtype="<i2") / 32768.0, rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:

@@ -1,4 +1,4 @@
-"""Quality and robustness measures: PSNR/SNR, bit error rate, payload."""
+"""Quality and robustness measures: PSNR, bit error rate, payload."""
 
 import math
 from dataclasses import dataclass
@@ -15,16 +15,15 @@ class QualityReport:
     """Distortion of a test signal against a reference.
 
     PSNR uses a fixed full-scale peak of 1.0; identical signals report
-    infinite PSNR/SNR.
+    infinite PSNR.
     """
 
     psnr_db: float
-    snr_db: float
     mse: float
 
 
 def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
-    """Peak and plain signal-to-noise ratio of test against reference."""
+    """Peak signal-to-noise ratio and mean squared error of test vs reference."""
     if reference.sample_rate != test.sample_rate:
         raise ValidationError(
             f"sample rates differ: {reference.sample_rate} vs {test.sample_rate}")
@@ -34,11 +33,8 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     error = test.samples - reference.samples
     mse = float(np.mean(error * error))
     if mse == 0.0:
-        return QualityReport(psnr_db=math.inf, snr_db=math.inf, mse=0.0)
-    power = float(np.mean(reference.samples ** 2))
-    snr_db = 10.0 * math.log10(power / mse) if power > 0 else -math.inf
-    return QualityReport(psnr_db=10.0 * math.log10(1.0 / mse),
-                         snr_db=snr_db, mse=mse)
+        return QualityReport(psnr_db=math.inf, mse=0.0)
+    return QualityReport(psnr_db=10.0 * math.log10(1.0 / mse), mse=mse)
 
 
 def ber(original: WatermarkImage, extracted: WatermarkImage) -> float:

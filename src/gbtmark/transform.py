@@ -50,8 +50,6 @@ class TransformPlan:
     """
 
     config: GraphConfig
-    laplacian: np.ndarray
-    eigenvalues: np.ndarray
     basis: np.ndarray
 
     @property
@@ -119,9 +117,8 @@ def make_plan(config: GraphConfig) -> TransformPlan:
     vecs = _order_within_ties(vals, _normalize_signs(vecs))
     if np.max(np.abs((vecs * vals) @ vecs.T - lap)) > 1e-9:
         raise NumericError("eigenvectors do not reconstruct the Laplacian")
-    for arr in (lap, vals, vecs):
-        arr.flags.writeable = False
-    return TransformPlan(config=config, laplacian=lap, eigenvalues=vals, basis=vecs)
+    vecs.flags.writeable = False
+    return TransformPlan(config=config, basis=vecs)
 
 
 def forward(plan: TransformPlan, frames) -> np.ndarray:

@@ -8,6 +8,7 @@ current largest singular value against the value saved at embed time.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -55,12 +56,16 @@ class WatermarkImage:
     bits: np.ndarray
 
     def __post_init__(self):
+        try:
+            size = operator.index(self.width) * operator.index(self.height)
+        except TypeError:
+            raise ValidationError("watermark dimensions must be integers, got "
+                                  f"{self.width!r}x{self.height!r}") from None
         if self.width < 1 or self.height < 1:
             raise ValidationError("watermark dimensions must be positive")
         bits = np.asarray(self.bits)
-        if bits.ndim != 1 or bits.size != self.width * self.height:
-            raise ValidationError(
-                f"expected {self.width * self.height} bits, got {bits.size}")
+        if bits.ndim != 1 or bits.size != size:
+            raise ValidationError(f"expected {size} bits, got {bits.size}")
         if not np.isin(bits, (0, 1)).all():
             raise ValidationError("watermark bits must be 0 or 1")
         bits = bits.astype(np.uint8)
@@ -84,7 +89,7 @@ class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
     Record i belongs to watermark bit i (row-major); frame indices are
-    non-negative and strictly increasing, and every ``s_max_original``
+    non-negative, strictly increasing integers, and every ``s_max_original``
     is finite and non-negative.
     """
 
@@ -96,6 +101,13 @@ class EmbeddingKey:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+        try:
+            for value in (self.sample_rate, self.watermark_width, self.watermark_height):
+                operator.index(value)
+            indices = [-1] + [operator.index(rec.frame_index) for rec in self.records]
+        except TypeError:
+            raise KeyFormatError("key sample rate, watermark dimensions and frame "
+                                 "indices must be integers") from None
         if self.watermark_width < 1 or self.watermark_height < 1:
             raise KeyFormatError("key watermark dimensions must be positive, got "
                                  f"{self.watermark_width}x{self.watermark_height}")
@@ -103,7 +115,6 @@ class EmbeddingKey:
         if len(self.records) != expected:
             raise KeyFormatError(
                 f"key has {len(self.records)} records, watermark needs {expected}")
-        indices = [-1] + [rec.frame_index for rec in self.records]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise KeyFormatError(
                 "key frame indices must be non-negative and strictly increasing")
@@ -126,43 +137,13 @@ def _frames(samples, frame_size: int, count: int) -> np.ndarray:
     return _fit_length(samples, count * frame_size).reshape(count, frame_size)
 
 
-def frame_signal(signal: AudioSignal, frame_size: int) -> np.ndarray:
-    """Split into consecutive non-overlapping frames, dropping the tail.
-
-    Returns a (frame_count, frame_size) view of the samples.
-    """
-    total = len(signal)
-    if total < frame_size:
-        raise ValidationError(
-            f"signal has {total} samples, need at least {frame_size} for one frame")
-    return _frames(signal.samples, frame_size, total // frame_size)
-
-
-def _svd_shape(k: int):
-    # largest divisor of k not exceeding sqrt(k), so the matrix is as
-    # square as possible and prime k falls back to a single row
-    for rows in range(math.isqrt(k), 0, -1):
-        if k % rows == 0:
-            return rows, k // rows
-    return 1, k
-
-
-def reshape_for_svd(coeffs) -> np.ndarray:
-    """Row-major reshape of k coefficients into the squarest r x c matrix.
-
-    The last axis holds the k coefficients; any leading axes are kept,
-    giving one matrix per frame of a batch.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    rows, cols = _svd_shape(coeffs.shape[-1])
-    return coeffs.reshape(coeffs.shape[:-1] + (rows, cols))
-
-
 def _leading(plan, frames, k):
     # transform coefficients of a batch of frames, and their leading k
-    # reshaped into one small matrix per frame
+    # as one row-major r x c matrix per frame, r the largest divisor of
+    # k not above sqrt(k): as square as possible, one row for a prime k
     coeffs = forward(plan, frames)
-    return coeffs, reshape_for_svd(coeffs[:, :k])
+    rows = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
+    return coeffs, coeffs[:, :k].reshape(-1, rows, k // rows)
 
 
 def _smax(mats):
@@ -194,9 +175,12 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
         raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
     if plan.config != params.graph:
         raise ValidationError(f"plan is for {plan.config}, not {params.graph}")
-    frames = frame_signal(signal, plan.frame_size)
+    total = len(signal) // plan.frame_size
+    if total < 1:
+        raise ValidationError(f"signal has {len(signal)} samples, need at least "
+                              f"{plan.frame_size} for one frame")
+    frames = _frames(signal.samples, plan.frame_size, total)
     energies = np.einsum("ij,ij->i", frames, frames)
-    total = energies.size
     winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
     upper = np.inf  # frames at or above this energy are already tested
     tested = 0

@@ -60,6 +60,15 @@ def test_awgn_rejects_silence_and_bad_snr():
         awgn(ar_noise(100, seed=0), float("inf"))
 
 
+def test_awgn_seed_is_a_non_negative_integer():
+    signal = ar_noise(100, seed=0)
+    for seed in (-1, np.int64(-3), 2.5, "1"):
+        with pytest.raises(ValidationError, match="seed"):
+            awgn(signal, 20, seed=seed)
+    assert np.array_equal(awgn(signal, 20, seed=np.int64(5)).samples,
+                          awgn(signal, 20, seed=5).samples)
+
+
 # ------------------------------------------------------------- filters
 
 def test_lowpass_passband_preserved():

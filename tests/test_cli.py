@@ -121,6 +121,13 @@ def test_attack_awgn_deterministic(workspace):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_attack_awgn_negative_seed(workspace, capsys):
+    status = run_cli(["attack", "awgn", workspace / "host.wav", workspace / "n.wav",
+                      "--snr", 10, "--seed", -1])
+    assert status == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_attack_crop_preserves_length(workspace):
     out = workspace / "cropped.wav"
     assert run_cli(["attack", "crop", workspace / "host.wav", out,
@@ -245,6 +252,18 @@ def test_benchmark_small_corpus(workspace, tmp_path, capsys):
         assert f" {name}" in header
     assert " w2=0.5 " in header
     assert header != lines[1]
+
+
+def test_benchmark_negative_seed(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(2.0, 8000, seed=1))
+    csv_path = tmp_path / "bench.csv"
+    status = run_cli(["benchmark", corpus, workspace / "wm.pbm", csv_path,
+                      "--seed", -1])
+    assert status == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_benchmark_empty_corpus(workspace, tmp_path, capsys):

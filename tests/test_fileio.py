@@ -91,6 +91,16 @@ def test_read_wav_rejects_8bit(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_rejects_zero_rate(tmp_path):
+    path = tmp_path / "rate0.wav"
+    write_raw_wav(path, [0, 1, 2])
+    header = bytearray(path.read_bytes())
+    header[24:28] = bytes(4)  # the fmt chunk's sample rate
+    path.write_bytes(bytes(header))
+    with pytest.raises(AudioFormatError, match="sample rate"):
+        read_wav(path)
+
+
 def test_read_wav_rejects_garbage(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"RIFFnonsense not a wave file at all")
@@ -215,8 +225,8 @@ def test_key_roundtrip_numpy_scalars(tmp_path):
     assert "np." not in path.read_text()
     assert_same_key(read_key(path), key)
     # an int field takes no fraction, rather than lose it
-    with pytest.raises(TypeError):
-        write_key(path, dataclasses.replace(key, sample_rate=8000.5))
+    with pytest.raises(KeyFormatError, match="integers"):
+        dataclasses.replace(key, sample_rate=8000.5)
 
 
 def maybe_numpy(strategy, numpy_type):

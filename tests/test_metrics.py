@@ -20,7 +20,6 @@ def test_psnr_identical_signals_infinite():
     signal = ar_noise(1000, seed=0)
     report = psnr(signal, signal)
     assert math.isinf(report.psnr_db)
-    assert math.isinf(report.snr_db)
     assert report.mse == 0.0
 
 
@@ -30,7 +29,6 @@ def test_psnr_hand_computed():
     report = psnr(reference, test)
     assert report.mse == pytest.approx(0.01, abs=1e-15)
     assert report.psnr_db == pytest.approx(20.0, abs=1e-9)
-    assert report.snr_db == pytest.approx(10 * math.log10(0.25 / 0.01), abs=1e-9)
 
 
 def test_psnr_decreases_with_noise_power():

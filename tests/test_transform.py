@@ -95,17 +95,24 @@ def test_laplacian_rejects_bad_input():
         build_laplacian(np.zeros((2, 3)))          # not square
 
 
+def plan_spectrum(config):
+    """A plan, its Laplacian, and the eigenvalues its basis columns carry."""
+    plan = make_plan(config)
+    lap = build_laplacian(build_adjacency(config))
+    return plan, lap, np.diag(plan.basis.T @ lap @ plan.basis)
+
+
 def test_plan_invariants_default_config():
-    plan = make_plan(GraphConfig())
+    plan, lap, eigenvalues = plan_spectrum(GraphConfig())
     n = 10
-    assert np.max(np.abs(plan.laplacian.sum(axis=1))) <= 1e-12
+    assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
     assert np.max(np.abs(plan.basis.T @ plan.basis - np.eye(n))) <= 1e-10
-    assert np.all(np.diff(plan.eigenvalues) >= 0)
-    assert abs(plan.eigenvalues[0]) <= 1e-10
-    assert np.all(plan.eigenvalues[1:] > 0)       # connected graph
-    assert np.all(plan.eigenvalues >= -1e-10)     # positive semidefinite
-    recon = (plan.basis * plan.eigenvalues) @ plan.basis.T
-    assert np.max(np.abs(recon - plan.laplacian)) <= 1e-9
+    assert np.all(np.diff(eigenvalues) >= 0)
+    assert abs(eigenvalues[0]) <= 1e-10
+    assert np.all(eigenvalues[1:] > 0)       # connected graph
+    assert np.all(eigenvalues >= -1e-10)     # positive semidefinite
+    recon = (plan.basis * eigenvalues) @ plan.basis.T
+    assert np.max(np.abs(recon - lap)) <= 1e-9
 
 
 def test_plan_first_eigenvector_is_positive_constant():
@@ -121,22 +128,22 @@ def test_plan_sign_normalization():
 
 def test_path4_eigenvalues_closed_form():
     # path graph on 4 nodes: eigenvalues 2 - 2cos(k*pi/4)
-    plan = make_plan(GraphConfig(frame_size=4, w1=1.0, w2=0.0))
+    _, _, eigenvalues = plan_spectrum(GraphConfig(frame_size=4, w1=1.0, w2=0.0))
     expected = np.sort([0.0, 2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
-    assert np.allclose(plan.eigenvalues, expected, atol=1e-12)
+    assert np.allclose(eigenvalues, expected, atol=1e-12)
 
 
 def test_plan_deterministic():
-    a = make_plan(GraphConfig())
-    b = make_plan(GraphConfig())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    a, _, a_eigenvalues = plan_spectrum(GraphConfig())
+    b, _, b_eigenvalues = plan_spectrum(GraphConfig())
+    assert np.array_equal(a_eigenvalues, b_eigenvalues)
     assert np.array_equal(a.basis, b.basis)
 
 
 def test_plan_with_repeated_eigenvalues():
     # w2 = w1 on three nodes gives the complete graph, spectrum {0, 3, 3}
-    plan = make_plan(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
-    assert np.allclose(plan.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+    plan, _, eigenvalues = plan_spectrum(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
+    assert np.allclose(eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
     assert np.max(np.abs(plan.basis.T @ plan.basis - np.eye(3))) <= 1e-10
     again = make_plan(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
     assert np.array_equal(plan.basis, again.basis)

@@ -23,14 +23,12 @@ from gbtmark import (
     embed,
     extract,
     forward,
-    frame_signal,
     make_plan,
     psnr,
-    reshape_for_svd,
     select_frames,
 )
 from gbtmark.synth import ar_noise, speech_like
-from gbtmark.watermark import _leading, _smax
+from gbtmark.watermark import _frames, _leading, _smax
 
 from conftest import embed_oracle_gap, random_watermark
 from oracles import select_frames_full_scan
@@ -43,41 +41,52 @@ def constant_frames_signal(levels, frame_size=10, rate=8000):
 
 
 def test_frame_signal_drops_partial_tail():
-    signal = AudioSignal(np.linspace(-0.5, 0.5, 25), 8000)
-    frames = frame_signal(signal, 10)
+    samples = AudioSignal(np.linspace(-0.5, 0.5, 25), 8000).samples
+    frames = _frames(samples, 10, len(samples) // 10)
     assert frames.shape == (2, 10)
-    assert np.array_equal(frames[0], signal.samples[:10])
-    assert np.array_equal(frames[1], signal.samples[10:20])
+    assert np.array_equal(frames[0], samples[:10])
+    assert np.array_equal(frames[1], samples[10:20])
 
 
 def test_frame_signal_exact_fit():
-    frames = frame_signal(AudioSignal(np.zeros(20), 8000), 10)
+    frames = _frames(AudioSignal(np.zeros(20), 8000).samples, 10, 2)
     assert frames.shape == (2, 10)
 
 
-def test_frame_signal_too_short():
-    with pytest.raises(ValidationError):
-        frame_signal(AudioSignal(np.zeros(9), 8000), 10)
+def test_frame_signal_too_short(default_plan):
+    with pytest.raises(ValidationError, match="9 samples"):
+        select_frames(AudioSignal(np.zeros(9), 8000), EmbedParams(), 1, default_plan)
+
+
+def leading_of_random_frames(k, count=5):
+    # _leading on random frames of the default 10-sample graph
+    frames = np.random.default_rng(k).uniform(-0.5, 0.5, (count, 10))
+    plan = make_plan(GraphConfig())
+    coeffs, mats = _leading(plan, frames, k)
+    assert np.array_equal(coeffs, forward(plan, frames))
+    return coeffs, mats
 
 
 def test_reshape_k4_row_major():
-    mat = reshape_for_svd([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(mat, [[1.0, 2.0], [3.0, 4.0]])
+    coeffs, mats = leading_of_random_frames(4)
+    assert mats.shape == (5, 2, 2)
+    for c, mat in zip(coeffs, mats):
+        assert np.array_equal(mat, [[c[0], c[1]], [c[2], c[3]]])
 
 
 def test_reshape_k6_is_2x3():
-    assert reshape_for_svd(np.arange(6.0)).shape == (2, 3)
-    batch = reshape_for_svd(np.arange(30.0).reshape(5, 6))
-    assert batch.shape == (5, 2, 3)
-    assert np.array_equal(batch[3], reshape_for_svd(np.arange(18.0, 24.0)))
+    coeffs, mats = leading_of_random_frames(6)
+    assert mats.shape == (5, 2, 3)
+    for c, mat in zip(coeffs, mats):
+        assert np.array_equal(mat, [c[0:3], c[3:6]])
 
 
 def test_reshape_prime_is_row_and_smax_is_norm():
-    coeffs = np.array([0.3, -0.1, 0.4, 0.2, -0.5])
-    mat = reshape_for_svd(coeffs)
-    assert mat.shape == (1, 5)
-    smax = np.linalg.svd(mat, compute_uv=False)[0]
-    assert smax == pytest.approx(np.linalg.norm(coeffs), abs=1e-12)
+    coeffs, mats = leading_of_random_frames(5)
+    assert mats.shape == (5, 1, 5)
+    assert np.array_equal(mats[:, 0], coeffs[:, :5])
+    assert _smax(mats) == pytest.approx(np.linalg.norm(coeffs[:, :5], axis=1),
+                                        abs=1e-12)
 
 
 def test_coeff_count_rounds_half_up():
@@ -133,7 +142,7 @@ def test_select_frames_eligibility_threshold(default_plan):
     # eligible means the kernel's smax > ws: a frame exactly at the
     # strength is out, and one a single ulp above it is in
     signal = ar_noise(10, seed=21, rms=0.2)
-    smax = float(_smax(_leading(default_plan, frame_signal(signal, 10), 4)[1])[0])
+    smax = float(_smax(_leading(default_plan, signal.samples.reshape(-1, 10), 4)[1])[0])
     with pytest.raises(CapacityError):
         select_frames(signal, EmbedParams(ws=smax), 1, default_plan)
     below = EmbedParams(ws=np.nextafter(smax, 0.0))
@@ -278,8 +287,8 @@ def test_embed_k1_changes_coefficient_magnitude():
     plan = make_plan(params.graph)
     host = constant_frames_signal([0.2, -0.3])
     result = embed(host, WatermarkImage(2, 1, [1, 0]), params)
-    coeff = forward(plan, frame_signal(host, 10))[:, 0]
-    new_coeff = forward(plan, frame_signal(result.signal, 10))[:, 0]
+    coeff = forward(plan, host.samples.reshape(-1, 10))[:, 0]
+    new_coeff = forward(plan, result.signal.samples.reshape(-1, 10))[:, 0]
     s_ref = [record.s_max_original for record in result.key.records]
     assert s_ref == pytest.approx(np.abs(coeff), abs=1e-12)
     assert new_coeff == pytest.approx(coeff + np.sign(coeff) * [params.ws, -params.ws],
@@ -294,8 +303,8 @@ def test_embed_prime_k_rescales_the_coefficient_row():
     host = ar_noise(40, seed=22, rms=0.2)  # four frames, all of them carry a bit
     watermark = WatermarkImage(2, 2, [1, 0, 0, 1])
     result = embed(host, watermark, params)
-    before = forward(plan, frame_signal(host, 10))[:, :5]
-    after = forward(plan, frame_signal(result.signal, 10))[:, :5]
+    before = forward(plan, host.samples.reshape(-1, 10))[:, :5]
+    after = forward(plan, result.signal.samples.reshape(-1, 10))[:, :5]
     norms = np.linalg.norm(before, axis=1)
     s_ref = [record.s_max_original for record in result.key.records]
     assert s_ref == pytest.approx(norms, abs=1e-12)
@@ -352,10 +361,10 @@ def test_embed_detection_margin(embedded_clips, watermark, default_plan):
     # value sits exactly ws away from the recorded one
     params = EmbedParams()
     result = embedded_clips[0]
-    frames = frame_signal(result.signal, 10)
+    frames = result.signal.samples.reshape(-1, 10)
     for record, bit in zip(result.key.records, watermark.bits):
         coeffs = forward(default_plan, frames[record.frame_index])
-        smax = np.linalg.svd(reshape_for_svd(coeffs[:4]), compute_uv=False)[0]
+        smax = np.linalg.svd(coeffs[:4].reshape(2, 2), compute_uv=False)[0]
         expected = record.s_max_original + (params.ws if bit else -params.ws)
         assert smax == pytest.approx(expected, abs=1e-6)
 
@@ -413,6 +422,10 @@ def test_watermark_image_validation():
         WatermarkImage(2, 2, [0, 1, 1])
     with pytest.raises(ValidationError):
         WatermarkImage(0, 2, [])
+    # a fractional dimension would give an image grid() cannot shape
+    for width, height in ((2.0, 1), (1, np.float64(2.0))):
+        with pytest.raises(ValidationError, match="integers"):
+            WatermarkImage(width, height, [0, 1])
 
 
 def test_embedding_key_validation():
@@ -427,6 +440,14 @@ def test_embedding_key_validation():
         with pytest.raises(KeyFormatError, match="s_max"):
             EmbeddingKey(8000, params, 1, 2,
                          (FrameRecord(0, 0.5), FrameRecord(1, s_max)))
+    # extract indexes frames with these fields, so a fraction is refused
+    records = (FrameRecord(3, 0.1), FrameRecord(7, 0.2))
+    for fields in ((8000.0, 2, 1, records), (8000, 2.0, 1, records),
+                   (8000, 2, np.float64(1.0), records),
+                   (8000, 2, 1, (FrameRecord(3.5, 0.1), FrameRecord(7, 0.2))),
+                   (8000, 2, 1, (FrameRecord(3, 0.1), FrameRecord(np.float64(7), 0.2)))):
+        with pytest.raises(KeyFormatError, match="integers"):
+            EmbeddingKey(fields[0], params, *fields[1:])
 
 
 def test_embedding_key_rejects_negative_frame_index():
