@@ -31,8 +31,7 @@ MP3_BITRATES = (16, 32, 64)
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
     """Add white Gaussian noise at the given signal-to-noise ratio in dB."""
     snr_db = _checked("awgn", snr_db)
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"awgn seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     x = signal.samples
     power = float(np.mean(x * x))
     if power == 0.0:
@@ -250,12 +249,19 @@ def _checked(kind, value):
     return attack.type(number)
 
 
+def _check_seed(seed):
+    # the one seed rule, for awgn and for every AttackSpec
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """One attack plus its parameter, ready to apply to any signal.
 
     ``kind`` is a key of :data:`ATTACKS`, whose entry says what
-    ``parameter`` means and may be; ``seed`` only affects awgn.
+    ``parameter`` means and may be; ``seed`` must be a non-negative
+    integer and only affects awgn.
     """
 
     kind: str
@@ -267,6 +273,7 @@ class AttackSpec:
             raise ValidationError(
                 f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
         _checked(self.kind, self.parameter)
+        _check_seed(self.seed)
 
     def apply(self, signal: AudioSignal,
               codec: CodecCommand | None = None) -> AudioSignal:

@@ -11,33 +11,49 @@ from .errors import ValidationError
 class AudioSignal:
     """Mono audio: sample values in [-1, 1] plus a sample rate in Hz.
 
-    The sample array is copied and frozen on construction, so a signal
-    can be shared freely between workers.
+    The public constructor copies the sample array and freezes the
+    copy, so a signal can be shared freely between workers and no later
+    write to the caller's array reaches it. Arrays the library has just
+    made itself (a decoded WAV, an embed result) are adopted instead:
+    the same checks, then frozen in place, without the copy.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValidationError("samples must be a non-empty 1-D sequence")
-        # max and min propagate NaN, so this one test also rejects NaN
-        # and +-inf; isfinite runs only to pick the message
-        peak = max(samples.max(), -samples.min())
-        if not peak <= 1.0:
-            if not np.isfinite(samples).all():
-                raise ValidationError("samples must be finite")
-            raise ValidationError("samples must lie in [-1, 1]")
-        rate = self.sample_rate
-        if not (isinstance(rate, (int, np.integer)) and rate > 0):
-            raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(rate))
+        _settle(self, np.array(self.samples, dtype=np.float64), self.sample_rate)
 
     def __len__(self):
         return self.samples.size
+
+
+def _settle(signal, samples, rate):
+    # the one validation of every signal: check the float64 samples and
+    # the rate, then freeze the samples and store both on signal
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValidationError("samples must be a non-empty 1-D sequence")
+    # max and min propagate NaN, so this one test also rejects NaN
+    # and +-inf; isfinite runs only to pick the message
+    peak = max(samples.max(), -samples.min())
+    if not peak <= 1.0:
+        if not np.isfinite(samples).all():
+            raise ValidationError("samples must be finite")
+        raise ValidationError("samples must lie in [-1, 1]")
+    if not (isinstance(rate, (int, np.integer)) and rate > 0):
+        raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
+    samples.flags.writeable = False
+    object.__setattr__(signal, "samples", samples)
+    object.__setattr__(signal, "sample_rate", int(rate))
+
+
+def _adopt(samples, rate):
+    # a signal holding samples itself, not a copy (asarray copies only
+    # a non-float64 array); only for an array the library has just made
+    # and that nothing else holds
+    signal = object.__new__(AudioSignal)
+    _settle(signal, np.asarray(samples, dtype=np.float64), rate)
+    return signal
 
 
 def _fit_length(samples, length):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACKS, AttackSpec, CodecCommand
+from .attacks import ATTACKS, AttackSpec, CodecCommand, _check_seed
 from .errors import CodecError, ValidationError
 from .fileio import read_wav
 from .metrics import ber, psnr
@@ -72,10 +72,11 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
 
     Files are processed in name order. Each attack's seed (only awgn
     reads one) is offset by the file's position so clips get independent
-    noise, reproducibly. MP3 rows turn into skipped entries when the
-    codec is unavailable.
+    noise, reproducibly; a bad seed is refused before any file is read.
+    MP3 rows turn into skipped entries when the codec is unavailable.
     """
     params = params if params is not None else EmbedParams()
+    _check_seed(seed)
     paths = sorted(Path(corpus_dir).glob("*.wav"))
     if not paths:
         raise ValidationError(f"no .wav files found in {corpus_dir}")

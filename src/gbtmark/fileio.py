@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal
+from .audio import AudioSignal, _adopt
 from .errors import AudioFormatError, ConfigError, KeyFormatError
 from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, FrameRecord, WatermarkImage
@@ -41,17 +41,21 @@ def read_wav(path) -> AudioSignal:
             f"{8 * sample_width}-bit samples")
     if rate < 1:
         raise AudioFormatError(f"{path}: sample rate must be positive, file has {rate}")
-    return AudioSignal(np.frombuffer(data, dtype="<i2") / 32768.0, rate)
+    return _adopt(np.frombuffer(data, dtype="<i2") / 32768.0, rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM; samples scale by 32767 and clamp."""
-    pcm = np.clip(np.round(signal.samples * 32767.0), -32768, 32767).astype("<i2")
+    # one float temporary, rounded (half to even) and clamped in place
+    scaled = signal.samples * 32767.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    pcm = scaled.astype("<i2")
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
         handle.setframerate(signal.sample_rate)
-        handle.writeframes(pcm.tobytes())
+        handle.writeframes(pcm)
 
 
 def read_pbm(path) -> WatermarkImage:

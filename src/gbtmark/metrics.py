@@ -31,7 +31,7 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
         raise ValidationError(
             f"signal lengths differ: {len(reference)} vs {len(test)}")
     error = test.samples - reference.samples
-    mse = float(np.mean(error * error))
+    mse = float(np.mean(np.square(error, out=error)))
     if mse == 0.0:
         return QualityReport(psnr_db=math.inf, mse=0.0)
     return QualityReport(psnr_db=10.0 * math.log10(1.0 / mse), mse=mse)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import AudioSignal, _fit_length
+from .audio import AudioSignal, _adopt, _fit_length
 from .errors import CapacityError, ConfigError, KeyFormatError, ValidationError
 from .transform import GraphConfig, TransformPlan, forward, inverse, make_plan
 
@@ -88,9 +88,10 @@ class FrameRecord(NamedTuple):
 class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
-    Record i belongs to watermark bit i (row-major); frame indices are
-    non-negative, strictly increasing integers, and every ``s_max_original``
-    is finite and non-negative.
+    The sample rate is a positive integer. Record i belongs to watermark
+    bit i (row-major); frame indices are non-negative, strictly
+    increasing integers, and every ``s_max_original`` is finite and
+    non-negative.
     """
 
     sample_rate: int
@@ -108,6 +109,9 @@ class EmbeddingKey:
         except TypeError:
             raise KeyFormatError("key sample rate, watermark dimensions and frame "
                                  "indices must be integers") from None
+        if self.sample_rate < 1:
+            raise KeyFormatError(
+                f"key sample rate must be positive, got {self.sample_rate}")
         if self.watermark_width < 1 or self.watermark_height < 1:
             raise KeyFormatError("key watermark dimensions must be positive, got "
                                  f"{self.watermark_width}x{self.watermark_height}")
@@ -232,7 +236,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
         watermark_height=watermark.height,
         records=tuple(map(FrameRecord, chosen.tolist(), s_ref.tolist())),
     )
-    return WatermarkedResult(signal=AudioSignal(samples, host.sample_rate), key=key)
+    return WatermarkedResult(signal=_adopt(samples, host.sample_rate), key=key)
 
 
 def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:

@@ -4,12 +4,15 @@ import sys
 import numpy as np
 import pytest
 
+import gbtmark.benchmark
+
 from gbtmark import (
     AttackSpec,
     AudioSignal,
     CodecCommand,
     CodecError,
     ValidationError,
+    WatermarkImage,
     amplitude_scale,
     awgn,
     crop_leading,
@@ -354,6 +357,27 @@ def test_attack_spec_validation():
                         ("lowpass", math.inf), ("amplitude_scale", math.inf)):
         with pytest.raises(ValidationError, match="must be"):
             AttackSpec(kind, value)
+
+
+def test_attack_spec_seed_follows_the_awgn_rule():
+    # refused when the spec is made, for every kind, not when awgn runs
+    for seed in (-1, np.int64(-3), 2.5, "1"):
+        for kind, value in (("awgn", 20.0), ("crop", 0.2)):
+            with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+                AttackSpec(kind, value, seed=seed)
+    assert AttackSpec("awgn", 20.0, seed=np.int64(5)).seed == 5
+
+
+def test_run_benchmark_checks_seed_before_any_work(tmp_path, monkeypatch):
+    write_wav(tmp_path / "clip.wav", speech_like(2.0, 8000, seed=1))
+    calls = []
+    monkeypatch.setattr(gbtmark.benchmark, "embed",
+                        lambda *args: calls.append(args))
+    mark = WatermarkImage(2, 2, np.array([0, 1, 1, 0]))
+    for seed in (-1, 1.5):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            gbtmark.benchmark.run_benchmark(tmp_path, mark, seed=seed)
+    assert calls == []
 
 
 def test_wav_helpers_roundtrip(tmp_path):

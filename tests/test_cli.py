@@ -102,7 +102,12 @@ def test_extract_corrupt_key(workspace, capsys):
     # settings no embed accepts: an infinite edge weight or strength
     inf_w1 = [line.replace("w1 1.0", "w1 inf") for line in header] + records
     inf_ws = [line.replace("ws 0.05", "ws inf") for line in header] + records
-    for bad in (negative, empty, nan, utf8, inf_w1, inf_ws):
+    # a sample rate no signal has
+    zero_rate = [line.replace("sample_rate 8000", "sample_rate 0")
+                 for line in header] + records
+    negative_rate = [line.replace("sample_rate 8000", "sample_rate -8000")
+                     for line in header] + records
+    for bad in (negative, empty, nan, utf8, inf_w1, inf_ws, zero_rate, negative_rate):
         key.write_text("\n".join(bad) + "\n", encoding="utf-8")
         status = run_cli(["extract", marked, key, workspace / "out.pbm"])
         assert status == 2

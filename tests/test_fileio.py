@@ -58,6 +58,34 @@ def test_write_wav_zero_stored_as_zero(tmp_path):
     assert struct.unpack("<4h", raw) == (0, 0, 0, 0)
 
 
+def test_read_wav_signal_is_read_only(tmp_path):
+    path = tmp_path / "clip.wav"
+    write_raw_wav(path, [1, -2, 3])
+    signal = read_wav(path)
+    assert not signal.samples.flags.writeable
+    with pytest.raises(ValueError):
+        signal.samples[0] = 0.0
+
+
+def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
+    # full scale, negative zero, every exact half step between two PCM
+    # codes (rounded half to even) and random samples
+    k = np.arange(-32767, 32767)
+    rng = np.random.default_rng(12)
+    samples = np.concatenate([[1.0, -1.0, -0.0, 0.0], (k + 0.5) / 32767,
+                              rng.uniform(-1.0, 1.0, 10_000)])
+    path = tmp_path / "pcm.wav"
+    write_wav(path, AudioSignal(samples, 8000))
+    with wave.open(str(path), "rb") as handle:
+        pcm = np.frombuffer(handle.readframes(handle.getnframes()), dtype="<i2")
+    expected = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    assert np.array_equal(pcm, expected)
+    assert list(pcm[:4]) == [32767, -32767, 0, 0]
+    scaled = samples * 32767.0
+    ties = scaled - np.floor(scaled) == 0.5
+    assert ties.sum() > 30_000 and not (pcm[ties] % 2).any()
+
+
 def test_wav_roundtrip_quantization_bound(tmp_path):
     signal = speech_like(1.0, 8000, seed=1)
     path = tmp_path / "clip.wav"

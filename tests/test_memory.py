@@ -1,0 +1,54 @@
+"""Peak memory of the calls that pass over a whole signal.
+
+``tracemalloc`` sees numpy's array buffers, so a traced peak above one
+float64 copy of the signal plus its int16 PCM means a call made a
+second full-length copy, which these tests catch before a benchmark
+run does.
+"""
+
+import tracemalloc
+
+import pytest
+
+from gbtmark import embed, psnr, read_wav, write_wav
+from gbtmark.synth import speech_like
+
+from conftest import random_watermark
+
+PEAK_LIMIT = 1.5  # traced peak over the signal's float64 bytes
+
+
+@pytest.fixture(scope="module")
+def host():
+    return speech_like(20.0, 8000, seed=1)  # 160 000 samples, 1.28 MB
+
+
+def peak_ratio(call, host):
+    # the peak counts what the call returns as well as its temporaries
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / host.samples.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_wav_peak_memory(host, tmp_path):
+    path = tmp_path / "host.wav"
+    write_wav(path, host)
+    assert peak_ratio(lambda: read_wav(path), host) <= PEAK_LIMIT
+
+
+def test_write_wav_peak_memory(host, tmp_path):
+    path = tmp_path / "out.wav"
+    assert peak_ratio(lambda: write_wav(path, host), host) <= PEAK_LIMIT
+
+
+def test_embed_peak_memory(host):
+    mark = random_watermark()
+    assert peak_ratio(lambda: embed(host, mark), host) <= PEAK_LIMIT
+
+
+def test_psnr_peak_memory(host):
+    marked = embed(host, random_watermark()).signal
+    assert peak_ratio(lambda: psnr(host, marked), host) <= PEAK_LIMIT

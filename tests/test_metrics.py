@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gbtmark import (
     AudioSignal,
@@ -52,6 +54,18 @@ def test_psnr_depends_only_on_error_multiset():
     b = psnr(AudioSignal(reference[perm], 8000),
              AudioSignal(reference[perm] + errors[perm], 8000))
     assert a.psnr_db == pytest.approx(b.psnr_db, abs=1e-12)
+
+
+unit_samples = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300)
+
+
+@given(reference=unit_samples, test=unit_samples)
+def test_psnr_mse_is_bit_equal_to_mean_of_squares(reference, test):
+    size = min(len(reference), len(test))
+    reference, test = np.array(reference[:size]), np.array(test[:size])
+    error = test - reference
+    report = psnr(AudioSignal(reference, 8000), AudioSignal(test, 8000))
+    assert report.mse == float(np.mean(error * error))
 
 
 def test_psnr_validates_inputs():

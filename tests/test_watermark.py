@@ -356,6 +356,13 @@ def test_embed_locality(watermark):
     assert not np.array_equal(marked[touched], original[touched])
 
 
+def test_embed_result_is_frozen_and_apart_from_the_host(embedded_clips, speech_clips):
+    # embed adopts its own copy of the host: one copy, not shared, read-only
+    for result, host in zip(embedded_clips, speech_clips):
+        assert not result.signal.samples.flags.writeable
+        assert not np.shares_memory(result.signal.samples, host.samples)
+
+
 def test_embed_detection_margin(embedded_clips, watermark, default_plan):
     # before any quantization the watermarked frame's largest singular
     # value sits exactly ws away from the recorded one
@@ -448,6 +455,10 @@ def test_embedding_key_validation():
                    (8000, 2, 1, (FrameRecord(3, 0.1), FrameRecord(np.float64(7), 0.2)))):
         with pytest.raises(KeyFormatError, match="integers"):
             EmbeddingKey(fields[0], params, *fields[1:])
+    # a rate no signal has: extract would report a rate mismatch instead
+    for rate in (0, -8000):
+        with pytest.raises(KeyFormatError, match="sample rate"):
+            EmbeddingKey(rate, params, 2, 1, records)
 
 
 def test_embedding_key_rejects_negative_frame_index():
