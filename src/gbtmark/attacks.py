@@ -1,8 +1,10 @@
 """Signal-level attacks used to stress watermark extraction.
 
 Every attack preserves the signal's length and sample rate and keeps
-samples in [-1, 1]. All attacks are deterministic functions of their
-parameters; the noise attack additionally takes a seed.
+samples in [-1, 1]: each returns through ``_attacked``, the one place
+that fits, clamps and adopts a result. All attacks are deterministic
+functions of their parameters; the noise attack additionally takes a
+seed.
 """
 
 import math
@@ -19,13 +21,21 @@ from typing import NamedTuple
 import numpy as np
 from scipy import signal as sps
 
-from .audio import AudioSignal, _fit_length
+from .audio import AudioSignal, _adopt, _fit_length
 from .errors import CodecError, ValidationError
 from .fileio import read_wav, write_wav
 
 FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
 MP3_ALIGN_MAX_LAG = 2048
 MP3_BITRATES = (16, 32, 64)
+
+
+def _attacked(signal, out):
+    # every attack's result: out trimmed or zero-padded to the input's
+    # length, clamped to [-1, 1] and adopted at the input's rate; np.clip
+    # returns a fresh array, so nothing else holds what is adopted
+    return _adopt(np.clip(_fit_length(out, len(signal)), -1.0, 1.0),
+                  signal.sample_rate)
 
 
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
@@ -38,7 +48,7 @@ def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
         raise ValidationError("SNR is undefined for a silent signal")
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     noise = np.random.default_rng(seed).normal(0.0, sigma, x.size)
-    return AudioSignal(np.clip(x + noise, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, x + noise)
 
 
 def _lowpass_taps(cutoff_hz, sample_rate):
@@ -50,10 +60,10 @@ def _lowpass_taps(cutoff_hz, sample_rate):
 
 
 def _apply_fir(x, taps):
-    # causal filter, then advance by the group delay and zero-pad the
-    # tail so the output stays aligned with the input
+    # causal filter, advanced by the group delay so the output stays
+    # aligned with the input; _attacked zero-pads the short tail
     delay = (FIR_TAP_COUNT - 1) // 2
-    return _fit_length(np.convolve(x, taps)[delay:x.size], x.size)
+    return np.convolve(x, taps)[delay:x.size]
 
 
 def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
@@ -68,8 +78,7 @@ def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
         raise ValidationError(
             f"lowpass cutoff must be in (0, {nyquist:g}] Hz, got {cutoff_hz!r}")
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
-    out = _apply_fir(signal.samples, taps)
-    return AudioSignal(np.clip(out, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, _apply_fir(signal.samples, taps))
 
 
 def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
@@ -81,8 +90,7 @@ def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
             f"highpass cutoff must be in (0, {nyquist:g}) Hz, got {cutoff_hz!r}")
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
     taps[(FIR_TAP_COUNT - 1) // 2] += 1.0
-    out = _apply_fir(signal.samples, taps)
-    return AudioSignal(np.clip(out, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, _apply_fir(signal.samples, taps))
 
 
 def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioSignal:
@@ -91,32 +99,27 @@ def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioS
     ratio = Fraction(rate, signal.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     mid = sps.resample_poly(signal.samples, up, down)
-    back = sps.resample_poly(mid, down, up)
-    out = _fit_length(back, len(signal))
-    return AudioSignal(np.clip(out, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, sps.resample_poly(mid, down, up))
 
 
 def requantize(signal: AudioSignal, bits: int) -> AudioSignal:
     """Mid-rise requantization onto a grid of 2**bits - 1 levels."""
     bits = _checked("requantize", bits)
     scale = float(2 ** (bits - 1) - 1)
-    out = np.round(signal.samples * scale) / scale
-    return AudioSignal(np.clip(out, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, np.round(signal.samples * scale) / scale)
 
 
 def amplitude_scale(signal: AudioSignal, factor: float) -> AudioSignal:
     """Multiply every sample by a positive factor, clamping to [-1, 1]."""
     factor = _checked("amplitude_scale", factor)
-    return AudioSignal(np.clip(signal.samples * factor, -1.0, 1.0),
-                       signal.sample_rate)
+    return _attacked(signal, signal.samples * factor)
 
 
 def crop_leading(signal: AudioSignal, fraction: float) -> AudioSignal:
     """Remove the leading fraction of samples and zero-pad the end."""
     fraction = _checked("crop", fraction)
     cut = int(fraction * len(signal))
-    return AudioSignal(_fit_length(signal.samples[cut:], len(signal)),
-                       signal.sample_rate)
+    return _attacked(signal, signal.samples[cut:])
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,8 @@ def _align_to(reference, decoded):
     window = np.abs(lags) <= MP3_ALIGN_MAX_LAG
     lag = int(lags[window][np.argmax(corr[window])])
     if lag >= 0:
-        shifted = decoded[lag:]
-    else:
-        shifted = np.concatenate([np.zeros(-lag), decoded])
-    return _fit_length(shifted, reference.size)
+        return decoded[lag:]
+    return np.concatenate([np.zeros(-lag), decoded])
 
 
 def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
@@ -197,8 +198,7 @@ def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
         raise CodecError(
             f"decoder returned {decoded.sample_rate} Hz audio for a "
             f"{signal.sample_rate} Hz input; fix the codec templates")
-    aligned = _align_to(signal.samples, decoded.samples)
-    return AudioSignal(np.clip(aligned, -1.0, 1.0), signal.sample_rate)
+    return _attacked(signal, _align_to(signal.samples, decoded.samples))
 
 
 class Attack(NamedTuple):
@@ -217,8 +217,9 @@ class Attack(NamedTuple):
 # CLI all read this table. Rate-relative rules (filter cutoffs below
 # Nyquist) are checked by the functions when they run.
 ATTACKS = {
-    "awgn": Attack(awgn, "snr", float, "SNR in dB", "finite",
-                   math.isfinite, ("seed",)),
+    # the bound keeps 10 ** (snr / 10) a finite, non-zero float
+    "awgn": Attack(awgn, "snr", float, "SNR in dB", "in [-300, 300]",
+                   lambda db: -300 <= db <= 300, ("seed",)),
     "mp3": Attack(mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
                   f"one of {MP3_BITRATES}", MP3_BITRATES.__contains__,
                   ("codec",)),

@@ -14,8 +14,9 @@ class AudioSignal:
     The public constructor copies the sample array and freezes the
     copy, so a signal can be shared freely between workers and no later
     write to the caller's array reaches it. Arrays the library has just
-    made itself (a decoded WAV, an embed result) are adopted instead:
-    the same checks, then frozen in place, without the copy.
+    made itself (a decoded WAV, an embed result, an attack result, a
+    synthetic clip) are adopted instead: the same checks, then frozen in
+    place, without the copy.
     """
 
     samples: np.ndarray

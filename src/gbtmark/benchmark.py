@@ -1,6 +1,8 @@
 """Attack-grid benchmark: embed into every clip of a corpus, run each
 attack, extract, and tabulate bit error rates."""
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -130,27 +132,25 @@ def report_to_csv(report: BenchmarkReport) -> str:
                   and "codec" in ATTACKS[row.spec.kind].extras]
     codec = ("unused" if not codec_rows else
              "missing" if any(row.skipped for row in codec_rows) else "available")
-    lines = [
-        "# gbtmark benchmark",
-        (f"# ws={params.ws!r} frame_size={graph.frame_size} "
-         f"coeff_fraction={params.coeff_fraction!r} w1={graph.w1!r} "
-         f"w2={graph.w2!r} seed={report.seed} codec={codec}"),
-        "file,attack,parameter,ber,psnr_embed",
-    ]
+    text = io.StringIO()
+    text.write("# gbtmark benchmark\n"
+               f"# ws={params.ws!r} frame_size={graph.frame_size} "
+               f"coeff_fraction={params.coeff_fraction!r} w1={graph.w1!r} "
+               f"w2={graph.w2!r} seed={report.seed} codec={codec}\n")
+    # the writer quotes only the fields that need it (a file name with a
+    # comma or a quote)
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["file", "attack", "parameter", "ber", "psnr_embed"])
     for file_index, name in enumerate(report.files):
         for row in report.rows:
-            lines.append(",".join([
-                name, row.attack, row.parameter,
-                _format_ber(row.bers[file_index]),
-                _format_psnr(report.psnrs[file_index]),
-            ]))
+            writer.writerow([name, row.attack, row.parameter,
+                             _format_ber(row.bers[file_index]),
+                             _format_psnr(report.psnrs[file_index])])
     mean_psnr = _format_psnr(float(np.mean(report.psnrs)))
     for row in report.rows:
-        lines.append(",".join([
-            "mean", row.attack, row.parameter,
-            _format_ber(row.mean_ber), mean_psnr,
-        ]))
-    return "\n".join(lines) + "\n"
+        writer.writerow(["mean", row.attack, row.parameter,
+                         _format_ber(row.mean_ber), mean_psnr])
+    return text.getvalue()
 
 
 def report_to_markdown(report: BenchmarkReport) -> str:

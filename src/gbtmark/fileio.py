@@ -41,6 +41,13 @@ def read_wav(path) -> AudioSignal:
             f"{8 * sample_width}-bit samples")
     if rate < 1:
         raise AudioFormatError(f"{path}: sample rate must be positive, file has {rate}")
+    # a data chunk shorter than its header says is read as it stands, as
+    # streaming writers leave it; one that is empty or ends mid-sample is not
+    if not data:
+        raise AudioFormatError(f"{path}: WAV file holds no samples")
+    if len(data) % 2:
+        raise AudioFormatError(
+            f"{path}: truncated WAV file, data ends mid-sample ({len(data)} bytes)")
     return _adopt(np.frombuffer(data, dtype="<i2") / 32768.0, rate)
 
 

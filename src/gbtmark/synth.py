@@ -9,7 +9,7 @@ separated by near-silence, and a small noise floor.
 import numpy as np
 from scipy import signal as sps
 
-from .audio import AudioSignal
+from .audio import AudioSignal, _adopt
 
 
 def speech_like(duration_s: float = 3.0, sample_rate: int = 8000,
@@ -43,14 +43,14 @@ def speech_like(duration_s: float = 3.0, sample_rate: int = 8000,
 
     clip = envelope * voiced + 0.06 * floor
     clip *= 0.05 / np.sqrt(np.mean(clip ** 2))
-    return AudioSignal(np.clip(clip, -0.95, 0.95), sample_rate)
+    return _adopt(np.clip(clip, -0.95, 0.95), sample_rate)
 
 
 def tone(freq_hz: float, duration_s: float = 1.0,
          sample_rate: int = 8000) -> AudioSignal:
     """Pure sine tone of amplitude 0.5, handy for measuring filter responses."""
     t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
-    return AudioSignal(0.5 * np.sin(2 * np.pi * freq_hz * t), sample_rate)
+    return _adopt(0.5 * np.sin(2 * np.pi * freq_hz * t), sample_rate)
 
 
 def ar_noise(count: int, seed: int = 0, rms: float = 0.1,
@@ -59,4 +59,4 @@ def ar_noise(count: int, seed: int = 0, rms: float = 0.1,
     rng = np.random.default_rng(seed)
     x = sps.lfilter([1.0], [1.0, -0.95], rng.normal(size=count))
     x *= rms / np.sqrt(np.mean(x ** 2))
-    return AudioSignal(np.clip(x, -0.99, 0.99), sample_rate)
+    return _adopt(np.clip(x, -0.99, 0.99), sample_rate)

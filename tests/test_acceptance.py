@@ -6,6 +6,7 @@ when an external codec is actually available; otherwise it is skipped
 and the suite still passes.
 """
 
+import csv
 import os
 import shutil
 import time
@@ -237,3 +238,20 @@ def test_benchmark_header_says_whether_a_codec_ran(tmp_path, watermark):
                                   (with_mp3, fake_codec(tmp_path), "available")):
         report = run_benchmark(corpus, watermark, codec=codec, grid=grid)
         assert report_to_csv(report).splitlines()[1].endswith(f" codec={expected}")
+
+
+def test_benchmark_csv_quotes_file_names(tmp_path, watermark):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    names = ["a,b.wav", 'say "hi".wav', "plain.wav"]
+    for seed, name in enumerate(names, start=2):
+        write_wav(corpus / name, speech_like(3.0, 8000, seed=seed))
+    grid = (("none", None), ("crop", AttackSpec("crop", 0.2)))
+    text = report_to_csv(run_benchmark(corpus, watermark, grid=grid))
+    header, *rows = csv.reader(text.splitlines()[2:])
+    assert header == ["file", "attack", "parameter", "ber", "psnr_embed"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[0] for row in rows] == [name for name in sorted(names)
+                                        for _ in grid] + ["mean"] * len(grid)
+    # only the fields that need quoting are quoted
+    assert "\nplain.wav,none,," in text

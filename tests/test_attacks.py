@@ -61,6 +61,12 @@ def test_awgn_rejects_silence_and_bad_snr():
         awgn(AudioSignal(np.zeros(100), 8000), 20)
     with pytest.raises(ValidationError):
         awgn(ar_noise(100, seed=0), float("inf"))
+    # 10 ** (snr / 10) would overflow or reach zero
+    for snr in (4000.0, -4000.0):
+        with pytest.raises(ValidationError, match="SNR"):
+            awgn(ar_noise(100, seed=0), snr)
+        with pytest.raises(ValidationError, match="SNR"):
+            AttackSpec("awgn", snr)
 
 
 def test_awgn_seed_is_a_non_negative_integer():
@@ -257,11 +263,18 @@ def fake_codec(tmp_path, delay=0):
     )
 
 
+def assert_own_frozen_samples(out, signal):
+    # a result holds a read-only array of its own, never a view of its input
+    assert not out.samples.flags.writeable
+    assert not np.shares_memory(out.samples, signal.samples)
+
+
 def test_mp3_roundtrip_with_copy_codec(tmp_path):
     signal = speech_like(1.0, 8000, seed=8)
     out = mp3_roundtrip(signal, 64, codec=fake_codec(tmp_path))
     assert len(out) == len(signal)
     assert out.sample_rate == signal.sample_rate
+    assert_own_frozen_samples(out, signal)
     # identity codec: only the 16-bit write/read quantization remains
     assert np.max(np.abs(out.samples - signal.samples)) <= 1 / 32767
     corr = np.corrcoef(out.samples, signal.samples)[0, 1]
@@ -323,6 +336,7 @@ GRID_SANS_MP3 = [
     AttackSpec("amplitude_scale", 0.7),
     AttackSpec("crop", 0.2),
     AttackSpec("crop", 0.3),
+    AttackSpec("crop", 0.0),
 ]
 
 
@@ -334,6 +348,7 @@ def test_attack_preserves_length_rate_and_range(spec):
     assert len(out) == len(signal)
     assert out.sample_rate == signal.sample_rate
     assert np.max(np.abs(out.samples)) <= 1.0
+    assert_own_frozen_samples(out, signal)
 
 
 def test_attack_spec_validation():

@@ -179,10 +179,23 @@ def test_attack_validation_failure(workspace, capsys):
     assert status == 1
     # integer options take integers only, and mp3 only its bitrates
     for kind, flag, value in (("mp3", "--bitrate", 48), ("mp3", "--bitrate", "32.0"),
-                              ("requantize", "--bits", "8.7")):
+                              ("requantize", "--bits", "8.7"), ("awgn", "--snr", 4000)):
         status = run_cli(["attack", kind, workspace / "host.wav",
                           workspace / "out.wav", flag, value])
         assert status == 1
+
+
+def test_attack_malformed_wav_is_format_error(workspace, capsys):
+    host = (workspace / "host.wav").read_bytes()
+    empty = bytearray(host[:44])
+    empty[40:44] = bytes(4)  # the data chunk's size
+    for name, data, message in (("cut.wav", host[:-1], "mid-sample"),
+                                ("empty.wav", bytes(empty), "no samples")):
+        (workspace / name).write_bytes(data)
+        status = run_cli(["attack", "crop", workspace / name,
+                          workspace / "out.wav", "--fraction", 0.1])
+        assert status == 2
+        assert message in capsys.readouterr().err
 
 
 def test_attack_unknown_kind_is_usage_error(workspace, capsys):

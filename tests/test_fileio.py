@@ -129,6 +129,26 @@ def test_read_wav_rejects_zero_rate(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_rejects_empty_or_mid_sample_data(tmp_path):
+    empty = tmp_path / "empty.wav"
+    write_raw_wav(empty, [])
+    with pytest.raises(AudioFormatError, match="no samples"):
+        read_wav(empty)
+    cut = tmp_path / "cut.wav"
+    write_raw_wav(cut, [1, -2, 3])
+    cut.write_bytes(cut.read_bytes()[:-1])
+    with pytest.raises(AudioFormatError, match="mid-sample"):
+        read_wav(cut)
+
+
+def test_read_wav_accepts_a_short_data_chunk(tmp_path):
+    # streaming writers may leave a data size larger than the data
+    path = tmp_path / "short.wav"
+    write_raw_wav(path, [1, -2, 3])
+    path.write_bytes(path.read_bytes()[:-2])
+    assert list(read_wav(path).samples * 32768) == [1, -2]
+
+
 def test_read_wav_rejects_garbage(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"RIFFnonsense not a wave file at all")

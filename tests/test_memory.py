@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from gbtmark import embed, psnr, read_wav, write_wav
+from gbtmark import AttackSpec, embed, psnr, read_wav, write_wav
 from gbtmark.synth import speech_like
 
 from conftest import random_watermark
@@ -52,3 +52,17 @@ def test_embed_peak_memory(host):
 def test_psnr_peak_memory(host):
     marked = embed(host, random_watermark()).signal
     assert peak_ratio(lambda: psnr(host, marked), host) <= PEAK_LIMIT
+
+
+# an attack's result plus the full-length temporaries it is made from
+ATTACK_PEAK_LIMIT = 3.25
+
+
+@pytest.mark.parametrize("spec", [
+    AttackSpec("awgn", 10.0), AttackSpec("lowpass", 3000.0),
+    AttackSpec("highpass", 50.0), AttackSpec("resample", 6000),
+    AttackSpec("resample", 4000), AttackSpec("requantize", 8),
+    AttackSpec("amplitude_scale", 0.7), AttackSpec("crop", 0.2),
+], ids=lambda s: f"{s.kind}-{s.parameter:g}")
+def test_attack_peak_memory(host, spec):
+    assert peak_ratio(lambda: spec.apply(host), host) <= ATTACK_PEAK_LIMIT
