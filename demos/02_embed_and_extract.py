@@ -48,7 +48,7 @@ watermark = WatermarkImage(25, 25, grid.reshape(-1))
 result = embed(host, watermark, EmbedParams())
 quality = psnr(host, result.signal)
 print(f"embedding PSNR: {quality.psnr_db:.2f} dB (MSE {quality.mse:.2e})")
-print(f"key holds {len(result.key.records)} (frame, singular value) records")
+print(f"key holds {result.key.frame_indices.size} (frame, singular value) records")
 
 # ------------------------------------------------------------------
 # 3. Everything to disk: watermarked WAV, original PBM, key file.

@@ -57,7 +57,6 @@ from .transform import (
 from .watermark import (
     EmbeddingKey,
     EmbedParams,
-    FrameRecord,
     WatermarkImage,
     WatermarkedResult,
     embed,

@@ -48,7 +48,8 @@ def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
         raise ValidationError("SNR is undefined for a silent signal")
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     noise = np.random.default_rng(seed).normal(0.0, sigma, x.size)
-    return _attacked(signal, x + noise)
+    noise += x
+    return _attacked(signal, noise)
 
 
 def _lowpass_taps(cutoff_hz, sample_rate):

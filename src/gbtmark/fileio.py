@@ -15,7 +15,7 @@ import numpy as np
 from .audio import AudioSignal, _adopt
 from .errors import AudioFormatError, ConfigError, KeyFormatError
 from .transform import GraphConfig
-from .watermark import EmbeddingKey, EmbedParams, FrameRecord, WatermarkImage
+from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
 
 MAX_PBM_DIMENSION = 4096
 
@@ -132,9 +132,9 @@ def write_key(path, key: EmbeddingKey) -> None:
     ``operator.index``, which refuses (TypeError) rather than truncate.
     """
     lines = [f"{name} {_key_text(kind, get(key))}" for name, kind, get in _KEY_HEADER]
-    # _key_text's rule written out, as this runs once per watermark bit
-    lines += [f"{operator.index(index)} {float(s_max)!r}"
-              for index, s_max in key.records]
+    # tolist gives Python ints and floats, so the same rule holds per bit
+    lines += [f"{index} {s_max!r}" for index, s_max
+              in zip(key.frame_indices.tolist(), key.s_max.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -163,11 +163,12 @@ def read_key(path) -> EmbeddingKey:
         raise KeyFormatError(
             f"{path}: key version {header['version']} is not supported "
             f"(expected {KEY_FORMAT_VERSION})")
-    records = []
+    indices, s_max = [], []
     for line in lines[len(_KEY_HEADER):]:
         try:
-            index, s_max = line.split()
-            records.append(FrameRecord(int(index), float(s_max)))
+            index, value = line.split()
+            indices.append(int(index))
+            s_max.append(float(value))
         except ValueError as exc:
             raise KeyFormatError(f"{path}: bad key record {line!r}") from exc
     try:
@@ -179,7 +180,7 @@ def read_key(path) -> EmbeddingKey:
                                coeff_fraction=header["coeff_fraction"]),
             watermark_width=header["wm_width"],
             watermark_height=header["wm_height"],
-            records=tuple(records),
+            frame_indices=indices, s_max=s_max,
         )
     except ConfigError as exc:
         raise KeyFormatError(f"{path}: invalid key parameters: {exc}") from exc

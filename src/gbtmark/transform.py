@@ -29,13 +29,14 @@ class GraphConfig:
     w2: float = 0.3
 
     def __post_init__(self):
-        if not (isinstance(self.frame_size, (int, np.integer)) and self.frame_size >= 3):
-            raise ConfigError(f"frame_size must be an integer >= 3, got {self.frame_size!r}")
+        size = self.frame_size  # make_plan holds size**2 floats: 8 MB at 1024
+        if not (isinstance(size, (int, np.integer)) and 3 <= size <= 1024):
+            raise ConfigError(f"frame_size must be an integer in [3, 1024], got {size!r}")
         if not 0 < self.w1 < math.inf:
             raise ConfigError(f"w1 must be finite and > 0, got {self.w1!r}")
         if not 0 <= self.w2 < math.inf:
             raise ConfigError(f"w2 must be finite and >= 0, got {self.w2!r}")
-        object.__setattr__(self, "frame_size", int(self.frame_size))
+        object.__setattr__(self, "frame_size", int(size))
         object.__setattr__(self, "w1", float(self.w1))
         object.__setattr__(self, "w2", float(self.w2))
 

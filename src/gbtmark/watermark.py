@@ -10,7 +10,6 @@ current largest singular value against the value saved at embed time.
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,54 +76,54 @@ class WatermarkImage:
         return self.bits.reshape(self.height, self.width)
 
 
-class FrameRecord(NamedTuple):
-    """Per-bit key entry: which frame, and its pre-embedding largest singular value."""
-
-    frame_index: int
-    s_max_original: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
-    The sample rate is a positive integer. Record i belongs to watermark
-    bit i (row-major); frame indices are non-negative, strictly
-    increasing integers, and every ``s_max_original`` is finite and
-    non-negative.
+    The sample rate is a positive integer. Entry i of the read-only
+    arrays ``frame_indices`` and ``s_max`` belongs to watermark bit i
+    (row-major); frame indices are non-negative, strictly increasing
+    integers, and every ``s_max`` is finite and non-negative.
     """
 
     sample_rate: int
     params: EmbedParams
     watermark_width: int
     watermark_height: int
-    records: tuple
+    frame_indices: np.ndarray
+    s_max: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        not_integers = ("key sample rate, watermark dimensions and frame indices "
+                        "must be integers")
         try:
             for value in (self.sample_rate, self.watermark_width, self.watermark_height):
                 operator.index(value)
-            indices = [-1] + [operator.index(rec.frame_index) for rec in self.records]
         except TypeError:
-            raise KeyFormatError("key sample rate, watermark dimensions and frame "
-                                 "indices must be integers") from None
+            raise KeyFormatError(not_integers) from None
         if self.sample_rate < 1:
             raise KeyFormatError(
                 f"key sample rate must be positive, got {self.sample_rate}")
         if self.watermark_width < 1 or self.watermark_height < 1:
             raise KeyFormatError("key watermark dimensions must be positive, got "
                                  f"{self.watermark_width}x{self.watermark_height}")
+        indices = np.array(self.frame_indices)
+        if indices.dtype.kind not in "iu":
+            raise KeyFormatError(not_integers)
+        s_max = np.array(self.s_max, dtype=np.float64)
         expected = self.watermark_width * self.watermark_height
-        if len(self.records) != expected:
-            raise KeyFormatError(
-                f"key has {len(self.records)} records, watermark needs {expected}")
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if indices.shape != (expected,) or s_max.shape != (expected,):
+            raise KeyFormatError(f"key has {indices.size} frame indices and "
+                                 f"{s_max.size} s_max values, watermark needs {expected}")
+        if indices[0] < 0 or np.any(indices[1:] <= indices[:-1]):
             raise KeyFormatError(
                 "key frame indices must be non-negative and strictly increasing")
         # a NaN or +inf reference reads every bit as 0, a negative one as 1
-        if not all(0 <= rec.s_max_original < math.inf for rec in self.records):
+        if not np.all((0 <= s_max) & (s_max < math.inf)):
             raise KeyFormatError("key s_max values must be finite and non-negative")
+        for name, array in (("frame_indices", indices), ("s_max", s_max)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +233,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
         params=params,
         watermark_width=watermark.width,
         watermark_height=watermark.height,
-        records=tuple(map(FrameRecord, chosen.tolist(), s_ref.tolist())),
+        frame_indices=chosen, s_max=s_ref,
     )
     return WatermarkedResult(signal=_adopt(samples, host.sample_rate), key=key)
 
@@ -243,18 +242,20 @@ def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
     """Recover the watermark image from a (possibly attacked) signal.
 
     The signal must have the key's sample rate. A signal too short to
-    reach the last keyed frame is zero-padded at the end. Each bit is
-    read independently from its own frame: 1 when the frame's largest
-    singular value exceeds the key's, else 0, so an unmarked copy of
-    the host reads all zeros.
+    reach the last keyed frame is zero-padded at the end, so frames past
+    the signal read as zeros. Each bit is read independently from its
+    own frame: 1 when the frame's largest singular value exceeds the
+    key's, else 0, so an unmarked copy of the host reads all zeros.
     """
     if signal.sample_rate != key.sample_rate:
         raise ValidationError(
             f"signal is sampled at {signal.sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
     plan = make_plan(key.params.graph)
-    indices, s_ref = (np.array(column) for column in zip(*key.records))
-    frames = _frames(signal.samples, plan.frame_size, int(indices[-1]) + 1)
-    _, mats = _leading(plan, frames[indices], key.params.coeff_count)
-    bits = (_smax(mats) > s_ref).astype(np.uint8)
+    # pad only up to the first all-zero frame; keyed frames past it read it
+    count = min(int(key.frame_indices[-1]) + 1, len(signal) // plan.frame_size + 2)
+    frames = _frames(signal.samples, plan.frame_size, count)
+    keyed = frames[np.minimum(key.frame_indices, count - 1)]
+    _, mats = _leading(plan, keyed, key.params.coeff_count)
+    bits = (_smax(mats) > key.s_max).astype(np.uint8)
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)

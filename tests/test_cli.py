@@ -107,11 +107,31 @@ def test_extract_corrupt_key(workspace, capsys):
                  for line in header] + records
     negative_rate = [line.replace("sample_rate 8000", "sample_rate -8000")
                      for line in header] + records
-    for bad in (negative, empty, nan, utf8, inf_w1, inf_ws, zero_rate, negative_rate):
+    # a frame size whose plan would not fit in memory
+    huge_frame = ["frame_size 10000000" if line == "frame_size 10" else line
+                  for line in header] + records
+    # indices numpy can hold only as floats, which index no frame
+    float_indices = header + records[:-1] + [f"{2**63} {records[-1].split()[1]}"]
+    for bad in (negative, empty, nan, utf8, inf_w1, inf_ws, zero_rate, negative_rate,
+                huge_frame, float_indices):
         key.write_text("\n".join(bad) + "\n", encoding="utf-8")
         status = run_cli(["extract", marked, key, workspace / "out.pbm"])
         assert status == 2
         assert "gbtmark: error:" in capsys.readouterr().err
+
+
+def test_extract_frame_far_past_the_signal(workspace):
+    # a frame that far out is all zeros, so its bit reads 0, and extract
+    # pads the signal only up to its first all-zero frame
+    marked = workspace / "marked.wav"
+    key = workspace / "marked.key"
+    out_pbm = workspace / "out.pbm"
+    run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm", marked, key])
+    lines = key.read_text().splitlines()
+    lines[-1] = f"{2**50} {lines[-1].split()[1]}"
+    key.write_text("\n".join(lines) + "\n")
+    assert run_cli(["extract", marked, key, out_pbm]) == 0
+    assert read_pbm(out_pbm).bits[-1] == 0
 
 
 def test_attack_awgn_deterministic(workspace):

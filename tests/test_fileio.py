@@ -12,7 +12,6 @@ from gbtmark import (
     AudioSignal,
     EmbeddingKey,
     EmbedParams,
-    FrameRecord,
     GraphConfig,
     KeyFormatError,
     WatermarkImage,
@@ -212,16 +211,18 @@ def test_read_pbm_rejects_malformed(tmp_path, content):
 
 # ----------------------------------------------------------------- key
 
-def sample_key(records=None):
+def sample_key():
     params = EmbedParams(ws=0.05, coeff_fraction=0.4,
                          graph=GraphConfig(10, 1.0, 0.3))
-    if records is None:
-        # awkward floats on purpose: exact round-trip must survive them
-        records = (FrameRecord(3, 0.1 + 0.2),
-                   FrameRecord(17, 7.062499999999999e-05),
-                   FrameRecord(40, 0.4517292817991246),
-                   FrameRecord(41, 1.0 / 3.0))
-    return EmbeddingKey(8000, params, 2, 2, records)
+    # awkward floats on purpose: exact round-trip must survive them
+    s_max = (0.1 + 0.2, 7.062499999999999e-05, 0.4517292817991246, 1.0 / 3.0)
+    return EmbeddingKey(8000, params, 2, 2, (3, 17, 40, 41), s_max)
+
+
+def assert_same_arrays(back, key):
+    # frame indices equal, s_max bit for bit (tobytes tells -0.0 from 0.0)
+    assert back.frame_indices.tolist() == key.frame_indices.tolist()
+    assert back.s_max.tobytes() == key.s_max.tobytes()
 
 
 def test_key_roundtrip_bit_exact(tmp_path):
@@ -234,29 +235,28 @@ def test_key_roundtrip_bit_exact(tmp_path):
     assert back.params == key.params
     assert back.watermark_width == key.watermark_width
     assert back.watermark_height == key.watermark_height
-    assert back.records == key.records  # exact float equality
+    assert_same_arrays(back, key)  # exact float equality
 
 
 def test_key_roundtrip_625_records(tmp_path):
     rng = np.random.default_rng(3)
-    records = tuple(FrameRecord(int(i), float(s))
-                    for i, s in zip(sorted(rng.choice(5000, 625, replace=False)),
-                                    rng.uniform(0.05, 3.0, 625)))
-    key = EmbeddingKey(8000, EmbedParams(), 25, 25, records)
+    indices = np.sort(rng.choice(5000, 625, replace=False))
+    key = EmbeddingKey(8000, EmbedParams(), 25, 25, indices, rng.uniform(0.05, 3.0, 625))
     path = tmp_path / "k625.key"
     write_key(path, key)
-    assert read_key(path).records == key.records
+    assert_same_arrays(read_key(path), key)
 
 
 def assert_same_key(back, key):
-    # every field and record, bit for bit (float.hex tells -0.0 from 0.0)
+    # every field and key entry, bit for bit (float.hex tells -0.0 from 0.0)
     def bits(k):
         graph = k.params.graph
         return ([int(k.sample_rate), int(graph.frame_size), int(k.watermark_width),
                  int(k.watermark_height)]
                 + [float(v).hex() for v in (k.params.ws, k.params.coeff_fraction,
                                             graph.w1, graph.w2)]
-                + [(int(i), float(s).hex()) for i, s in k.records])
+                + [(i, s.hex()) for i, s in zip(k.frame_indices.tolist(),
+                                                 k.s_max.tolist())])
     assert bits(back) == bits(key)
 
 
@@ -265,9 +265,8 @@ def test_key_roundtrip_numpy_scalars(tmp_path):
     params = EmbedParams(ws=np.float64(0.05), coeff_fraction=np.float64(0.4),
                          graph=GraphConfig(np.int64(10), np.float64(1.0),
                                            np.float32(0.3)))
-    records = (FrameRecord(np.int64(3), np.float64(0.5)),
-               FrameRecord(np.int32(17), np.float32(0.1)))
-    key = EmbeddingKey(np.int64(8000), params, np.int64(2), np.int64(1), records)
+    key = EmbeddingKey(np.int64(8000), params, np.int64(2), np.int64(1),
+                       [np.int64(3), np.int32(17)], [np.float64(0.5), np.float32(0.1)])
     path = tmp_path / "np.key"
     write_key(path, key)
     assert "np." not in path.read_text()
@@ -275,6 +274,16 @@ def test_key_roundtrip_numpy_scalars(tmp_path):
     # an int field takes no fraction, rather than lose it
     with pytest.raises(KeyFormatError, match="integers"):
         dataclasses.replace(key, sample_rate=8000.5)
+
+
+def test_key_writes_any_integer_width_as_plain_decimals(tmp_path):
+    path = tmp_path / "width.key"
+    for dtype in (np.int32, np.uint64):
+        indices = np.array([3, 17, 40, 2**31 - 1], dtype=dtype)
+        write_key(path, dataclasses.replace(sample_key(), frame_indices=indices))
+        lines = path.read_text().splitlines()[9:]
+        assert [line.split()[0] for line in lines] == ["3", "17", "40", "2147483647"]
+        assert read_key(path).frame_indices.tolist() == indices.tolist()
 
 
 def maybe_numpy(strategy, numpy_type):
@@ -296,15 +305,20 @@ def keys(draw):
                          graph=graph)
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     count = width * height
-    indices = sorted(draw(st.lists(st.integers(0, 2**40), min_size=count,
+    # a list mixing Python and numpy scalars, or an array of any integer width
+    index_type = draw(st.sampled_from([None, np.int32, np.int64, np.uint64]))
+    top = 2**31 - 1 if index_type is np.int32 else 2**40
+    indices = sorted(draw(st.lists(st.integers(0, top), min_size=count,
                                    max_size=count, unique=True)))
     s_max = st.one_of(st.sampled_from([0.0, 5e-324, 1.7e308]),
                       st.floats(0.0, 1.7976931348623157e308))
-    records = [FrameRecord(draw(maybe_numpy(st.just(i), np.int64)),
-                           draw(maybe_numpy(s_max, np.float64)))
-               for i in indices]
+    if index_type is None:
+        indices = [draw(maybe_numpy(st.just(i), np.int64)) for i in indices]
+    else:
+        indices = np.array(indices, dtype=index_type)
+    values = [draw(maybe_numpy(s_max, np.float64)) for _ in range(count)]
     rate = draw(maybe_numpy(st.integers(1, 384000), np.int64))
-    return EmbeddingKey(rate, params, width, height, records)
+    return EmbeddingKey(rate, params, width, height, indices, values)
 
 
 def test_key_roundtrip_property(tmp_path):

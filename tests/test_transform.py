@@ -57,6 +57,7 @@ def test_adjacency_banded_symmetric_zero_diagonal():
     {"frame_size": 10, "w2": -0.1},
     {"frame_size": 10, "w1": np.inf},
     {"frame_size": 10, "w2": np.inf},
+    {"frame_size": 1025},  # make_plan would hold frame_size**2 floats
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):

@@ -15,7 +15,6 @@ from gbtmark import (
     ConfigError,
     EmbedParams,
     EmbeddingKey,
-    FrameRecord,
     GraphConfig,
     KeyFormatError,
     ValidationError,
@@ -219,7 +218,8 @@ def test_embed_with_full_scan_selection_gives_the_same_key(
     monkeypatch.setattr(gbtmark.watermark, "select_frames", full_scan)
     for clip, result in zip(speech_clips, embedded_clips):
         reference = embed(clip, watermark, EmbedParams())
-        assert reference.key.records == result.key.records
+        assert np.array_equal(reference.key.frame_indices, result.key.frame_indices)
+        assert np.array_equal(reference.key.s_max, result.key.s_max)
         assert np.array_equal(reference.signal.samples, result.signal.samples)
 
 
@@ -289,8 +289,7 @@ def test_embed_k1_changes_coefficient_magnitude():
     result = embed(host, WatermarkImage(2, 1, [1, 0]), params)
     coeff = forward(plan, host.samples.reshape(-1, 10))[:, 0]
     new_coeff = forward(plan, result.signal.samples.reshape(-1, 10))[:, 0]
-    s_ref = [record.s_max_original for record in result.key.records]
-    assert s_ref == pytest.approx(np.abs(coeff), abs=1e-12)
+    assert result.key.s_max == pytest.approx(np.abs(coeff), abs=1e-12)
     assert new_coeff == pytest.approx(coeff + np.sign(coeff) * [params.ws, -params.ws],
                                       abs=1e-9)
 
@@ -306,8 +305,7 @@ def test_embed_prime_k_rescales_the_coefficient_row():
     before = forward(plan, host.samples.reshape(-1, 10))[:, :5]
     after = forward(plan, result.signal.samples.reshape(-1, 10))[:, :5]
     norms = np.linalg.norm(before, axis=1)
-    s_ref = [record.s_max_original for record in result.key.records]
-    assert s_ref == pytest.approx(norms, abs=1e-12)
+    assert result.key.s_max == pytest.approx(norms, abs=1e-12)
     target = norms + np.where(watermark.bits == 1, params.ws, -params.ws)
     assert np.max(np.abs(after - before * (target / norms)[:, None])) <= 1e-9
 
@@ -350,8 +348,8 @@ def test_embed_locality(watermark):
     marked = np.array(result.signal.samples)
     original = np.array(host.samples)
     touched = np.zeros(len(host), dtype=bool)
-    for record in result.key.records:
-        touched[record.frame_index * 10:(record.frame_index + 1) * 10] = True
+    for index in result.key.frame_indices:
+        touched[index * 10:(index + 1) * 10] = True
     assert np.array_equal(marked[~touched], original[~touched])
     assert not np.array_equal(marked[touched], original[touched])
 
@@ -369,10 +367,11 @@ def test_embed_detection_margin(embedded_clips, watermark, default_plan):
     params = EmbedParams()
     result = embedded_clips[0]
     frames = result.signal.samples.reshape(-1, 10)
-    for record, bit in zip(result.key.records, watermark.bits):
-        coeffs = forward(default_plan, frames[record.frame_index])
+    key = result.key
+    for index, s_ref, bit in zip(key.frame_indices, key.s_max, watermark.bits):
+        coeffs = forward(default_plan, frames[index])
         smax = np.linalg.svd(coeffs[:4].reshape(2, 2), compute_uv=False)[0]
-        expected = record.s_max_original + (params.ws if bit else -params.ws)
+        expected = s_ref + (params.ws if bit else -params.ws)
         assert smax == pytest.approx(expected, abs=1e-6)
 
 
@@ -387,12 +386,13 @@ def test_embed_distortion_identity(embedded_clips, speech_clips, watermark):
 
 def test_key_records_aligned_and_independent(embedded_clips, watermark):
     result = embedded_clips[1]
-    indices = [record.frame_index for record in result.key.records]
+    indices = result.key.frame_indices
     assert all(b > a for a, b in zip(indices, indices[1:]))
-    for i in (0, 17, 311, 624):  # each bit read alone, through a one-record key
+    for i in (0, 17, 311, 624):  # each bit read alone, through a one-entry key
         single = dataclasses.replace(result.key, watermark_width=1,
                                      watermark_height=1,
-                                     records=(result.key.records[i],))
+                                     frame_indices=indices[i:i + 1],
+                                     s_max=result.key.s_max[i:i + 1])
         assert extract(result.signal, single).bits[0] == watermark.bits[i]
 
 
@@ -417,8 +417,7 @@ def test_extract_zero_pads_short_signal(embedded_clips, watermark):
     recovered = extract(truncated, result.key)
     assert recovered.bits.shape == (625,)
     # frames past the truncation read zeros, hence bit 0
-    cut = [i for i, rec in enumerate(result.key.records)
-           if rec.frame_index * 10 >= 1000]
+    cut = result.key.frame_indices * 10 >= 1000
     assert not np.any(recovered.bits[cut])
 
 
@@ -437,39 +436,54 @@ def test_watermark_image_validation():
 
 def test_embedding_key_validation():
     params = EmbedParams()
-    records = (FrameRecord(0, 0.5), FrameRecord(2, 0.4), FrameRecord(1, 0.3))
+    indices, s_max = (0, 2, 1), (0.5, 0.4, 0.3)
     with pytest.raises(KeyFormatError):
-        EmbeddingKey(8000, params, 1, 3, records)
+        EmbeddingKey(8000, params, 1, 3, indices, s_max)
     with pytest.raises(KeyFormatError):
-        EmbeddingKey(8000, params, 2, 2, records)  # count mismatch
+        EmbeddingKey(8000, params, 2, 2, indices, s_max)  # count mismatch
+    with pytest.raises(KeyFormatError):
+        EmbeddingKey(8000, params, 1, 3, (0, 1, 2), (0.5, 0.4))  # one s_max short
     # a NaN or +inf reference always reads 0, a negative one always 1
-    for s_max in (float("nan"), float("inf"), -0.5):
+    for value in (float("nan"), float("inf"), -0.5):
         with pytest.raises(KeyFormatError, match="s_max"):
-            EmbeddingKey(8000, params, 1, 2,
-                         (FrameRecord(0, 0.5), FrameRecord(1, s_max)))
+            EmbeddingKey(8000, params, 1, 2, (0, 1), (0.5, value))
     # extract indexes frames with these fields, so a fraction is refused
-    records = (FrameRecord(3, 0.1), FrameRecord(7, 0.2))
-    for fields in ((8000.0, 2, 1, records), (8000, 2.0, 1, records),
-                   (8000, 2, np.float64(1.0), records),
-                   (8000, 2, 1, (FrameRecord(3.5, 0.1), FrameRecord(7, 0.2))),
-                   (8000, 2, 1, (FrameRecord(3, 0.1), FrameRecord(np.float64(7), 0.2)))):
+    indices, s_max = (3, 7), (0.1, 0.2)
+    for fields in ((8000.0, 2, 1, indices, s_max), (8000, 2.0, 1, indices, s_max),
+                   (8000, 2, np.float64(1.0), indices, s_max),
+                   (8000, 2, 1, (3.5, 7), s_max),
+                   (8000, 2, 1, (3, np.float64(7)), s_max),
+                   (8000, 2, 1, np.array([3, 7], dtype=object), s_max),
+                   # True/False would index frames 1 and 0, or act as a mask
+                   (8000, 2, 1, [False, True], s_max)):
         with pytest.raises(KeyFormatError, match="integers"):
             EmbeddingKey(fields[0], params, *fields[1:])
     # a rate no signal has: extract would report a rate mismatch instead
     for rate in (0, -8000):
         with pytest.raises(KeyFormatError, match="sample rate"):
-            EmbeddingKey(rate, params, 2, 1, records)
+            EmbeddingKey(rate, params, 2, 1, indices, s_max)
+
+
+def test_embedding_key_arrays_are_frozen_copies():
+    indices, s_max = np.array([3, 7]), np.array([0.1, 0.2])
+    key = EmbeddingKey(8000, EmbedParams(), 2, 1, indices, s_max)
+    for array in (key.frame_indices, key.s_max):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    indices[0], s_max[0] = 5, 9.0  # the caller's arrays stay theirs
+    assert key.frame_indices.tolist() == [3, 7]
+    assert key.s_max.tolist() == [0.1, 0.2]
 
 
 def test_embedding_key_rejects_negative_frame_index():
     # extract would read frame -5 counted from the end of the signal
-    records = (FrameRecord(-5, 0.5), FrameRecord(2, 0.4))
     with pytest.raises(KeyFormatError, match="non-negative"):
-        EmbeddingKey(8000, EmbedParams(), 2, 1, records)
+        EmbeddingKey(8000, EmbedParams(), 2, 1, (-5, 2), (0.5, 0.4))
 
 
 def test_embedding_key_rejects_empty_watermark():
-    # no records to read: extract would fail outside the error hierarchy
+    # no entries to read: extract would fail outside the error hierarchy
     for width, height in ((0, 3), (3, 0), (0, 0)):
         with pytest.raises(KeyFormatError, match="dimensions"):
-            EmbeddingKey(8000, EmbedParams(), width, height, ())
+            EmbeddingKey(8000, EmbedParams(), width, height, (), ())
