@@ -99,9 +99,12 @@ def read_pbm(path) -> WatermarkImage:
 
 def write_pbm(path, image: WatermarkImage) -> None:
     """Write a plain PBM (P1) file, one image row per line."""
-    lines = ["P1", f"{image.width} {image.height}"]
-    lines += [" ".join(str(bit) for bit in row) for row in image.grid()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # each row is its digits with a space between, then a newline
+    raster = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
+    raster[:, 0::2] = image.grid() + ord("0")
+    raster[:, -1] = ord("\n")
+    header = f"P1\n{image.width} {image.height}\n".encode("ascii")
+    Path(path).write_bytes(header + raster.tobytes())
 
 
 KEY_FORMAT_VERSION = 1
@@ -148,6 +151,31 @@ def _header_value(lines, position, name, path):
     return parts[1]
 
 
+def _key_records(body, path):
+    # One split for the whole body. Joined with " | ", the tokens run
+    # index, value, "|", index, value, ... when every line holds two
+    # fields; any other line shape with the same token count puts a "|"
+    # where an index or a value is parsed, which raises. numpy parses
+    # with int and float, as the line loop does; the loop runs only to
+    # name a bad line (or an index past int64, which EmbeddingKey refuses).
+    tokens = " | ".join(body).split()
+    if len(tokens) == 3 * len(body) - 1:
+        try:
+            return (np.array(tokens[0::3], dtype=np.int64),
+                    np.array(tokens[1::3], dtype=np.float64))
+        except (ValueError, OverflowError):
+            pass
+    indices, s_max = [], []
+    for line in body:
+        try:
+            index, value = line.split()
+            indices.append(int(index))
+            s_max.append(float(value))
+        except ValueError as exc:
+            raise KeyFormatError(f"{path}: bad key record {line!r}") from exc
+    return indices, s_max
+
+
 def read_key(path) -> EmbeddingKey:
     """Read an embedding key written by :func:`write_key`."""
     try:
@@ -163,14 +191,7 @@ def read_key(path) -> EmbeddingKey:
         raise KeyFormatError(
             f"{path}: key version {header['version']} is not supported "
             f"(expected {KEY_FORMAT_VERSION})")
-    indices, s_max = [], []
-    for line in lines[len(_KEY_HEADER):]:
-        try:
-            index, value = line.split()
-            indices.append(int(index))
-            s_max.append(float(value))
-        except ValueError as exc:
-            raise KeyFormatError(f"{path}: bad key record {line!r}") from exc
+    indices, s_max = _key_records(lines[len(_KEY_HEADER):], path)
     try:
         graph = GraphConfig(frame_size=header["frame_size"],
                             w1=header["w1"], w2=header["w2"])

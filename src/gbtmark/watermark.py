@@ -83,7 +83,8 @@ class EmbeddingKey:
     The sample rate is a positive integer. Entry i of the read-only
     arrays ``frame_indices`` and ``s_max`` belongs to watermark bit i
     (row-major); frame indices are non-negative, strictly increasing
-    integers, and every ``s_max`` is finite and non-negative.
+    integers, held as int64, and every ``s_max`` is finite and
+    non-negative.
     """
 
     sample_rate: int
@@ -118,6 +119,11 @@ class EmbeddingKey:
         if indices[0] < 0 or np.any(indices[1:] <= indices[:-1]):
             raise KeyFormatError(
                 "key frame indices must be non-negative and strictly increasing")
+        # held as int64, the widest type read_key parses back
+        if indices[-1] > np.iinfo(np.int64).max:
+            raise KeyFormatError(
+                f"key frame index {indices[-1]} does not fit in a 64-bit signed integer")
+        indices = indices.astype(np.int64, copy=False)
         # a NaN or +inf reference reads every bit as 0, a negative one as 1
         if not np.all((0 <= s_max) & (s_max < math.inf)):
             raise KeyFormatError("key s_max values must be finite and non-negative")
@@ -149,11 +155,51 @@ def _leading(plan, frames, k):
     return coeffs, coeffs[:, :k].reshape(-1, rows, k // rows)
 
 
+def _halves(mats):
+    # A 2x2 matrix [[a, b], [c, d]] is E*I + H*[[0, -1], [1, 0]] plus
+    # F*[[1, 0], [0, -1]] + G*[[0, 1], [1, 0]], a scaled rotation plus a
+    # scaled reflection, with E = (a+d)/2, H = (c-b)/2, F = (a-d)/2 and
+    # G = (c+b)/2. With Q = hypot(E, H) and R = hypot(F, G) the singular
+    # values are Q + R and |Q - R| (Blinn, "Consider the lowly 2x2
+    # matrix", 1996). Returns the two parts as pairs (E, H) and (F, G).
+    a, b, c, d = mats.reshape(-1, 4).T
+    return ((a + d) / 2, (c - b) / 2), ((a - d) / 2, (c + b) / 2)
+
+
 def _smax(mats):
-    # Largest singular value of each matrix. Eligibility, the key's
+    # Largest singular value of each matrix: Q + R for 2x2 matrices (see
+    # _halves), LAPACK's SVD for any other shape. Eligibility, the key's
     # reference value and the extracted reading all come from this one
     # call, so an unmarked frame compares equal to its key and reads 0.
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+    if mats.shape[1:] != (2, 2):
+        return np.linalg.svd(mats, compute_uv=False)[:, 0]
+    (e, h), (f, g) = _halves(mats)
+    return np.hypot(e, h) + np.hypot(f, g)
+
+
+def _grow(x, y, delta):
+    # the pair (x, y) rescaled so its norm grows by delta; a zero pair
+    # has no direction of its own and takes (delta, 0)
+    norm = np.hypot(x, y)
+    zero = norm == 0
+    scale = (norm + delta) / np.where(zero, 1.0, norm)
+    return np.where(zero, delta, x * scale), y * scale
+
+
+def _shift_smax(mats, delta):
+    # M + delta * u1 v1^T for each matrix M and its delta, which moves
+    # the largest singular value by delta and keeps the other singular
+    # values and all singular vectors. In the 2x2 form of _halves,
+    # u1 v1^T is (E, H)/2Q + (F, G)/2R, so the update adds delta/2 to
+    # both Q and R; a part that is zero takes the direction (delta/2, 0),
+    # one valid choice of the (then tied) top singular pair.
+    if mats.shape[1:] != (2, 2):
+        u, _, vt = np.linalg.svd(mats, full_matrices=False)
+        return mats + delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
+    rotation, reflection = _halves(mats)
+    e, h = _grow(*rotation, delta / 2)
+    f, g = _grow(*reflection, delta / 2)
+    return np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
 
 
 def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
@@ -224,9 +270,8 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     frames = _frames(samples, plan.frame_size, len(samples) // plan.frame_size)
     coeffs, mats = _leading(plan, frames[chosen], k)
     s_ref = _smax(mats)
-    u, _, vt = np.linalg.svd(mats, full_matrices=False)
-    shift = np.where(watermark.bits == 1, params.ws, -params.ws)[:, None, None]
-    coeffs[:, :k] = (mats + shift * u[:, :, :1] * vt[:, :1, :]).reshape(-1, k)
+    shift = np.where(watermark.bits == 1, params.ws, -params.ws)
+    coeffs[:, :k] = _shift_smax(mats, shift).reshape(-1, k)
     frames[chosen] = np.clip(inverse(plan, coeffs), -1.0, 1.0)
     key = EmbeddingKey(
         sample_rate=host.sample_rate,

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,8 +246,12 @@ def test_crop_validates_fraction():
 def fake_codec(tmp_path, delay=0):
     """Codec stand-in: encode copies the file, decode optionally delays it."""
     decoder = tmp_path / "fake_decode.py"
+    # the decoder runs in a child interpreter, which finds gbtmark where
+    # this process imported it from, whatever its own sys.path holds
+    package_root = Path(gbtmark.__file__).resolve().parent.parent
     decoder.write_text(
         "import sys\n"
+        f"sys.path.insert(0, {str(package_root)!r})\n"
         "import numpy as np\n"
         "from gbtmark import AudioSignal, read_wav, write_wav\n"
         f"delay = {delay}\n"

@@ -193,6 +193,15 @@ def test_pbm_all_black(tmp_path):
     assert int(image.bits.sum()) == 625
 
 
+def test_write_pbm_exact_bytes(tmp_path):
+    # width, then height; one row per line, digits separated by spaces
+    path = tmp_path / "wide.pbm"
+    write_pbm(path, WatermarkImage(3, 2, [1, 0, 1, 0, 0, 1]))
+    assert path.read_bytes() == b"P1\n3 2\n1 0 1\n0 0 1\n"
+    write_pbm(path, WatermarkImage(1, 3, [0, 1, 1]))
+    assert path.read_bytes() == b"P1\n1 3\n0\n1\n1\n"
+
+
 @pytest.mark.parametrize("content", [
     "P4\n2 2\n1 0 0 1\n",          # wrong magic
     "P1\n2\n1 0 0 1\n",            # missing height
@@ -286,6 +295,19 @@ def test_key_writes_any_integer_width_as_plain_decimals(tmp_path):
         assert read_key(path).frame_indices.tolist() == indices.tolist()
 
 
+def test_key_indices_are_int64_so_every_accepted_key_round_trips(tmp_path):
+    path = tmp_path / "wide.key"
+    top = np.array([5, 2**63 - 1], dtype=np.uint64)
+    key = dataclasses.replace(sample_key(), watermark_height=1, frame_indices=top,
+                              s_max=[0.1, 0.2])
+    assert key.frame_indices.dtype == np.int64
+    write_key(path, key)
+    assert_same_key(read_key(path), key)
+    # 2**63 would be written as text that read_key cannot parse back
+    with pytest.raises(KeyFormatError, match="64-bit"):
+        dataclasses.replace(key, frame_indices=np.array([5, 2**63], dtype=np.uint64))
+
+
 def maybe_numpy(strategy, numpy_type):
     return st.one_of(strategy, strategy.map(numpy_type))
 
@@ -375,6 +397,30 @@ def test_key_bad_record_field_count(tmp_path):
     path.write_text(path.read_text() + "99 0.5 extra\n")
     with pytest.raises(KeyFormatError):
         read_key(path)
+
+
+@pytest.mark.parametrize("records", [
+    "3 0.1\n17 0.2 40\n0.3\n41 0.4\n",   # the right token count, split wrongly
+    "3 0.1\n17 |\n| 0.3\n41 0.4\n",      # tokens that look like line separators
+    "3 0.1\n\n17 0.2 40 0.3\n41 0.4\n",  # a blank line
+    "3 0.1\n17 0.2\n40 0.3\n41 0.4 0.5\n",  # a third field on the last line
+])
+def test_key_records_split_across_lines(tmp_path, records):
+    path = tmp_path / "split.key"
+    write_key(path, sample_key())
+    header = path.read_text().splitlines()[:9]
+    path.write_text("\n".join(header) + "\n" + records)
+    with pytest.raises(KeyFormatError, match="bad key record"):
+        read_key(path)
+
+
+def test_key_records_take_any_whitespace(tmp_path):
+    path = tmp_path / "spaced.key"
+    write_key(path, sample_key())
+    lines = path.read_text().splitlines()
+    lines[9:] = ["\t" + line.replace(" ", "   ") + " " for line in lines[9:]]
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_key(read_key(path), sample_key())
 
 
 def test_key_unparseable_float(tmp_path):

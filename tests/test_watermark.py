@@ -27,7 +27,7 @@ from gbtmark import (
     select_frames,
 )
 from gbtmark.synth import ar_noise, speech_like
-from gbtmark.watermark import _frames, _leading, _smax
+from gbtmark.watermark import _frames, _leading, _shift_smax, _smax
 
 from conftest import embed_oracle_gap, random_watermark
 from oracles import select_frames_full_scan
@@ -78,6 +78,8 @@ def test_reshape_k6_is_2x3():
     assert mats.shape == (5, 2, 3)
     for c, mat in zip(coeffs, mats):
         assert np.array_equal(mat, [c[0:3], c[3:6]])
+    # any shape but 2x2 keeps LAPACK's singular values
+    assert np.array_equal(_smax(mats), np.linalg.svd(mats, compute_uv=False)[:, 0])
 
 
 def test_reshape_prime_is_row_and_smax_is_norm():
@@ -86,6 +88,97 @@ def test_reshape_prime_is_row_and_smax_is_norm():
     assert np.array_equal(mats[:, 0], coeffs[:, :5])
     assert _smax(mats) == pytest.approx(np.linalg.norm(coeffs[:, :5], axis=1),
                                         abs=1e-12)
+
+
+# ------------------------------------------------- closed-form 2x2 kernel
+
+EPS = np.finfo(np.float64).eps
+
+
+def rotation(angle, flip):
+    # a 2x2 orthogonal matrix: a rotation, or a rotation then a reflection
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]]) @ np.diag([1.0, flip])
+
+
+@st.composite
+def two_by_two(draw):
+    """A 2x2 matrix: random, near-equal singular values, rank 1 or zero."""
+    kind = draw(st.sampled_from(["random", "near-equal", "rank-1", "zero"]))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if kind == "zero":
+        return np.zeros((2, 2))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.normal(size=(2, 2)) * scale
+    angle = st.floats(0.0, 2 * np.pi)
+    flip = st.sampled_from([1.0, -1.0])
+    u = rotation(draw(angle), draw(flip))
+    v = rotation(draw(angle), draw(flip))
+    s2 = 0.0 if kind == "rank-1" else scale * (1 + 10.0 ** draw(st.integers(-15, -3)))
+    return u @ np.diag([scale, s2]) @ v.T
+
+
+BATCHES = st.lists(two_by_two(), min_size=1, max_size=8).map(np.stack)
+
+
+def shifts(draw, mats):
+    # one delta per matrix, either sign, from far below to above its size
+    size = np.maximum(np.abs(mats).max(axis=(1, 2)), 1e-6)
+    factor = draw(st.lists(st.floats(1e-3, 3.0), min_size=len(mats),
+                           max_size=len(mats)))
+    sign = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(mats),
+                         max_size=len(mats)))
+    return np.array(sign) * np.array(factor) * size
+
+
+def test_smax_2x2_matches_lapack():
+    @given(mats=BATCHES)
+    def check(mats):
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.all(np.abs(_smax(mats) - want) <= 16 * EPS * want)
+
+    check()
+
+
+def test_shift_smax_2x2_moves_only_the_largest_singular_value():
+    @given(data=st.data(), mats=BATCHES)
+    def check(data, mats):
+        delta = shifts(data.draw, mats)
+        s1, s2 = np.linalg.svd(mats, compute_uv=False).T
+        got = np.linalg.svd(_shift_smax(mats, delta), compute_uv=False)
+        want = np.sort([np.abs(s1 + delta), s2], axis=0)[::-1].T
+        tolerance = 16 * EPS * (s1 + np.abs(delta))
+        assert np.all(np.abs(got - want) <= tolerance[:, None])
+
+    check()
+
+
+def test_shift_smax_2x2_matches_lapack_rank_one_update():
+    # where s1 and s2 are well apart, u1 v1^T is well defined and LAPACK's
+    # M + delta u1 v1^T is the reference
+    @given(data=st.data(), mats=BATCHES)
+    def check(data, mats):
+        u, s, vt = np.linalg.svd(mats)
+        apart = s[:, 0] - s[:, 1] >= s[:, 0] / 4
+        mats, u, s, vt = mats[apart], u[apart], s[apart], vt[apart]
+        delta = shifts(data.draw, mats)
+        want = mats + delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
+        tolerance = 16 * EPS * (s[:, 0] + np.abs(delta))
+        gap = np.abs(_shift_smax(mats, delta) - want).max(axis=(1, 2), initial=0.0)
+        assert np.all(gap <= tolerance)
+
+    check()
+
+
+def test_shift_smax_2x2_zero_part_takes_the_first_direction():
+    # with Q or R zero the top singular pair is tied; the zero part
+    # grows along (delta/2, 0): E for the rotation, F for the reflection
+    mats = np.array([np.zeros((2, 2)), 2 * np.eye(2), [[0.0, 3.0], [3.0, 0.0]]])
+    got = _shift_smax(mats, np.array([0.5, -0.5, 0.5]))
+    assert np.array_equal(got, [[[0.5, 0.0], [0.0, 0.0]],
+                                [[1.5, 0.0], [0.0, 2.0]],
+                                [[0.25, 3.25], [3.25, 0.25]]])
 
 
 def test_coeff_count_rounds_half_up():
