@@ -18,6 +18,10 @@ from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
 
 MAX_PBM_DIMENSION = 4096
+# the header holds the byte rate, twice the sample rate, in 32 bits
+MAX_WAV_RATE = 2**31 - 1
+# the ASCII characters str.split() splits at
+_SPACE = bytes(code for code in range(128) if chr(code).isspace())
 
 
 def read_wav(path) -> AudioSignal:
@@ -30,7 +34,8 @@ def read_wav(path) -> AudioSignal:
             data = handle.readframes(handle.getnframes())
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
-    except EOFError as exc:
+    except (EOFError, RuntimeError) as exc:
+        # wave's chunk reader raises RuntimeError for a chunk past the end
         raise AudioFormatError(f"{path}: truncated WAV file") from exc
     if channels != 1:
         raise AudioFormatError(
@@ -39,8 +44,9 @@ def read_wav(path) -> AudioSignal:
         raise AudioFormatError(
             f"{path}: only 16-bit PCM is supported, file has "
             f"{8 * sample_width}-bit samples")
-    if rate < 1:
-        raise AudioFormatError(f"{path}: sample rate must be positive, file has {rate}")
+    if not 1 <= rate <= MAX_WAV_RATE:
+        raise AudioFormatError(
+            f"{path}: sample rate must be in 1..{MAX_WAV_RATE}, file has {rate}")
     # a data chunk shorter than its header says is read as it stands, as
     # streaming writers leave it; one that is empty or ends mid-sample is not
     if not data:
@@ -53,6 +59,9 @@ def read_wav(path) -> AudioSignal:
 
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM; samples scale by 32767 and clamp."""
+    if signal.sample_rate > MAX_WAV_RATE:
+        raise AudioFormatError(f"{path}: a WAV file cannot hold sample rate "
+                               f"{signal.sample_rate} (at most {MAX_WAV_RATE})")
     # one float temporary, rounded (half to even) and clamped in place
     scaled = signal.samples * 32767.0
     np.rint(scaled, out=scaled)
@@ -71,29 +80,29 @@ def read_pbm(path) -> WatermarkImage:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise AudioFormatError(f"{path}: not a plain-text PBM file") from exc
-    # drop comments, then tokenize on whitespace
-    tokens = [token
-              for line in text.splitlines()
-              for token in line.split("#", 1)[0].split()]
-    if not tokens or tokens[0] != "P1":
+    # a comment runs from "#" to the end of its line, in the header or the raster
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    fields = text.split(maxsplit=3)
+    if not fields or fields[0] != "P1":
         raise AudioFormatError(f"{path}: missing PBM magic 'P1'")
-    if len(tokens) < 3:
+    if len(fields) < 3:
         raise AudioFormatError(f"{path}: missing PBM dimensions")
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = int(fields[1]), int(fields[2])
     except ValueError as exc:
         raise AudioFormatError(f"{path}: bad PBM dimensions "
-                               f"{tokens[1]!r} x {tokens[2]!r}") from exc
+                               f"{fields[1]!r} x {fields[2]!r}") from exc
     if not (0 < width <= MAX_PBM_DIMENSION and 0 < height <= MAX_PBM_DIMENSION):
         raise AudioFormatError(
             f"{path}: dimensions {width}x{height} outside 1..{MAX_PBM_DIMENSION}")
-    # the raster may pack digits with or without separating whitespace
-    digits = "".join(tokens[3:])
-    if len(digits) != width * height or any(ch not in "01" for ch in digits):
+    # digits come packed or spaced; uint8 maps all but "0" and "1" above 1
+    digits = "".join(fields[3:]).encode("ascii").translate(None, _SPACE)
+    bits = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+    if bits.size != width * height or np.any(bits > 1):
         raise AudioFormatError(
             f"{path}: expected {width * height} raster bits, "
-            f"got {len(digits)} usable characters")
-    bits = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+            f"got {bits.size} usable characters")
     return WatermarkImage(width, height, bits)
 
 

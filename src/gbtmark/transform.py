@@ -83,29 +83,15 @@ def build_laplacian(adjacency) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
-def _normalize_signs(vecs):
-    # Make the largest-magnitude entry of each column positive; argmax
-    # resolves magnitude ties to the lowest row index.
-    lead = np.argmax(np.abs(vecs), axis=0)
+def _canonical(vals, vecs):
+    # The sign and order of the basis columns decide every key's s_max: each
+    # column's largest-magnitude entry (lowest such row) is made positive, and
+    # columns whose eigenvalues tie within _EIGENVALUE_TIE go in the order of
+    # that entry's row. take keeps the row-major layout BLAS products see.
+    lead = np.abs(vecs).argmax(axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
-    return vecs * signs
-
-
-def _order_within_ties(vals, vecs):
-    # Inside a run of numerically equal eigenvalues the solver's column
-    # order is arbitrary; reorder those columns by the row index of
-    # their largest-magnitude entry so plans are reproducible.
-    n = vals.size
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and vals[stop] - vals[stop - 1] <= _EIGENVALUE_TIE:
-            continue
-        if stop - start > 1:
-            cols = np.arange(start, stop)
-            lead = np.argmax(np.abs(vecs[:, cols]), axis=0)
-            vecs[:, cols] = vecs[:, cols[np.argsort(lead, kind="stable")]]
-        start = stop
-    return vecs
+    runs = np.concatenate(([0], (vals[1:] - vals[:-1] > _EIGENVALUE_TIE).cumsum()))
+    return (vecs * signs).take(np.lexsort((lead, runs)), axis=1)
 
 
 def make_plan(config: GraphConfig) -> TransformPlan:
@@ -115,8 +101,9 @@ def make_plan(config: GraphConfig) -> TransformPlan:
         vals, vecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    vecs = _order_within_ties(vals, _normalize_signs(vecs))
-    if np.max(np.abs((vecs * vals) @ vecs.T - lap)) > 1e-9:
+    vecs = _canonical(vals, vecs)
+    # "not <=" also refuses NaN, as from weights whose degree sum overflows
+    if not np.max(np.abs((vecs * vals) @ vecs.T - lap)) <= 1e-9:
         raise NumericError("eigenvectors do not reconstruct the Laplacian")
     vecs.flags.writeable = False
     return TransformPlan(config=config, basis=vecs)

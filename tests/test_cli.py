@@ -1,8 +1,11 @@
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbtmark import AttackSpec, AudioSignal, read_pbm, read_wav, write_pbm, write_wav
 from gbtmark.attacks import ATTACKS
@@ -11,6 +14,7 @@ from gbtmark.synth import speech_like
 
 from conftest import random_watermark
 from test_attacks import fake_codec
+from test_fileio import with_chunk_past_the_end, with_rate
 
 
 def run_cli(argv):
@@ -216,6 +220,85 @@ def test_attack_malformed_wav_is_format_error(workspace, capsys):
                           workspace / "out.wav", "--fraction", 0.1])
         assert status == 2
         assert message in capsys.readouterr().err
+
+
+def test_wav_chunk_past_the_end_or_huge_rate_exits_2(workspace, capsys):
+    key = workspace / "marked.key"
+    assert run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm",
+                    workspace / "marked.wav", key]) == 0
+    host = (workspace / "host.wav").read_bytes()
+    bad = workspace / "bad.wav"
+    for data in (with_chunk_past_the_end(host), with_rate(host, 2**31)):
+        bad.write_bytes(data)
+        capsys.readouterr()
+        for argv in (["extract", bad, key, workspace / "out.pbm"],
+                     ["attack", "amplitude_scale", bad, workspace / "out.wav",
+                      "--factor", 0.5],
+                     ["embed", bad, workspace / "wm.pbm", workspace / "m.wav",
+                      workspace / "m.key"]):
+            assert run_cli(argv) == 2
+            assert "gbtmark: error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 0.5 s marked WAV, its key and its 4x4 mark, for the mutation property."""
+    folder = tmp_path_factory.mktemp("small")
+    write_wav(folder / "host.wav", speech_like(0.5, 8000, seed=2))
+    write_pbm(folder / "wm.pbm", random_watermark(4, 4))
+    assert run_cli(["embed", folder / "host.wav", folder / "wm.pbm",
+                    folder / "marked.wav", folder / "marked.key"]) == 0
+    return folder
+
+
+def mutate(data, edit):
+    """Apply one (kind, position, argument) edit; positions wrap around."""
+    kind, at, arg = edit
+    at %= len(data)
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ arg]) + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + arg:]
+    if kind == "insert":
+        return data[:at] + arg + data[at:]
+    return data[:at]  # truncate
+
+
+# most edits land in a header: the WAV's is 44 bytes, the PBM's and key's
+# text lines come first
+_POSITIONS = st.integers(0, 64) | st.integers(0, 2**20)
+_EDITS = st.one_of(
+    st.tuples(st.just("flip"), _POSITIONS, st.integers(1, 255)),
+    st.tuples(st.just("delete"), _POSITIONS, st.integers(1, 8)),
+    st.tuples(st.just("insert"), _POSITIONS,
+              st.lists(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1c\x1f"),
+                       min_size=1, max_size=4).map(bytes)),
+    # a chunk header of odd size: RIFF pads such a chunk to an even length
+    st.tuples(st.just("insert"), _POSITIONS,
+              st.builds(lambda name, half: name + struct.pack("<I", 2 * half + 1),
+                        st.sampled_from([b"LIST", b"fmt ", b"data"]),
+                        st.integers(0, 2**31 - 1))),
+    st.tuples(st.just("truncate"), _POSITIONS, st.none()),
+)
+
+
+# each CLI call takes a few ms; an edited key frame_size can build a
+# 1024-sample plan, which takes far longer, so the examples are bounded
+@settings(max_examples=150)
+@example(target="marked.wav", edit=("insert", 36, b"LIST" + struct.pack("<I", 10**6)))
+@example(target="marked.wav", edit=("flip", 27, 0x80))  # sample rate 2**31 + 8000
+@given(target=st.sampled_from(["marked.wav", "wm.pbm", "marked.key"]), edit=_EDITS)
+def test_cli_exits_cleanly_on_mutated_inputs(small_inputs, target, edit):
+    folder = small_inputs
+    files = {name: folder / name for name in ("marked.wav", "wm.pbm", "marked.key")}
+    files[target] = folder / f"mutated-{target}"
+    files[target].write_bytes(mutate((folder / target).read_bytes(), edit))
+    wav, pbm, key = files.values()
+    for argv in (["extract", wav, key, folder / "out.pbm", "--reference", pbm],
+                 ["attack", "amplitude_scale", wav, folder / "out.wav", "--factor", 0.5],
+                 ["embed", wav, pbm, folder / "out.wav", folder / "out.key"]):
+        if files[target] in argv:
+            assert run_cli(argv) in (0, 1, 2)
 
 
 def test_attack_unknown_kind_is_usage_error(workspace, capsys):

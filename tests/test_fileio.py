@@ -36,6 +36,17 @@ def write_raw_wav(path, pcm_values, channels=1, sampwidth=2, rate=8000):
         handle.writeframes(struct.pack(f"<{len(pcm_values)}{fmt}", *pcm_values))
 
 
+def with_chunk_past_the_end(wav):
+    """WAV bytes with a LIST chunk, before the data, whose size points past the end."""
+    at = wav.index(b"data")
+    return wav[:at] + b"LIST" + struct.pack("<I", 10**6) + wav[at:]
+
+
+def with_rate(wav, rate):
+    """WAV bytes with the fmt chunk's sample rate replaced."""
+    return wav[:24] + struct.pack("<I", rate) + wav[28:]
+
+
 # ----------------------------------------------------------------- wav
 
 def test_read_wav_sample_mapping(tmp_path):
@@ -128,6 +139,30 @@ def test_read_wav_rejects_zero_rate(tmp_path):
         read_wav(path)
 
 
+def test_read_wav_rejects_a_chunk_past_the_end(tmp_path):
+    path = tmp_path / "list.wav"
+    write_raw_wav(path, [1, -2, 3])
+    path.write_bytes(with_chunk_past_the_end(path.read_bytes()))
+    with pytest.raises(AudioFormatError, match="truncated"):
+        read_wav(path)
+
+
+def test_wav_sample_rate_fits_the_header(tmp_path):
+    # the header holds the byte rate, twice the sample rate, in 32 bits
+    path = tmp_path / "rate.wav"
+    write_wav(path, AudioSignal(np.zeros(3), 2**31 - 1))
+    assert read_wav(path).sample_rate == 2**31 - 1
+    wav = path.read_bytes()
+    for rate in (2**31, 2**32 - 1):
+        path.write_bytes(with_rate(wav, rate))
+        with pytest.raises(AudioFormatError, match="sample rate"):
+            read_wav(path)
+    out = tmp_path / "out.wav"
+    with pytest.raises(AudioFormatError, match="sample rate"):
+        write_wav(out, AudioSignal(np.zeros(3), 2**31))
+    assert not out.exists()
+
+
 def test_read_wav_rejects_empty_or_mid_sample_data(tmp_path):
     empty = tmp_path / "empty.wav"
     write_raw_wav(empty, [])
@@ -172,9 +207,15 @@ def test_read_pbm_spec_example(tmp_path):
 
 def test_read_pbm_with_comments_and_packed_digits(tmp_path):
     path = tmp_path / "packed.pbm"
-    path.write_text("P1\n# a comment\n3 2 # trailing comment\n101\n010\n")
-    image = read_pbm(path)
-    assert np.array_equal(image.bits, [1, 0, 1, 0, 1, 0])
+    for content in ("P1\n# a comment\n3 2 # trailing comment\n101\n010\n",
+                    "P1#glued to the magic\n3 2\n101\n010\n",
+                    "P1\n3 2\n10# inside the raster\n1\n010\n",
+                    # whitespace to str.split(), like space and newline
+                    "P1\n3 2\n1\x1c0\x1f1\x1d0\x1e10\n"):
+        path.write_text(content)
+        image = read_pbm(path)
+        assert (image.width, image.height) == (3, 2)
+        assert np.array_equal(image.bits, [1, 0, 1, 0, 1, 0])
 
 
 def test_pbm_roundtrip_exact(tmp_path):
@@ -210,6 +251,7 @@ def test_write_pbm_exact_bytes(tmp_path):
     "P1\n2 2\n1 0 0 2\n",          # non-binary digit
     "P1\n5000 5000\n",             # dimensions too large
     "P1\nx y\n1 0 0 1\n",          # unparseable dimensions
+    "P1\n2 2\n1 0 0 /\n",          # "/" sits just below "0"
 ])
 def test_read_pbm_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.pbm"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from gbtmark import (
     ConfigError,
     GraphConfig,
+    NumericError,
     ValidationError,
     build_adjacency,
     build_laplacian,
@@ -12,6 +15,7 @@ from gbtmark import (
     inverse,
     make_plan,
 )
+from gbtmark.transform import _EIGENVALUE_TIE
 
 # Published adjacency for an 8-sample frame with weights 1 and 0.3.
 PUBLISHED_8x8 = np.array([
@@ -116,6 +120,12 @@ def test_plan_invariants_default_config():
     assert np.max(np.abs(recon - lap)) <= 1e-9
 
 
+def test_plan_refuses_a_laplacian_that_overflows():
+    # finite weights whose degree sum is inf: eigh returns NaN eigenvalues
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        make_plan(GraphConfig(frame_size=10, w1=1e308, w2=1e308))
+
+
 def test_plan_first_eigenvector_is_positive_constant():
     plan = make_plan(GraphConfig())
     assert np.allclose(plan.basis[:, 0], np.full(10, 1 / np.sqrt(10)), atol=1e-12)
@@ -150,6 +160,50 @@ def test_plan_with_repeated_eigenvalues():
     assert np.array_equal(plan.basis, again.basis)
     lead = np.argmax(np.abs(plan.basis), axis=0)
     assert np.all(plan.basis[lead, np.arange(3)] > 0)
+
+
+@given(n=st.integers(3, 48), w1=st.floats(0.05, 5.0), w2=st.floats(0.0, 5.0))
+@example(n=3, w1=1.0, w2=1.0)   # complete graph, spectrum {0, 3, 3}
+@example(n=4, w1=2.5, w2=2.5)   # another tied pair of eigenvalues
+def test_plan_basis_is_canonical(n, w1, w2):
+    # each column's first largest-magnitude entry is positive, and inside a
+    # run of tied eigenvalues the rows of those entries do not decrease
+    config = GraphConfig(frame_size=n, w1=w1, w2=w2)
+    basis = make_plan(config).basis
+    vals = np.linalg.eigh(build_laplacian(build_adjacency(config)))[0]
+    lead = np.argmax(np.abs(basis), axis=0)
+    assert np.all(basis[lead, np.arange(n)] > 0)
+    assert np.all(np.diff(lead)[np.diff(vals) <= _EIGENVALUE_TIE] >= 0)
+
+
+# The default plan's basis, columns in order. A flipped sign or a swapped
+# column changes every key's s_max.
+DEFAULT_BASIS = np.array([
+    [0.316227766017, 0.448214501470, 0.448829614110, 0.439295964758, 0.399408392695,
+     0.313221637125, -0.196267343886, 0.089338016548, -0.022450903460, 0.005808687917],
+    [0.316227766017, 0.393842041355, 0.237628570625, -0.002524338548, -0.268589077411,
+     -0.456250512624, 0.484416122999, -0.366881154291, 0.191660088950, 0.045997418765],
+    [0.316227766017, 0.314113057283, -0.008051645295, -0.316748430753, -0.384969125767,
+     -0.140818573698, -0.242052199792, 0.488695479111, -0.439482281542, -0.205791828939],
+    [0.316227766017, 0.201274756314, -0.262060238440, -0.415037749326, -0.082490779523,
+     0.324915739174, -0.312157641606, -0.134432045863, 0.476526294667, 0.404462515677],
+    [0.316227766017, 0.069380594181, -0.416346301001, -0.185544553442, 0.336640590006,
+     0.261395423652, 0.266061062286, -0.317051559162, -0.206253198614, -0.540287232096],
+    [0.316227766017, -0.069380594181, -0.416346301001, 0.185544553442, 0.336640590006,
+     -0.261395423652, 0.266061062286, 0.317051559162, -0.206253198614, 0.540287232096],
+    [0.316227766017, -0.201274756314, -0.262060238440, 0.415037749326, -0.082490779523,
+     -0.324915739174, -0.312157641606, 0.134432045863, 0.476526294667, -0.404462515677],
+    [0.316227766017, -0.314113057283, -0.008051645295, 0.316748430753, -0.384969125767,
+     0.140818573698, -0.242052199792, -0.488695479111, -0.439482281542, 0.205791828939],
+    [0.316227766017, -0.393842041355, 0.237628570625, 0.002524338548, -0.268589077411,
+     0.456250512624, 0.484416122999, 0.366881154291, 0.191660088950, -0.045997418765],
+    [0.316227766017, -0.448214501470, 0.448829614110, -0.439295964758, 0.399408392695,
+     -0.313221637125, -0.196267343886, -0.089338016548, -0.022450903460, -0.005808687917],
+])
+
+
+def test_default_plan_basis_matches_committed_values(default_plan):
+    assert np.max(np.abs(default_plan.basis - DEFAULT_BASIS)) <= 1e-12
 
 
 def test_forward_constant_frame(default_plan):
