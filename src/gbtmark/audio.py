@@ -6,6 +6,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# samples per block for the calls that pass over a whole signal: 512 KB
+# of float64, which stays in a core's L2 cache, so no call allocates a
+# full-length float temporary
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class AudioSignal:
@@ -63,3 +68,12 @@ def _fit_length(samples, length):
     if samples.size >= length:
         return samples[:length]
     return np.concatenate([samples, np.zeros(length - samples.size)])
+
+
+def _blocks(size):
+    # a slice for each consecutive _BLOCK-sample block of range(size), and
+    # a float64 buffer of the block's length; one buffer serves every block
+    buffer = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        yield slice(start, stop), buffer[:stop - start]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt
+from .audio import AudioSignal, _adopt, _blocks
 from .errors import AudioFormatError, ConfigError, KeyFormatError
 from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
@@ -62,11 +62,14 @@ def write_wav(path, signal: AudioSignal) -> None:
     if signal.sample_rate > MAX_WAV_RATE:
         raise AudioFormatError(f"{path}: a WAV file cannot hold sample rate "
                                f"{signal.sample_rate} (at most {MAX_WAV_RATE})")
-    # one float temporary, rounded (half to even) and clamped in place
-    scaled = signal.samples * 32767.0
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, -32768, 32767, out=scaled)
-    pcm = scaled.astype("<i2")
+    # block by block: scaled, rounded (half to even) and clamped in the
+    # block buffer, then stored as PCM
+    pcm = np.empty(len(signal), dtype="<i2")
+    for block, scaled in _blocks(len(signal)):
+        np.multiply(signal.samples[block], 32767.0, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
+        pcm[block] = scaled
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)

@@ -7,6 +7,7 @@ by the watermark strength. Extraction is non-blind: it compares the
 current largest singular value against the value saved at embed time.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -202,6 +203,14 @@ def _shift_smax(mats, delta):
     return np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
 
 
+@functools.lru_cache(maxsize=4)
+def _plan(config: GraphConfig) -> TransformPlan:
+    # one plan per GraphConfig (frozen, hashable) for embed and extract;
+    # plans are read-only, and the small bound keeps a few 1024-sample
+    # plans (8 MB each) at most
+    return make_plan(config)
+
+
 def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
                   plan: TransformPlan) -> np.ndarray:
     """Pick the frames that will each carry one watermark bit.
@@ -263,7 +272,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
-    plan = make_plan(params.graph)
+    plan = _plan(params.graph)
     chosen = select_frames(host, params, watermark.bits.size, plan)
     k = params.coeff_count
     samples = host.samples.copy()
@@ -296,7 +305,7 @@ def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
         raise ValidationError(
             f"signal is sampled at {signal.sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
-    plan = make_plan(key.params.graph)
+    plan = _plan(key.params.graph)
     # pad only up to the first all-zero frame; keyed frames past it read it
     count = min(int(key.frame_indices[-1]) + 1, len(signal) // plan.frame_size + 2)
     frames = _frames(signal.samples, plan.frame_size, count)

@@ -22,6 +22,7 @@ from gbtmark import (
     write_pbm,
     write_wav,
 )
+from gbtmark.audio import _BLOCK
 from gbtmark.synth import speech_like
 
 from conftest import random_watermark
@@ -94,6 +95,26 @@ def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
     scaled = samples * 32767.0
     ties = scaled - np.floor(scaled) == 0.5
     assert ties.sum() > 30_000 and not (pcm[ties] % 2).any()
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_write_wav_bytes_match_one_pass_across_block_edges(tmp_path, size):
+    # write_wav works block by block; its PCM must be the one-pass
+    # formula's, with half steps and +-1 clamps on both sides of each edge
+    rng = np.random.default_rng(size)
+    samples = rng.uniform(-1.0, 1.0, size)
+    halves = (rng.integers(-32767, 32767, size) + 0.5) / 32767
+    samples[::3] = halves[::3]
+    for edge in range(_BLOCK, size, _BLOCK):
+        samples[edge - 1], samples[edge] = 1.0, -1.0
+        samples[edge - 2:edge + 2:3] = halves[edge - 2:edge + 2:3]
+    samples[0], samples[-1] = -1.0, 1.0
+    path = tmp_path / "blocks.wav"
+    write_wav(path, AudioSignal(samples, 8000))
+    with wave.open(str(path), "rb") as handle:
+        raw = handle.readframes(handle.getnframes())
+    expected = np.clip(np.rint(samples * 32767.0), -32768, 32767).astype("<i2")
+    assert raw == expected.tobytes()
 
 
 def test_wav_roundtrip_quantization_bound(tmp_path):

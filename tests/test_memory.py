@@ -1,9 +1,11 @@
 """Peak memory of the calls that pass over a whole signal.
 
-``tracemalloc`` sees numpy's array buffers, so a traced peak above one
-float64 copy of the signal plus its int16 PCM means a call made a
-second full-length copy, which these tests catch before a benchmark
-run does.
+``tracemalloc`` sees numpy's array buffers, so each test's limit is what
+the call must hold, as a multiple of the signal's float64 bytes, and a
+peak above it means a full-length temporary, which these tests catch
+before a benchmark run does. ``read_wav``, ``embed`` and ``extract`` may
+hold one float64 copy; ``write_wav`` holds only its int16 PCM (0.25) plus
+one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
 """
 
 import dataclasses
@@ -17,6 +19,8 @@ from gbtmark.synth import speech_like
 from conftest import random_watermark
 
 PEAK_LIMIT = 1.5  # traced peak over the signal's float64 bytes
+WRITE_WAV_PEAK_LIMIT = 0.75  # int16 PCM plus one float64 block
+PSNR_PEAK_LIMIT = 0.5  # one float64 block
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +46,7 @@ def test_read_wav_peak_memory(host, tmp_path):
 
 def test_write_wav_peak_memory(host, tmp_path):
     path = tmp_path / "out.wav"
-    assert peak_ratio(lambda: write_wav(path, host), host) <= PEAK_LIMIT
+    assert peak_ratio(lambda: write_wav(path, host), host) <= WRITE_WAV_PEAK_LIMIT
 
 
 def test_embed_peak_memory(host):
@@ -52,7 +56,7 @@ def test_embed_peak_memory(host):
 
 def test_psnr_peak_memory(host):
     marked = embed(host, random_watermark()).signal
-    assert peak_ratio(lambda: psnr(host, marked), host) <= PEAK_LIMIT
+    assert peak_ratio(lambda: psnr(host, marked), host) <= PSNR_PEAK_LIMIT
 
 
 def test_extract_far_key_peak_memory(host):

@@ -13,6 +13,7 @@ from gbtmark import (
     payload,
     psnr,
 )
+from gbtmark.audio import _BLOCK
 from gbtmark.synth import ar_noise
 
 from conftest import random_watermark
@@ -66,6 +67,23 @@ def test_psnr_mse_is_bit_equal_to_mean_of_squares(reference, test):
     error = test - reference
     report = psnr(AudioSignal(reference, 8000), AudioSignal(test, 8000))
     assert report.mse == float(np.mean(error * error))
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_psnr_mse_across_block_edges(size):
+    # psnr sums the squared errors per block: one block is np.mean's own
+    # pairwise sum, and the sum of several is within a few ulp of it
+    rng = np.random.default_rng(size)
+    reference = rng.uniform(-0.5, 0.5, size)
+    test = reference + rng.normal(0, 0.01, size)
+    error = test - reference
+    report = psnr(AudioSignal(reference, 8000), AudioSignal(test, 8000))
+    expected = float(np.mean(error * error))
+    if size <= _BLOCK:
+        assert report.mse == expected
+    else:
+        assert abs(report.mse - expected) <= 4 * np.spacing(expected)
+    assert report.psnr_db == 10.0 * math.log10(1.0 / report.mse)
 
 
 def test_psnr_validates_inputs():

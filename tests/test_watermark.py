@@ -435,6 +435,25 @@ def test_embed_extract_roundtrip_random_hosts():
         assert np.array_equal(recovered.bits, watermark.bits)
 
 
+def test_embed_and_extract_build_each_plan_once(watermark):
+    # a plan is built once per graph config; the public make_plan is not cached
+    host = speech_like(3.0, 8000, seed=2)
+    graph = GraphConfig(frame_size=12)
+    gbtmark.watermark._plan.cache_clear()
+    builds = []
+
+    def counting(config):
+        builds.append(config)
+        return make_plan(config)
+
+    with mock.patch.object(gbtmark.watermark, "make_plan", counting):
+        for _ in range(2):
+            result = embed(host, watermark, EmbedParams(graph=graph))
+            extract(result.signal, result.key)
+    assert builds == [graph]
+    assert make_plan(graph) is not make_plan(graph)
+
+
 def test_embed_locality(watermark):
     host = speech_like(3.0, 8000, seed=2)
     result = embed(host, watermark)
