@@ -9,7 +9,7 @@ there.
 import numpy as np
 from scipy import signal as sps
 
-from gbtmark import GraphConfig, build_adjacency, build_laplacian, forward, make_plan
+from gbtmark import GraphConfig, build_adjacency, build_laplacian, make_plan
 
 # ------------------------------------------------------------------
 # 1. The graph: every sample talks to its neighbours (weight 1.0) and
@@ -49,5 +49,5 @@ print(f"last 4 hold {share[-4:].sum():.1%} -- the watermark rides on the first 4
 # ------------------------------------------------------------------
 # 4. The transform is orthonormal, so nothing is lost either way.
 frame = frames[0] / np.max(np.abs(frames[0]))
-roundtrip = plan.basis @ forward(plan, frame)
+roundtrip = (frame @ plan.basis) @ plan.basis.T
 print(f"\nround-trip max error: {np.max(np.abs(roundtrip - frame)):.2e}")

@@ -50,8 +50,6 @@ from .transform import (
     TransformPlan,
     build_adjacency,
     build_laplacian,
-    forward,
-    inverse,
     make_plan,
 )
 from .watermark import (

@@ -62,9 +62,11 @@ def _lowpass_taps(cutoff_hz, sample_rate):
 
 def _apply_fir(x, taps):
     # causal filter, advanced by the group delay so the output stays
-    # aligned with the input; _attacked zero-pads the short tail
+    # aligned with the input; the last delay samples read as zeros
     delay = (FIR_TAP_COUNT - 1) // 2
-    return np.convolve(x, taps)[delay:x.size]
+    out = np.convolve(x, taps)[delay:delay + x.size]
+    out[max(x.size - delay, 0):] = 0.0
+    return out
 
 
 def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:

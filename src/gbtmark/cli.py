@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "graph-transform coefficients")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    cmd = commands.add_parser("embed", parents=[], help="embed a PBM image into a WAV")
+    cmd = commands.add_parser("embed", help="embed a PBM image into a WAV")
     cmd.add_argument("host", help="host WAV file (mono PCM16)")
     cmd.add_argument("watermark", help="watermark PBM file (P1)")
     cmd.add_argument("out_wav", help="output watermarked WAV")

@@ -46,8 +46,9 @@ class TransformPlan:
     """Precomputed Laplacian eigenbasis for one frame size.
 
     ``basis`` holds eigenvectors as columns, sorted by ascending
-    eigenvalue and sign-normalized. Immutable after construction, so a
-    single plan can serve any number of concurrent frame transforms.
+    eigenvalue and sign-normalized: frames in rows have coefficients
+    ``frames @ basis``. Immutable after construction, so a single plan
+    can serve any number of concurrent frame transforms.
     """
 
     config: GraphConfig
@@ -108,28 +109,3 @@ def make_plan(config: GraphConfig) -> TransformPlan:
     vecs.flags.writeable = False
     return TransformPlan(config=config, basis=vecs)
 
-
-def forward(plan: TransformPlan, frames) -> np.ndarray:
-    """Project frames onto the graph eigenbasis (coefficients = V^T s).
-
-    The last axis holds the samples of one frame; any leading axes are
-    a batch of frames.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1:] != (plan.frame_size,):
-        raise ValidationError(
-            f"frame must have {plan.frame_size} samples, got shape {frames.shape}")
-    return frames @ plan.basis
-
-
-def inverse(plan: TransformPlan, coeffs) -> np.ndarray:
-    """Rebuild frames from their transform coefficients (s = V c).
-
-    The last axis holds the coefficients of one frame; any leading axes
-    are a batch of frames.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape[-1:] != (plan.frame_size,):
-        raise ValidationError(
-            f"expected {plan.frame_size} coefficients, got shape {coeffs.shape}")
-    return coeffs @ plan.basis.T

@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import AudioSignal, _adopt, _fit_length
 from .errors import CapacityError, ConfigError, KeyFormatError, ValidationError
-from .transform import GraphConfig, TransformPlan, forward, inverse, make_plan
+from .transform import GraphConfig, TransformPlan, make_plan
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,11 @@ def _frames(samples, frame_size: int, count: int) -> np.ndarray:
 
 
 def _leading(plan, frames, k):
-    # transform coefficients of a batch of frames, and their leading k
-    # as one row-major r x c matrix per frame, r the largest divisor of
-    # k not above sqrt(k): as square as possible, one row for a prime k
-    coeffs = forward(plan, frames)
+    # each frame's leading k coefficients as a row-major r x c matrix, r
+    # the largest divisor of k not above sqrt(k), one row for a prime k.
+    # Not basis[:, :k]: at k = 1 BLAS sums in a batch-size-dependent order.
     rows = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
-    return coeffs, coeffs[:, :k].reshape(-1, rows, k // rows)
+    return (frames @ plan.basis)[:, :k].reshape(-1, rows, k // rows)
 
 
 def _halves(mats):
@@ -178,28 +177,28 @@ def _smax(mats):
     return np.hypot(e, h) + np.hypot(f, g)
 
 
-def _grow(x, y, delta):
-    # the pair (x, y) rescaled so its norm grows by delta; a zero pair
-    # has no direction of its own and takes (delta, 0)
+def _along(x, y, length):
+    # the pair (x, y) rescaled to the given length; a zero pair has no
+    # direction of its own and takes (length, 0)
     norm = np.hypot(x, y)
     zero = norm == 0
-    scale = (norm + delta) / np.where(zero, 1.0, norm)
-    return np.where(zero, delta, x * scale), y * scale
+    scale = length / np.where(zero, 1.0, norm)
+    return np.where(zero, length, x * scale), y * scale
 
 
-def _shift_smax(mats, delta):
-    # M + delta * u1 v1^T for each matrix M and its delta, which moves
-    # the largest singular value by delta and keeps the other singular
-    # values and all singular vectors. In the 2x2 form of _halves,
-    # u1 v1^T is (E, H)/2Q + (F, G)/2R, so the update adds delta/2 to
-    # both Q and R; a part that is zero takes the direction (delta/2, 0),
-    # one valid choice of the (then tied) top singular pair.
+def _smax_change(mats, delta):
+    # delta * u1 v1^T for each matrix M and its delta: M plus it has its
+    # largest singular value moved by delta, the other singular values
+    # and all singular vectors kept. In the 2x2 form of _halves, u1 v1^T
+    # is (E, H)/2Q + (F, G)/2R, so the change is each part rescaled to
+    # length delta/2; a zero part takes the direction (delta/2, 0), one
+    # valid choice of the (then tied) top singular pair.
     if mats.shape[1:] != (2, 2):
         u, _, vt = np.linalg.svd(mats, full_matrices=False)
-        return mats + delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
+        return delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
     rotation, reflection = _halves(mats)
-    e, h = _grow(*rotation, delta / 2)
-    f, g = _grow(*reflection, delta / 2)
+    e, h = _along(*rotation, delta / 2)
+    f, g = _along(*reflection, delta / 2)
     return np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
 
 
@@ -250,7 +249,7 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
         cut = np.partition(energies, total - wanted)[total - wanted]
         new = np.flatnonzero((energies >= cut) & (energies < upper))
         new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(plan, frames[new], params.coeff_count)[1])
+        smax = _smax(_leading(plan, frames[new], params.coeff_count))
         winners = np.concatenate([winners, new[smax > params.ws]])
         if winners.size >= bit_count:
             return np.sort(winners[:bit_count])
@@ -277,11 +276,12 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     k = params.coeff_count
     samples = host.samples.copy()
     frames = _frames(samples, plan.frame_size, len(samples) // plan.frame_size)
-    coeffs, mats = _leading(plan, frames[chosen], k)
+    marked = frames[chosen]
+    mats = _leading(plan, marked, k)
     s_ref = _smax(mats)
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    coeffs[:, :k] = _shift_smax(mats, shift).reshape(-1, k)
-    frames[chosen] = np.clip(inverse(plan, coeffs), -1.0, 1.0)
+    marked += _smax_change(mats, shift).reshape(-1, k) @ plan.basis[:, :k].T
+    frames[chosen] = np.clip(marked, -1.0, 1.0, out=marked)
     key = EmbeddingKey(
         sample_rate=host.sample_rate,
         params=params,
@@ -310,6 +310,5 @@ def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
     count = min(int(key.frame_indices[-1]) + 1, len(signal) // plan.frame_size + 2)
     frames = _frames(signal.samples, plan.frame_size, count)
     keyed = frames[np.minimum(key.frame_indices, count - 1)]
-    _, mats = _leading(plan, keyed, key.params.coeff_count)
-    bits = (_smax(mats) > key.s_max).astype(np.uint8)
+    bits = _smax(_leading(plan, keyed, key.params.coeff_count)) > key.s_max
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)

@@ -43,15 +43,15 @@ def embed_oracle_gap(plan, candidates, params):
     coefficient matrix is compared with ``shift_top_singular_value``.
     Returns the number of frames kept and the largest absolute gap.
     """
-    sv = np.linalg.svd(_leading(plan, candidates, 4)[1], compute_uv=False)
+    sv = np.linalg.svd(_leading(plan, candidates, 4), compute_uv=False)
     frames = candidates[(sv[:, 0] > params.ws) & (sv[:, 0] - sv[:, 1] >= 1e-6)]
-    before = _leading(plan, frames, 4)[1]
+    before = _leading(plan, frames, 4)
     host = AudioSignal(frames.reshape(-1), 8000)
     gap = 0.0
     for bit, delta in ((1, params.ws), (0, -params.ws)):
         mark = WatermarkImage(len(frames), 1, np.full(len(frames), bit))
         marked = embed(host, mark, params).signal.samples.reshape(frames.shape)
-        after = _leading(plan, marked, 4)[1]
+        after = _leading(plan, marked, 4)
         for got, mat in zip(after, before):
             gap = max(gap, np.max(np.abs(got - shift_top_singular_value(mat, delta))))
     return len(frames), gap

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gbtmark.attacks
 import gbtmark.benchmark
 
 from gbtmark import (
@@ -116,6 +117,23 @@ def test_highpass_removes_dc():
     signal = AudioSignal(np.full(8000, 0.25), 8000)
     out = highpass(signal, 50.0)
     assert abs(np.mean(out.samples)) <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 62, 63, 64, 200])
+@pytest.mark.parametrize("kind", ["lowpass", "highpass"])
+def test_filter_output_is_the_advanced_convolution_then_zeros(kind, n):
+    # the full convolution advanced by the 63-sample group delay; the
+    # last min(63, n) samples would need input past the end and are 0
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    taps = gbtmark.attacks._lowpass_taps(1000.0, 8000)
+    if kind == "highpass":
+        taps = -taps
+        taps[63] += 1.0
+    out = (lowpass if kind == "lowpass" else highpass)(AudioSignal(x, 8000), 1000.0)
+    tail = min(63, n)
+    assert np.all(out.samples[n - tail:] == 0.0)
+    want = np.clip(np.convolve(x, taps)[63:n], -1.0, 1.0)
+    assert np.array_equal(out.samples[:n - tail], want)
 
 
 def test_filter_cutoff_validation():

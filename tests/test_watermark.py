@@ -21,13 +21,12 @@ from gbtmark import (
     WatermarkImage,
     embed,
     extract,
-    forward,
     make_plan,
     psnr,
     select_frames,
 )
 from gbtmark.synth import ar_noise, speech_like
-from gbtmark.watermark import _frames, _leading, _shift_smax, _smax
+from gbtmark.watermark import _frames, _leading, _smax, _smax_change
 
 from conftest import embed_oracle_gap, random_watermark
 from oracles import select_frames_full_scan
@@ -58,12 +57,11 @@ def test_frame_signal_too_short(default_plan):
 
 
 def leading_of_random_frames(k, count=5):
-    # _leading on random frames of the default 10-sample graph
+    # all coefficients of random frames of the default 10-sample graph,
+    # and _leading's matrices of them
     frames = np.random.default_rng(k).uniform(-0.5, 0.5, (count, 10))
     plan = make_plan(GraphConfig())
-    coeffs, mats = _leading(plan, frames, k)
-    assert np.array_equal(coeffs, forward(plan, frames))
-    return coeffs, mats
+    return frames @ plan.basis, _leading(plan, frames, k)
 
 
 def test_reshape_k4_row_major():
@@ -146,7 +144,7 @@ def test_shift_smax_2x2_moves_only_the_largest_singular_value():
     def check(data, mats):
         delta = shifts(data.draw, mats)
         s1, s2 = np.linalg.svd(mats, compute_uv=False).T
-        got = np.linalg.svd(_shift_smax(mats, delta), compute_uv=False)
+        got = np.linalg.svd(mats + _smax_change(mats, delta), compute_uv=False)
         want = np.sort([np.abs(s1 + delta), s2], axis=0)[::-1].T
         tolerance = 16 * EPS * (s1 + np.abs(delta))
         assert np.all(np.abs(got - want) <= tolerance[:, None])
@@ -165,7 +163,8 @@ def test_shift_smax_2x2_matches_lapack_rank_one_update():
         delta = shifts(data.draw, mats)
         want = mats + delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
         tolerance = 16 * EPS * (s[:, 0] + np.abs(delta))
-        gap = np.abs(_shift_smax(mats, delta) - want).max(axis=(1, 2), initial=0.0)
+        shifted = mats + _smax_change(mats, delta)
+        gap = np.abs(shifted - want).max(axis=(1, 2), initial=0.0)
         assert np.all(gap <= tolerance)
 
     check()
@@ -175,7 +174,7 @@ def test_shift_smax_2x2_zero_part_takes_the_first_direction():
     # with Q or R zero the top singular pair is tied; the zero part
     # grows along (delta/2, 0): E for the rotation, F for the reflection
     mats = np.array([np.zeros((2, 2)), 2 * np.eye(2), [[0.0, 3.0], [3.0, 0.0]]])
-    got = _shift_smax(mats, np.array([0.5, -0.5, 0.5]))
+    got = mats + _smax_change(mats, np.array([0.5, -0.5, 0.5]))
     assert np.array_equal(got, [[[0.5, 0.0], [0.0, 0.0]],
                                 [[1.5, 0.0], [0.0, 2.0]],
                                 [[0.25, 3.25], [3.25, 0.25]]])
@@ -234,7 +233,7 @@ def test_select_frames_eligibility_threshold(default_plan):
     # eligible means the kernel's smax > ws: a frame exactly at the
     # strength is out, and one a single ulp above it is in
     signal = ar_noise(10, seed=21, rms=0.2)
-    smax = float(_smax(_leading(default_plan, signal.samples.reshape(-1, 10), 4)[1])[0])
+    smax = float(_smax(_leading(default_plan, signal.samples.reshape(-1, 10), 4))[0])
     with pytest.raises(CapacityError):
         select_frames(signal, EmbedParams(ws=smax), 1, default_plan)
     below = EmbedParams(ws=np.nextafter(smax, 0.0))
@@ -380,8 +379,8 @@ def test_embed_k1_changes_coefficient_magnitude():
     plan = make_plan(params.graph)
     host = constant_frames_signal([0.2, -0.3])
     result = embed(host, WatermarkImage(2, 1, [1, 0]), params)
-    coeff = forward(plan, host.samples.reshape(-1, 10))[:, 0]
-    new_coeff = forward(plan, result.signal.samples.reshape(-1, 10))[:, 0]
+    coeff = (host.samples.reshape(-1, 10) @ plan.basis)[:, 0]
+    new_coeff = (result.signal.samples.reshape(-1, 10) @ plan.basis)[:, 0]
     assert result.key.s_max == pytest.approx(np.abs(coeff), abs=1e-12)
     assert new_coeff == pytest.approx(coeff + np.sign(coeff) * [params.ws, -params.ws],
                                       abs=1e-9)
@@ -395,12 +394,32 @@ def test_embed_prime_k_rescales_the_coefficient_row():
     host = ar_noise(40, seed=22, rms=0.2)  # four frames, all of them carry a bit
     watermark = WatermarkImage(2, 2, [1, 0, 0, 1])
     result = embed(host, watermark, params)
-    before = forward(plan, host.samples.reshape(-1, 10))[:, :5]
-    after = forward(plan, result.signal.samples.reshape(-1, 10))[:, :5]
+    before = (host.samples.reshape(-1, 10) @ plan.basis)[:, :5]
+    after = (result.signal.samples.reshape(-1, 10) @ plan.basis)[:, :5]
     norms = np.linalg.norm(before, axis=1)
     assert result.key.s_max == pytest.approx(norms, abs=1e-12)
     target = norms + np.where(watermark.bits == 1, params.ws, -params.ws)
     assert np.max(np.abs(after - before * (target / norms)[:, None])) <= 1e-9
+
+
+@pytest.mark.parametrize("coeff_fraction, shape", [(0.4, (2, 2)), (0.5, (1, 5)),
+                                                   (0.6, (2, 3))])
+def test_a_bit_is_a_rank_one_change_of_the_leading_coefficients(coeff_fraction, shape):
+    # on a host that does not clip, a marked frame's trailing N - k
+    # coefficients keep their values, and its leading r x c matrix moves
+    # by ws u1 v1^T: rank 1, Frobenius norm ws
+    params = EmbedParams(coeff_fraction=coeff_fraction)
+    plan = make_plan(params.graph)
+    host = ar_noise(4000, seed=23, rms=0.1)
+    result = embed(host, random_watermark(10, 10, seed=3), params)
+    assert np.max(np.abs(result.signal.samples)) < 1.0
+    change = (result.signal.samples - host.samples).reshape(-1, 10) @ plan.basis
+    k = params.coeff_count
+    assert np.max(np.abs(change[:, k:])) <= 1e-12
+    marked = change[result.key.frame_indices, :k].reshape(-1, *shape)
+    sv = np.linalg.svd(marked, compute_uv=False)
+    assert sv[:, 0] == pytest.approx(params.ws, abs=1e-12)
+    assert np.max(sv[:, 1:], initial=0.0) <= 1e-12
 
 
 def test_embed_matches_closed_form_oracle(default_plan):
@@ -481,7 +500,7 @@ def test_embed_detection_margin(embedded_clips, watermark, default_plan):
     frames = result.signal.samples.reshape(-1, 10)
     key = result.key
     for index, s_ref, bit in zip(key.frame_indices, key.s_max, watermark.bits):
-        coeffs = forward(default_plan, frames[index])
+        coeffs = frames[index] @ default_plan.basis
         smax = np.linalg.svd(coeffs[:4].reshape(2, 2), compute_uv=False)[0]
         expected = s_ref + (params.ws if bit else -params.ws)
         assert smax == pytest.approx(expected, abs=1e-6)
