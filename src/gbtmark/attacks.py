@@ -243,9 +243,14 @@ ATTACKS = {
 
 def _checked(kind, value):
     # the parameter as its row's type, once it passes the row's rule; no
-    # kind takes NaN or +-inf, and int kinds take only integral values
+    # kind takes NaN or +-inf, and int kinds take only integral values.
+    # Text, bools and what float() refuses read as NaN, so fail the rule.
     attack = ATTACKS[kind]
-    number = float(value)
+    try:
+        number = (math.nan if isinstance(value, (str, bytes, bool, np.bool_))
+                  else float(value))
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
     if not (math.isfinite(number) and attack.allows(number)) or (
             attack.type is int and not number.is_integer()):
         raise ValidationError(
@@ -264,8 +269,9 @@ class AttackSpec:
     """One attack plus its parameter, ready to apply to any signal.
 
     ``kind`` is a key of :data:`ATTACKS`, whose entry says what
-    ``parameter`` means and may be; ``seed`` must be a non-negative
-    integer and only affects awgn.
+    ``parameter`` means and may be, and the spec keeps it as that
+    entry's type; ``seed`` must be a non-negative integer and only
+    affects awgn.
     """
 
     kind: str
@@ -276,7 +282,7 @@ class AttackSpec:
         if self.kind not in ATTACKS:
             raise ValidationError(
                 f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
-        _checked(self.kind, self.parameter)
+        object.__setattr__(self, "parameter", _checked(self.kind, self.parameter))
         _check_seed(self.seed)
 
     def apply(self, signal: AudioSignal,

@@ -153,57 +153,39 @@ def write_key(path, key: EmbeddingKey) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _header_value(lines, position, name, path):
-    if position >= len(lines):
-        raise KeyFormatError(f"{path}: truncated key header, missing {name!r}")
-    parts = lines[position].split()
-    if len(parts) != 2 or parts[0] != name:
-        raise KeyFormatError(
-            f"{path}: expected header line {name!r}, got {lines[position]!r}")
-    return parts[1]
-
-
-def _key_records(body, path):
-    # One split for the whole body. Joined with " | ", the tokens run
-    # index, value, "|", index, value, ... when every line holds two
-    # fields; any other line shape with the same token count puts a "|"
-    # where an index or a value is parsed, which raises. numpy parses
-    # with int and float, as the line loop does; the loop runs only to
-    # name a bad line (or an index past int64, which EmbeddingKey refuses).
-    tokens = " | ".join(body).split()
-    if len(tokens) == 3 * len(body) - 1:
-        try:
-            return (np.array(tokens[0::3], dtype=np.int64),
-                    np.array(tokens[1::3], dtype=np.float64))
-        except (ValueError, OverflowError):
-            pass
-    indices, s_max = [], []
-    for line in body:
-        try:
-            index, value = line.split()
-            indices.append(int(index))
-            s_max.append(float(value))
-        except ValueError as exc:
-            raise KeyFormatError(f"{path}: bad key record {line!r}") from exc
-    return indices, s_max
-
-
 def read_key(path) -> EmbeddingKey:
     """Read an embedding key written by :func:`write_key`."""
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"{path}: not a plain-text key file") from exc
+    # Every line holds two fields. Joined with " | ", the tokens then run
+    # field, field, "|", field, field, ...; the "|"s in the separator
+    # slots tell this from other line splits with the same token count.
+    tokens = " | ".join(lines).split()
+    if not (len(tokens) == 3 * len(lines) - 1
+            and tokens[2::3].count("|") == len(lines) - 1):
+        number, line = next(((n, line) for n, line in enumerate(lines, 1)
+                             if len(line.split()) != 2), (1, ""))
+        raise KeyFormatError(
+            f"{path}: bad key record {line!r} on line {number}, expected two fields")
+    names, values = tokens[0::3], tokens[1::3]
+    expected = [name for name, _, _ in _KEY_HEADER]
+    if names[:len(expected)] != expected:
+        raise KeyFormatError(f"{path}: key header must name {', '.join(expected)} "
+                             f"in order, got {', '.join(names[:len(expected)])}")
     try:
-        header = {name: kind(_header_value(lines, i, name, path))
-                  for i, (name, kind, _) in enumerate(_KEY_HEADER)}
-    except ValueError as exc:
-        raise KeyFormatError(f"{path}: malformed key header: {exc}") from exc
+        header = {name: kind(value)
+                  for (name, kind, _), value in zip(_KEY_HEADER, values)}
+        # numpy parses each token with int and float, as the header does
+        indices = np.array(names[len(expected):], dtype=np.int64)
+        s_max = np.array(values[len(expected):], dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise KeyFormatError(f"{path}: bad key record: {exc}") from exc
     if header["version"] != KEY_FORMAT_VERSION:
         raise KeyFormatError(
             f"{path}: key version {header['version']} is not supported "
             f"(expected {KEY_FORMAT_VERSION})")
-    indices, s_max = _key_records(lines[len(_KEY_HEADER):], path)
     try:
         graph = GraphConfig(frame_size=header["frame_size"],
                             w1=header["w1"], w2=header["w2"])

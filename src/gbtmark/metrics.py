@@ -1,6 +1,7 @@
 """Quality and robustness measures: PSNR, bit error rate, payload."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ def ber(original: WatermarkImage, extracted: WatermarkImage) -> float:
 
 def payload(sample_rate_hz: float, frame_size: int) -> float:
     """Embeddable bits per second: one bit per frame."""
-    if sample_rate_hz <= 0 or frame_size <= 0:
-        raise ValidationError("sample rate and frame size must be positive")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValidationError(
+            f"sample rate must be finite and > 0, got {sample_rate_hz!r}")
+    if not (isinstance(frame_size, numbers.Integral) and frame_size >= 1):
+        raise ValidationError(
+            f"frame size must be an integer >= 1, got {frame_size!r}")
     return sample_rate_hz / frame_size

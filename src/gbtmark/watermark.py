@@ -228,6 +228,11 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     loud frames are ineligible (e.g. high-frequency content the leading
     coefficients miss), the prefix can grow to a full scan of the host.
     """
+    try:
+        bit_count = operator.index(bit_count)
+    except TypeError:
+        raise ValidationError(
+            f"bit_count must be an integer, got {bit_count!r}") from None
     if bit_count < 1:
         raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
     if plan.config != params.graph:

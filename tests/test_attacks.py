@@ -397,6 +397,25 @@ def test_attack_spec_validation():
             AttackSpec(kind, value)
 
 
+def test_attack_spec_refuses_non_numbers_and_keeps_the_checked_value():
+    # text, bools and what float() refuses fail the row's rule
+    for kind, value in (("awgn", "abc"), ("awgn", "10"), ("awgn", None), ("awgn", 1j),
+                        ("awgn", True), ("requantize", np.True_), ("crop", b"0.2"),
+                        ("resample", 10**400)):
+        with pytest.raises(ValidationError, match="must be"):
+            AttackSpec(kind, value)
+    # a spec holds its parameter as its row's type
+    for kind, value, kept in (("requantize", 8.0, 8), ("awgn", np.int64(10), 10.0),
+                              ("resample", np.float64(6000), 6000), ("crop", 0.2, 0.2)):
+        parameter = AttackSpec(kind, value).parameter
+        assert (parameter, type(parameter)) == (kept, type(kept))
+    # the grid label reads the same for an int or a float parameter
+    for value in (8, 8.0):
+        row = gbtmark.benchmark.BenchmarkRow("requantize",
+                                             AttackSpec("requantize", value), ())
+        assert row.parameter == "8"
+
+
 def test_attack_spec_seed_follows_the_awgn_rule():
     # refused when the spec is made, for every kind, not when awgn runs
     for seed in (-1, np.int64(-3), 2.5, "1"):

@@ -4,7 +4,7 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbtmark import (
@@ -369,6 +369,10 @@ def test_key_indices_are_int64_so_every_accepted_key_round_trips(tmp_path):
     # 2**63 would be written as text that read_key cannot parse back
     with pytest.raises(KeyFormatError, match="64-bit"):
         dataclasses.replace(key, frame_indices=np.array([5, 2**63], dtype=np.uint64))
+    # and such text, written by hand, is refused on reading
+    path.write_text(path.read_text().replace(str(2**63 - 1), str(2**63)))
+    with pytest.raises(KeyFormatError, match="bad key record"):
+        read_key(path)
 
 
 def maybe_numpy(strategy, numpy_type):
@@ -480,10 +484,82 @@ def test_key_records_split_across_lines(tmp_path, records):
 def test_key_records_take_any_whitespace(tmp_path):
     path = tmp_path / "spaced.key"
     write_key(path, sample_key())
-    lines = path.read_text().splitlines()
-    lines[9:] = ["\t" + line.replace(" ", "   ") + " " for line in lines[9:]]
+    # header lines and records alike
+    lines = ["\t" + line.replace(" ", "   ") + " "
+             for line in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
     assert_same_key(read_key(path), sample_key())
+
+
+@pytest.mark.parametrize("text, number", [
+    ("", 1),                      # an empty file
+    ("\n \n\t\n", 1),             # blank lines only
+    ("version 1\nsample_rate\n", 2),
+    ("version 1 sample_rate 8000\n", 1),
+    (None, 11),                   # a record's index moved to the line before
+])
+def test_key_names_the_first_line_without_two_fields(tmp_path, text, number):
+    path = tmp_path / "lines.key"
+    write_key(path, sample_key())
+    if text is None:
+        lines = path.read_text().splitlines()
+        index, value = lines[11].split()
+        lines[10:12] = [f"{lines[10]} {index}", value]  # the token count holds
+        text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    with pytest.raises(KeyFormatError, match=f"bad key record .* on line {number},"):
+        read_key(path)
+
+
+def test_key_header_only_file(tmp_path):
+    path = tmp_path / "header.key"
+    write_key(path, sample_key())
+    path.write_text("\n".join(path.read_text().splitlines()[:9]) + "\n")
+    with pytest.raises(KeyFormatError, match="s_max values"):
+        read_key(path)
+
+
+@pytest.mark.parametrize("edit", ["swap", "drop", "rename"])
+def test_key_header_names_come_in_order(tmp_path, edit):
+    path = tmp_path / "names.key"
+    write_key(path, sample_key())
+    lines = path.read_text().splitlines()
+    if edit == "swap":
+        lines[3], lines[4] = lines[4], lines[3]  # ws and coeff_fraction
+    elif edit == "drop":
+        del lines[6]  # w2
+    else:
+        lines[1] = lines[1].replace("sample_rate", "rate")
+    path.write_text("\n".join(lines) + "\n")
+    order = ("version, sample_rate, frame_size, ws, coeff_fraction, w1, w2, "
+             "wm_width, wm_height")
+    with pytest.raises(KeyFormatError, match=f"must name {order} in order"):
+        read_key(path)
+
+
+# characters that make numbers, separators and line breaks, plus two letters
+EDIT_TEXT = st.text(alphabet="0123456789.-+_eE|nai \t\n\r\x0b\x1f", max_size=4)
+
+
+def test_key_edits_give_a_key_or_a_key_format_error(tmp_path):
+    path = tmp_path / "edited.key"
+    write_key(path, sample_key())
+    valid = path.read_text()
+
+    @settings(max_examples=400)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(valid)), st.integers(0, 3),
+                                    EDIT_TEXT), min_size=1, max_size=4))
+    def check(edits):
+        text = valid
+        for at, removed, inserted in edits:
+            text = text[:at] + inserted + text[at + removed:]
+        path.write_text(text)
+        try:
+            assert isinstance(read_key(path), EmbeddingKey)
+        except KeyFormatError:
+            pass
+
+    check()
 
 
 def test_key_unparseable_float(tmp_path):

@@ -126,3 +126,9 @@ def test_payload_validates_inputs():
         payload(0, 10)
     with pytest.raises(ValidationError):
         payload(8000, 0)
+    # a rate that is not finite, or a frame size that is not a whole count
+    for rate, size in ((math.nan, 10), (math.inf, 10), (-8000, 10),
+                       (8000, 0.5), (8000, 10.0), (8000, "10"), (8000, math.nan)):
+        with pytest.raises(ValidationError):
+            payload(rate, size)
+    assert payload(8000.0, np.int64(16)) == 500

@@ -214,6 +214,16 @@ def test_select_frames_rejects_a_plan_for_another_graph():
         select_frames(speech_like(2.0, 8000, seed=1), EmbedParams(), 5, other)
 
 
+def test_select_frames_bit_count_is_an_integer_at_least_one(default_plan):
+    signal = speech_like(2.0, 8000, seed=1)
+    for count in (2.5, "3", 3.0, None, 0, -1):
+        with pytest.raises(ValidationError, match="bit_count"):
+            select_frames(signal, EmbedParams(), count, default_plan)
+    assert np.array_equal(
+        select_frames(signal, EmbedParams(), np.int64(3), default_plan),
+        select_frames(signal, EmbedParams(), 3, default_plan))
+
+
 def test_select_frames_silent_signal_has_no_capacity(default_plan):
     with pytest.raises(CapacityError) as info:
         select_frames(AudioSignal(np.zeros(100), 8000), EmbedParams(), 1,
