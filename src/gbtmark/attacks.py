@@ -22,7 +22,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .audio import AudioSignal, _adopt, _fit_length
-from .errors import CodecError, ValidationError
+from .errors import CodecError, ValidationError, _integer, _real
 from .fileio import read_wav, write_wav
 
 FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
@@ -41,7 +41,7 @@ def _attacked(signal, out):
 def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
     """Add white Gaussian noise at the given signal-to-noise ratio in dB."""
     snr_db = _checked("awgn", snr_db)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     x = signal.samples
     power = float(np.mean(x * x))
     if power == 0.0:
@@ -55,7 +55,7 @@ def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
 def _lowpass_taps(cutoff_hz, sample_rate):
     mid = (FIR_TAP_COUNT - 1) // 2
     m = np.arange(FIR_TAP_COUNT) - mid
-    fc = cutoff_hz / sample_rate  # cycles per sample
+    fc = max(cutoff_hz / sample_rate, 1e-300)  # cycles per sample, never subnormal
     taps = 2.0 * fc * np.sinc(2.0 * fc * m) * np.hamming(FIR_TAP_COUNT)
     return taps / taps.sum()  # exact unit gain at DC
 
@@ -75,22 +75,18 @@ def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     A cutoff at the Nyquist frequency is allowed and degenerates to an
     identity filter.
     """
-    cutoff_hz = _checked("lowpass", cutoff_hz)
     nyquist = signal.sample_rate / 2.0
-    if not cutoff_hz <= nyquist:
-        raise ValidationError(
-            f"lowpass cutoff must be in (0, {nyquist:g}] Hz, got {cutoff_hz!r}")
+    cutoff_hz = _real("lowpass cutoff", cutoff_hz, f"in (0, {nyquist:g}] Hz",
+                      lambda hz: 0 < hz <= nyquist, ValidationError)
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
     return _attacked(signal, _apply_fir(signal.samples, taps))
 
 
 def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     """Spectral-inversion complement of the lowpass filter (zero gain at DC)."""
-    cutoff_hz = _checked("highpass", cutoff_hz)
     nyquist = signal.sample_rate / 2.0
-    if not cutoff_hz < nyquist:
-        raise ValidationError(
-            f"highpass cutoff must be in (0, {nyquist:g}) Hz, got {cutoff_hz!r}")
+    cutoff_hz = _real("highpass cutoff", cutoff_hz, f"in (0, {nyquist:g}) Hz",
+                      lambda hz: 0 < hz < nyquist, ValidationError)
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
     taps[(FIR_TAP_COUNT - 1) // 2] += 1.0
     return _attacked(signal, _apply_fir(signal.samples, taps))
@@ -209,10 +205,10 @@ class Attack(NamedTuple):
 
     function: Callable   # (signal, parameter, **extras) -> AudioSignal
     flag: str            # CLI option carrying the parameter, without "--"
-    type: type           # int parameters must be integral
+    type: type           # the parameter's type, int or float
     meaning: str         # what the parameter is, with its unit
     rule: str            # the signal-independent range rule, as text
-    allows: Callable     # the same rule as a test on a finite value
+    allows: Callable     # the rule as a test on a finite float (integral for int)
     extras: tuple = ()   # AttackSpec.apply arguments the function also takes
 
 
@@ -231,9 +227,9 @@ ATTACKS = {
     "highpass": Attack(highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
                        lambda hz: hz > 0),
     "resample": Attack(resample_roundtrip, "rate", int, "intermediate rate in Hz",
-                       "an integer > 0", lambda hz: hz > 0),
-    "requantize": Attack(requantize, "bits", int, "bit depth",
-                         "an integer in [2, 32]", lambda bits: 2 <= bits <= 32),
+                       "an integer > 0", lambda hz: hz > 0 and hz.is_integer()),
+    "requantize": Attack(requantize, "bits", int, "bit depth", "an integer in [2, 32]",
+                         lambda bits: 2 <= bits <= 32 and bits.is_integer()),
     "amplitude_scale": Attack(amplitude_scale, "factor", float, "gain factor",
                               "finite and > 0", lambda factor: factor > 0),
     "crop": Attack(crop_leading, "fraction", float, "leading fraction removed",
@@ -243,25 +239,16 @@ ATTACKS = {
 
 def _checked(kind, value):
     # the parameter as its row's type, once it passes the row's rule; no
-    # kind takes NaN or +-inf, and int kinds take only integral values.
-    # Text, bools and what float() refuses read as NaN, so fail the rule.
+    # kind takes NaN or +-inf
     attack = ATTACKS[kind]
-    try:
-        number = (math.nan if isinstance(value, (str, bytes, bool, np.bool_))
-                  else float(value))
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not (math.isfinite(number) and attack.allows(number)) or (
-            attack.type is int and not number.is_integer()):
-        raise ValidationError(
-            f"{kind} {attack.meaning} must be {attack.rule}, got {value!r}")
-    return attack.type(number)
+    return attack.type(_real(f"{kind} {attack.meaning}", value, attack.rule,
+                             attack.allows, ValidationError))
 
 
 def _check_seed(seed):
-    # the one seed rule, for awgn and for every AttackSpec
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    # the one seed rule, for awgn, every AttackSpec and run_benchmark
+    return _integer("seed", seed, "a non-negative integer", lambda n: n >= 0,
+                    ValidationError)
 
 
 @dataclass(frozen=True)
@@ -283,7 +270,7 @@ class AttackSpec:
             raise ValidationError(
                 f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
         object.__setattr__(self, "parameter", _checked(self.kind, self.parameter))
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def apply(self, signal: AudioSignal,
               codec: CodecCommand | None = None) -> AudioSignal:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 # samples per block for the calls that pass over a whole signal: 512 KB
 # of float64, which stays in a core's L2 cache, so no call allocates a
@@ -46,11 +46,11 @@ def _settle(signal, samples, rate):
         if not np.isfinite(samples).all():
             raise ValidationError("samples must be finite")
         raise ValidationError("samples must lie in [-1, 1]")
-    if not (isinstance(rate, (int, np.integer)) and rate > 0):
-        raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
+    rate = _integer("sample_rate", rate, "a positive integer", lambda r: r > 0,
+                    ValidationError)
     samples.flags.writeable = False
     object.__setattr__(signal, "samples", samples)
-    object.__setattr__(signal, "sample_rate", int(rate))
+    object.__setattr__(signal, "sample_rate", rate)
 
 
 def _adopt(samples, rate):

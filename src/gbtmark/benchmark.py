@@ -78,7 +78,7 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
     MP3 rows turn into skipped entries when the codec is unavailable.
     """
     params = params if params is not None else EmbedParams()
-    _check_seed(seed)
+    seed = _check_seed(seed)
     paths = sorted(Path(corpus_dir).glob("*.wav"))
     if not paths:
         raise ValidationError(f"no .wav files found in {corpus_dir}")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one numeric-argument rule."""
+
+import functools
+import math
+import operator
+
+import numpy as np
 
 
 class GbtmarkError(Exception):
@@ -39,3 +45,23 @@ class AudioFormatError(GbtmarkError):
 
 class CodecError(GbtmarkError):
     """External codec command is missing or exited with an error."""
+
+
+def _number(convert, what, value, rule, allows, error):
+    # value as a Python number once it is finite as a float and allows(it);
+    # bools, text and complex values are refused, though convert takes some
+    try:
+        number = (math.nan if isinstance(value, (bool, np.bool_, str, bytes, bytearray,
+                                                  complex, np.complexfloating))
+                  else convert(value))
+        if math.isfinite(number) and allows(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be {rule}, got {value!r}")
+
+
+# _integer(what, value, rule, allows, error) gives an int (operator.index
+# refuses 3.0, text and None), _real a float (float() refuses overflow)
+_integer = functools.partial(_number, operator.index)
+_real = functools.partial(_number, float)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioSignal, _adopt, _blocks
-from .errors import AudioFormatError, ConfigError, KeyFormatError
+from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
 
@@ -44,9 +44,8 @@ def read_wav(path) -> AudioSignal:
         raise AudioFormatError(
             f"{path}: only 16-bit PCM is supported, file has "
             f"{8 * sample_width}-bit samples")
-    if not 1 <= rate <= MAX_WAV_RATE:
-        raise AudioFormatError(
-            f"{path}: sample rate must be in 1..{MAX_WAV_RATE}, file has {rate}")
+    rate = _integer(f"{path}: sample rate", rate, f"in 1..{MAX_WAV_RATE}",
+                    lambda hz: 1 <= hz <= MAX_WAV_RATE, AudioFormatError)
     # a data chunk shorter than its header says is read as it stands, as
     # streaming writers leave it; one that is empty or ends mid-sample is not
     if not data:
@@ -59,9 +58,8 @@ def read_wav(path) -> AudioSignal:
 
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM; samples scale by 32767 and clamp."""
-    if signal.sample_rate > MAX_WAV_RATE:
-        raise AudioFormatError(f"{path}: a WAV file cannot hold sample rate "
-                               f"{signal.sample_rate} (at most {MAX_WAV_RATE})")
+    _integer(f"{path}: a WAV file's sample rate", signal.sample_rate,
+             f"at most {MAX_WAV_RATE}", lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
     # block by block: scaled, rounded (half to even) and clamped in the
     # block buffer, then stored as PCM
     pcm = np.empty(len(signal), dtype="<i2")
@@ -139,6 +137,28 @@ def _key_text(kind, value):
     return repr(float(value)) if kind is float else str(operator.index(value))
 
 
+def _key_numbers(names, values, first):
+    # the lines from index first on: header values by their rows' int or float,
+    # records as int64 indices and float64 s_max (numpy parses with int and float)
+    head = max(len(_KEY_HEADER) - first, 0)
+    header = {name: kind(value)
+              for (name, kind, _), value in zip(_KEY_HEADER[first:], values)}
+    return header, np.array(names[head:], np.int64), np.array(values[head:], np.float64)
+
+
+def _bad_line(path, lines):
+    # the error naming the first line that lacks two fields or does not
+    # parse; read_key takes this pass per line only once it has failed
+    for n, line in enumerate(lines or [""], 1):
+        fields = line.split()
+        try:
+            if len(fields) != 2:
+                raise ValueError("expected two fields")
+            _key_numbers(fields[:1], fields[1:], n - 1)
+        except (ValueError, OverflowError) as exc:
+            return KeyFormatError(f"{path}: bad key record {line!r} on line {n}, {exc}")
+
+
 def write_key(path, key: EmbeddingKey) -> None:
     """Serialize an embedding key as line-oriented text.
 
@@ -165,27 +185,18 @@ def read_key(path) -> EmbeddingKey:
     tokens = " | ".join(lines).split()
     if not (len(tokens) == 3 * len(lines) - 1
             and tokens[2::3].count("|") == len(lines) - 1):
-        number, line = next(((n, line) for n, line in enumerate(lines, 1)
-                             if len(line.split()) != 2), (1, ""))
-        raise KeyFormatError(
-            f"{path}: bad key record {line!r} on line {number}, expected two fields")
+        raise _bad_line(path, lines)
     names, values = tokens[0::3], tokens[1::3]
     expected = [name for name, _, _ in _KEY_HEADER]
     if names[:len(expected)] != expected:
         raise KeyFormatError(f"{path}: key header must name {', '.join(expected)} "
                              f"in order, got {', '.join(names[:len(expected)])}")
     try:
-        header = {name: kind(value)
-                  for (name, kind, _), value in zip(_KEY_HEADER, values)}
-        # numpy parses each token with int and float, as the header does
-        indices = np.array(names[len(expected):], dtype=np.int64)
-        s_max = np.array(values[len(expected):], dtype=np.float64)
+        header, indices, s_max = _key_numbers(names, values, 0)
     except (ValueError, OverflowError) as exc:
-        raise KeyFormatError(f"{path}: bad key record: {exc}") from exc
-    if header["version"] != KEY_FORMAT_VERSION:
-        raise KeyFormatError(
-            f"{path}: key version {header['version']} is not supported "
-            f"(expected {KEY_FORMAT_VERSION})")
+        raise _bad_line(path, lines) from exc
+    _integer(f"{path}: key version", header["version"], str(KEY_FORMAT_VERSION),
+             lambda version: version == KEY_FORMAT_VERSION, KeyFormatError)
     try:
         graph = GraphConfig(frame_size=header["frame_size"],
                             w1=header["w1"], w2=header["w2"])
@@ -197,5 +208,5 @@ def read_key(path) -> EmbeddingKey:
             watermark_height=header["wm_height"],
             frame_indices=indices, s_max=s_max,
         )
-    except ConfigError as exc:
-        raise KeyFormatError(f"{path}: invalid key parameters: {exc}") from exc
+    except (ConfigError, KeyFormatError) as exc:
+        raise KeyFormatError(f"{path}: {exc}") from exc

@@ -1,13 +1,12 @@
 """Quality and robustness measures: PSNR, bit error rate, payload."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioSignal, _blocks
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _real
 from .watermark import WatermarkImage
 
 
@@ -54,10 +53,8 @@ def ber(original: WatermarkImage, extracted: WatermarkImage) -> float:
 
 def payload(sample_rate_hz: float, frame_size: int) -> float:
     """Embeddable bits per second: one bit per frame."""
-    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-        raise ValidationError(
-            f"sample rate must be finite and > 0, got {sample_rate_hz!r}")
-    if not (isinstance(frame_size, numbers.Integral) and frame_size >= 1):
-        raise ValidationError(
-            f"frame size must be an integer >= 1, got {frame_size!r}")
-    return sample_rate_hz / frame_size
+    rate = _real("sample rate", sample_rate_hz, "finite and > 0", lambda hz: hz > 0,
+                 ValidationError)
+    size = _integer("frame size", frame_size, "an integer >= 1", lambda n: n >= 1,
+                    ValidationError)
+    return rate / size

@@ -8,12 +8,11 @@ Laplacian, ordered from low to high graph frequency, so the leading
 coefficients concentrate most of the frame energy.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError, _integer, _real
 
 # Eigenvalues closer than this are treated as one eigenspace when the
 # basis columns are put into a reproducible order.
@@ -29,16 +28,14 @@ class GraphConfig:
     w2: float = 0.3
 
     def __post_init__(self):
-        size = self.frame_size  # make_plan holds size**2 floats: 8 MB at 1024
-        if not (isinstance(size, (int, np.integer)) and 3 <= size <= 1024):
-            raise ConfigError(f"frame_size must be an integer in [3, 1024], got {size!r}")
-        if not 0 < self.w1 < math.inf:
-            raise ConfigError(f"w1 must be finite and > 0, got {self.w1!r}")
-        if not 0 <= self.w2 < math.inf:
-            raise ConfigError(f"w2 must be finite and >= 0, got {self.w2!r}")
-        object.__setattr__(self, "frame_size", int(size))
-        object.__setattr__(self, "w1", float(self.w1))
-        object.__setattr__(self, "w2", float(self.w2))
+        # make_plan holds frame_size**2 floats: 8 MB at 1024
+        for name, check, rule, allows in (
+                ("frame_size", _integer, "an integer in [3, 1024]",
+                 lambda n: 3 <= n <= 1024),
+                ("w1", _real, "finite and > 0", lambda w: w > 0),
+                ("w2", _real, "finite and >= 0", lambda w: w >= 0)):
+            object.__setattr__(self, name, check(name, getattr(self, name), rule, allows,
+                                                 ConfigError))
 
 
 @dataclass(frozen=True, eq=False)

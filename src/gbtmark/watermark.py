@@ -9,13 +9,13 @@ current largest singular value against the value saved at embed time.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioSignal, _adopt, _fit_length
-from .errors import CapacityError, ConfigError, KeyFormatError, ValidationError
+from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
+                     _integer, _real)
 from .transform import GraphConfig, TransformPlan, make_plan
 
 
@@ -28,14 +28,11 @@ class EmbedParams:
     graph: GraphConfig = field(default_factory=GraphConfig)
 
     def __post_init__(self):
-        if not 0 < self.ws < math.inf:
-            raise ConfigError(
-                f"watermark strength must be finite and > 0, got {self.ws!r}")
-        if not 0 < self.coeff_fraction <= 1:
-            raise ConfigError(
-                f"coeff_fraction must be in (0, 1], got {self.coeff_fraction!r}")
-        object.__setattr__(self, "ws", float(self.ws))
-        object.__setattr__(self, "coeff_fraction", float(self.coeff_fraction))
+        for name, what, rule, allows in (
+                ("ws", "watermark strength", "finite and > 0", lambda ws: ws > 0),
+                ("coeff_fraction", "coeff_fraction", "in (0, 1]", lambda f: 0 < f <= 1)):
+            object.__setattr__(self, name, _real(what, getattr(self, name), rule, allows,
+                                                 ConfigError))
         if self.coeff_count < 1:
             raise ConfigError(
                 f"coeff_fraction {self.coeff_fraction} keeps no coefficients "
@@ -56,13 +53,11 @@ class WatermarkImage:
     bits: np.ndarray
 
     def __post_init__(self):
-        try:
-            size = operator.index(self.width) * operator.index(self.height)
-        except TypeError:
-            raise ValidationError("watermark dimensions must be integers, got "
-                                  f"{self.width!r}x{self.height!r}") from None
-        if self.width < 1 or self.height < 1:
-            raise ValidationError("watermark dimensions must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _integer(
+                "watermark dimensions", getattr(self, name), "positive integers",
+                lambda n: n >= 1, ValidationError))
+        size = self.width * self.height
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size != size:
             raise ValidationError(f"expected {size} bits, got {bits.size}")
@@ -96,22 +91,13 @@ class EmbeddingKey:
     s_max: np.ndarray
 
     def __post_init__(self):
-        not_integers = ("key sample rate, watermark dimensions and frame indices "
-                        "must be integers")
-        try:
-            for value in (self.sample_rate, self.watermark_width, self.watermark_height):
-                operator.index(value)
-        except TypeError:
-            raise KeyFormatError(not_integers) from None
-        if self.sample_rate < 1:
-            raise KeyFormatError(
-                f"key sample rate must be positive, got {self.sample_rate}")
-        if self.watermark_width < 1 or self.watermark_height < 1:
-            raise KeyFormatError("key watermark dimensions must be positive, got "
-                                 f"{self.watermark_width}x{self.watermark_height}")
+        for name in ("sample_rate", "watermark_width", "watermark_height"):
+            object.__setattr__(self, name, _integer(
+                "key sample rate and watermark dimensions", getattr(self, name),
+                "positive integers", lambda n: n >= 1, KeyFormatError))
         indices = np.array(self.frame_indices)
         if indices.dtype.kind not in "iu":
-            raise KeyFormatError(not_integers)
+            raise KeyFormatError("key frame indices must be integers")
         s_max = np.array(self.s_max, dtype=np.float64)
         expected = self.watermark_width * self.watermark_height
         if indices.shape != (expected,) or s_max.shape != (expected,):
@@ -121,9 +107,8 @@ class EmbeddingKey:
             raise KeyFormatError(
                 "key frame indices must be non-negative and strictly increasing")
         # held as int64, the widest type read_key parses back
-        if indices[-1] > np.iinfo(np.int64).max:
-            raise KeyFormatError(
-                f"key frame index {indices[-1]} does not fit in a 64-bit signed integer")
+        _integer("key frame index", int(indices[-1]), "a 64-bit signed integer",
+                 lambda index: index < 2**63, KeyFormatError)
         indices = indices.astype(np.int64, copy=False)
         # a NaN or +inf reference reads every bit as 0, a negative one as 1
         if not np.all((0 <= s_max) & (s_max < math.inf)):
@@ -228,13 +213,8 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     loud frames are ineligible (e.g. high-frequency content the leading
     coefficients miss), the prefix can grow to a full scan of the host.
     """
-    try:
-        bit_count = operator.index(bit_count)
-    except TypeError:
-        raise ValidationError(
-            f"bit_count must be an integer, got {bit_count!r}") from None
-    if bit_count < 1:
-        raise ValidationError(f"bit_count must be >= 1, got {bit_count}")
+    bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
+                         ValidationError)
     if plan.config != params.graph:
         raise ValidationError(f"plan is for {plan.config}, not {params.graph}")
     total = len(signal) // plan.frame_size
@@ -260,7 +240,7 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
             return np.sort(winners[:bit_count])
         tested += new.size
         if tested == total:
-            raise CapacityError(eligible=int(winners.size), required=int(bit_count))
+            raise CapacityError(eligible=int(winners.size), required=bit_count)
         upper = cut
         wanted = 2 * tested
 

@@ -1,4 +1,5 @@
-"""Independent reference implementations used only to cross-check tests.
+"""Independent reference implementations and probe signals used only by
+the tests.
 
 These deliberately avoid the library's code paths: the 2x2 SVD comes
 from the quadratic formula applied to the eigenproblem of M^T M, and
@@ -8,8 +9,23 @@ frame selection scans every frame instead of an energy-ranked prefix.
 import math
 
 import numpy as np
+from scipy import signal as sps
 
-from gbtmark import CapacityError
+from gbtmark import AudioSignal, CapacityError
+
+
+def tone(freq_hz, duration_s=1.0, sample_rate=8000):
+    """Pure sine tone of amplitude 0.5, handy for measuring filter responses."""
+    t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
+    return AudioSignal(0.5 * np.sin(2 * np.pi * freq_hz * t), sample_rate)
+
+
+def ar_noise(count, seed=0, rms=0.1, sample_rate=8000):
+    """First-order autoregressive noise (pole 0.95) at the requested RMS."""
+    rng = np.random.default_rng(seed)
+    x = sps.lfilter([1.0], [1.0, -0.95], rng.normal(size=count))
+    x *= rms / np.sqrt(np.mean(x ** 2))
+    return AudioSignal(np.clip(x, -0.99, 0.99), sample_rate)
 
 
 def svd2_closed_form(mat):

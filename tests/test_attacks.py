@@ -26,7 +26,9 @@ from gbtmark import (
     resample_roundtrip,
     write_wav,
 )
-from gbtmark.synth import ar_noise, speech_like, tone
+from gbtmark.synth import speech_like
+
+from oracles import ar_noise, tone
 
 
 def rms(x):
@@ -146,6 +148,16 @@ def test_filter_cutoff_validation():
         highpass(probe, 4000.0)  # highpass needs cutoff strictly below Nyquist
     with pytest.raises(ValidationError):
         highpass(probe, -5.0)
+
+
+def test_filters_take_a_subnormal_cutoff():
+    # cutoff / rate underflows to 0 or to a subnormal; the filters still
+    # apply the near-DC taps of a tiny normal cutoff, with no NaN
+    probe = speech_like(0.2, 8000, seed=5)
+    for filt in (lowpass, highpass):
+        near_dc = filt(probe, 1e-290).samples
+        for cutoff in (5e-324, 1e-320, 1e-310):
+            assert np.allclose(filt(probe, cutoff).samples, near_dc, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ resample

@@ -116,12 +116,15 @@ def test_extract_corrupt_key(workspace, capsys):
                   for line in header] + records
     # indices numpy can hold only as floats, which index no frame
     float_indices = header + records[:-1] + [f"{2**63} {records[-1].split()[1]}"]
+    # a watermark far larger than the key's records
+    huge_width = [line.replace("wm_width 25", f"wm_width {2**70}") for line in header]
     for bad in (negative, empty, nan, utf8, inf_w1, inf_ws, zero_rate, negative_rate,
-                huge_frame, float_indices):
+                huge_frame, float_indices, huge_width + records):
         key.write_text("\n".join(bad) + "\n", encoding="utf-8")
         status = run_cli(["extract", marked, key, workspace / "out.pbm"])
         assert status == 2
-        assert "gbtmark: error:" in capsys.readouterr().err
+        # every key error names the key file
+        assert f"gbtmark: error: {key}: " in capsys.readouterr().err
 
 
 def test_extract_frame_far_past_the_signal(workspace):

@@ -373,6 +373,9 @@ def test_key_indices_are_int64_so_every_accepted_key_round_trips(tmp_path):
     path.write_text(path.read_text().replace(str(2**63 - 1), str(2**63)))
     with pytest.raises(KeyFormatError, match="bad key record"):
         read_key(path)
+    # the error names the line and the token that does not fit
+    with pytest.raises(KeyFormatError, match=f"bad key record '{2**63} 0.2' on line 11,"):
+        read_key(path)
 
 
 def maybe_numpy(strategy, numpy_type):

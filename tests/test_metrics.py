@@ -14,9 +14,9 @@ from gbtmark import (
     psnr,
 )
 from gbtmark.audio import _BLOCK
-from gbtmark.synth import ar_noise
 
 from conftest import random_watermark
+from oracles import ar_noise
 
 
 def test_psnr_identical_signals_infinite():

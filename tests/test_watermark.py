@@ -25,11 +25,11 @@ from gbtmark import (
     psnr,
     select_frames,
 )
-from gbtmark.synth import ar_noise, speech_like
+from gbtmark.synth import speech_like
 from gbtmark.watermark import _frames, _leading, _smax, _smax_change
 
 from conftest import embed_oracle_gap, random_watermark
-from oracles import select_frames_full_scan
+from oracles import ar_noise, select_frames_full_scan
 
 
 def constant_frames_signal(levels, frame_size=10, rate=8000):
