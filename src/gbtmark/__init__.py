@@ -6,18 +6,7 @@ high-energy frames, and recovered with the key saved at embed time.
 """
 
 from .audio import AudioSignal
-from .attacks import (
-    AttackSpec,
-    CodecCommand,
-    amplitude_scale,
-    awgn,
-    crop_leading,
-    highpass,
-    lowpass,
-    mp3_roundtrip,
-    requantize,
-    resample_roundtrip,
-)
+from .attacks import AttackSpec, CodecCommand
 from .benchmark import (
     DEFAULT_GRID,
     BenchmarkReport,

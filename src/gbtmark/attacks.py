@@ -1,10 +1,10 @@
 """Signal-level attacks used to stress watermark extraction.
 
-Every attack preserves the signal's length and sample rate and keeps
-samples in [-1, 1]: each returns through ``_attacked``, the one place
-that fits, clamps and adopts a result. All attacks are deterministic
-functions of their parameters; the noise attack additionally takes a
-seed.
+:class:`AttackSpec` runs every attack. It checks its parameter against
+the kind's row of :data:`ATTACKS` when it is made, and the rules that
+need the signal when it is applied. Every attack keeps the signal's
+length and rate and its samples in [-1, 1]: each returns through
+``_attacked``. Attacks are deterministic; awgn also takes a seed.
 """
 
 import math
@@ -28,6 +28,10 @@ from .fileio import read_wav, write_wav
 FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
 MP3_ALIGN_MAX_LAG = 2048
 MP3_BITRATES = (16, 32, 64)
+# resample_poly holds the intermediate signal, rate / sample_rate times
+# the input's length, and a filter of about 20 * max(up, down) taps
+RESAMPLE_MAX_RATIO = 4
+RESAMPLE_MAX_TERM = 1 << 16
 
 
 def _attacked(signal, out):
@@ -38,10 +42,8 @@ def _attacked(signal, out):
                   signal.sample_rate)
 
 
-def awgn(signal: AudioSignal, snr_db: float, seed: int = 0) -> AudioSignal:
-    """Add white Gaussian noise at the given signal-to-noise ratio in dB."""
-    snr_db = _checked("awgn", snr_db)
-    seed = _check_seed(seed)
+def _awgn(signal, snr_db, seed):
+    # white Gaussian noise at the given signal-to-noise ratio in dB
     x = signal.samples
     power = float(np.mean(x * x))
     if power == 0.0:
@@ -69,54 +71,56 @@ def _apply_fir(x, taps):
     return out
 
 
-def lowpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
-    """Windowed-sinc FIR lowpass, compensated to zero phase.
-
-    A cutoff at the Nyquist frequency is allowed and degenerates to an
-    identity filter.
-    """
+def _lowpass(signal, cutoff_hz):
+    # windowed-sinc FIR lowpass, compensated to zero phase; a cutoff at
+    # the Nyquist frequency degenerates to an identity filter
     nyquist = signal.sample_rate / 2.0
-    cutoff_hz = _real("lowpass cutoff", cutoff_hz, f"in (0, {nyquist:g}] Hz",
-                      lambda hz: 0 < hz <= nyquist, ValidationError)
+    if cutoff_hz > nyquist:
+        raise ValidationError(f"lowpass cutoff must be in (0, {nyquist:g}] Hz, "
+                              f"got {cutoff_hz!r}")
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
     return _attacked(signal, _apply_fir(signal.samples, taps))
 
 
-def highpass(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
-    """Spectral-inversion complement of the lowpass filter (zero gain at DC)."""
+def _highpass(signal, cutoff_hz):
+    # spectral-inversion complement of the lowpass filter (zero gain at DC)
     nyquist = signal.sample_rate / 2.0
-    cutoff_hz = _real("highpass cutoff", cutoff_hz, f"in (0, {nyquist:g}) Hz",
-                      lambda hz: 0 < hz < nyquist, ValidationError)
+    if cutoff_hz >= nyquist:
+        raise ValidationError(f"highpass cutoff must be in (0, {nyquist:g}) Hz, "
+                              f"got {cutoff_hz!r}")
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
     taps[(FIR_TAP_COUNT - 1) // 2] += 1.0
     return _attacked(signal, _apply_fir(signal.samples, taps))
 
 
-def resample_roundtrip(signal: AudioSignal, intermediate_rate_hz: int) -> AudioSignal:
-    """Polyphase-resample down to an intermediate rate and back up."""
-    rate = _checked("resample", intermediate_rate_hz)
+def _resample_roundtrip(signal, rate):
+    # polyphase-resample to an intermediate rate and back; the ratio is
+    # bounded before resample_poly allocates anything
     ratio = Fraction(rate, signal.sample_rate)
     up, down = ratio.numerator, ratio.denominator
+    if ratio > RESAMPLE_MAX_RATIO or max(up, down) > RESAMPLE_MAX_TERM:
+        raise ValidationError(
+            f"resample intermediate rate must be at most "
+            f"{RESAMPLE_MAX_RATIO * signal.sample_rate} Hz, and its ratio to the "
+            f"signal's {signal.sample_rate} Hz must reduce to terms <= "
+            f"{RESAMPLE_MAX_TERM}, got {rate!r}")
     mid = sps.resample_poly(signal.samples, up, down)
     return _attacked(signal, sps.resample_poly(mid, down, up))
 
 
-def requantize(signal: AudioSignal, bits: int) -> AudioSignal:
-    """Mid-rise requantization onto a grid of 2**bits - 1 levels."""
-    bits = _checked("requantize", bits)
+def _requantize(signal, bits):
+    # mid-rise requantization onto a grid of 2**bits - 1 levels
     scale = float(2 ** (bits - 1) - 1)
     return _attacked(signal, np.round(signal.samples * scale) / scale)
 
 
-def amplitude_scale(signal: AudioSignal, factor: float) -> AudioSignal:
-    """Multiply every sample by a positive factor, clamping to [-1, 1]."""
-    factor = _checked("amplitude_scale", factor)
+def _amplitude_scale(signal, factor):
+    # every sample times a positive factor, clamped to [-1, 1]
     return _attacked(signal, signal.samples * factor)
 
 
-def crop_leading(signal: AudioSignal, fraction: float) -> AudioSignal:
-    """Remove the leading fraction of samples and zero-pad the end."""
-    fraction = _checked("crop", fraction)
+def _crop_leading(signal, fraction):
+    # the leading fraction of samples removed, the end zero-padded
     cut = int(fraction * len(signal))
     return _attacked(signal, signal.samples[cut:])
 
@@ -129,27 +133,42 @@ class CodecCommand:
     and {bitrate} (kbit/s); the decode template receives {input} (MP3
     path) and {output} (WAV path). The decoder must produce mono 16-bit
     PCM at the input rate. Defaults target the ``lame`` command-line
-    tool.
+    tool. A template that does not split into shell words or format with
+    its placeholders is refused when the command is made.
     """
 
     encode_template: str = "lame --quiet -b {bitrate} {input} {output}"
     decode_template: str = "lame --quiet --decode {input} {output}"
 
     def __post_init__(self):
-        for label, template, needed in (
-                ("encode", self.encode_template, ("{input}", "{output}", "{bitrate}")),
-                ("decode", self.decode_template, ("{input}", "{output}"))):
-            missing = [p for p in needed if p not in template]
+        # each template is tried on stand-in values of the types it gets
+        for label, template, mapping in (
+                ("encode", self.encode_template,
+                 {"input": "in.wav", "output": "out.mp3", "bitrate": 64}),
+                ("decode", self.decode_template,
+                 {"input": "in.mp3", "output": "out.wav"})):
+            missing = [f"{{{name}}}" for name in mapping
+                       if f"{{{name}}}" not in template]
             if missing:
                 raise ValidationError(
                     f"{label} template is missing placeholders {missing}: "
                     f"{template!r}")
+            try:
+                _argv(template, mapping)
+            except (ValueError, LookupError, AttributeError, TypeError) as exc:
+                raise ValidationError(
+                    f"{label} template cannot be split and formatted "
+                    f"({type(exc).__name__}: {exc}): {template!r}") from None
+
+
+def _argv(template, mapping):
+    # the template is split first, then each token formatted, so paths
+    # containing spaces stay single arguments
+    return [token.format(**mapping) for token in shlex.split(template)]
 
 
 def _run_codec(step, template, mapping):
-    # the template is split first, then each token formatted, so paths
-    # containing spaces stay single arguments
-    argv = [token.format(**mapping) for token in shlex.split(template)]
+    argv = _argv(template, mapping)
     if shutil.which(argv[0]) is None:
         raise CodecError(f"{step} command not found: {argv[0]!r}; "
                          f"install it or configure another codec")
@@ -173,15 +192,10 @@ def _align_to(reference, decoded):
     return np.concatenate([np.zeros(-lag), decoded])
 
 
-def mp3_roundtrip(signal: AudioSignal, bitrate_kbps: int,
-                  codec: CodecCommand | None = None) -> AudioSignal:
-    """Compress to MP3 and decode back using external commands.
-
-    The decoded audio is re-aligned to the input by cross-correlation
-    over lags up to +-2048 samples, then trimmed or zero-padded to the
-    original length.
-    """
-    bitrate = _checked("mp3", bitrate_kbps)
+def _mp3_roundtrip(signal, bitrate, codec):
+    # compress to MP3 and decode back with external commands; the decoded
+    # audio is re-aligned to the input by cross-correlation over lags up
+    # to +-2048 samples, then trimmed or zero-padded to the input's length
     codec = codec if codec is not None else CodecCommand()
     with tempfile.TemporaryDirectory() as tmp:
         wav_in = str(Path(tmp) / "roundtrip_in.wav")
@@ -212,41 +226,33 @@ class Attack(NamedTuple):
     extras: tuple = ()   # AttackSpec.apply arguments the function also takes
 
 
-# Every attack, keyed by kind. AttackSpec, the attack functions and the
-# CLI all read this table. Rate-relative rules (filter cutoffs below
-# Nyquist) are checked by the functions when they run.
+# Every attack, keyed by kind. AttackSpec and the CLI read this table.
+# Rules that need the signal (filter cutoffs below Nyquist, the resample
+# ratio, a non-silent awgn input) are checked by the functions when they run.
 ATTACKS = {
     # the bound keeps 10 ** (snr / 10) a finite, non-zero float
-    "awgn": Attack(awgn, "snr", float, "SNR in dB", "in [-300, 300]",
+    "awgn": Attack(_awgn, "snr", float, "SNR in dB", "in [-300, 300]",
                    lambda db: -300 <= db <= 300, ("seed",)),
-    "mp3": Attack(mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
+    "mp3": Attack(_mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
                   f"one of {MP3_BITRATES}", MP3_BITRATES.__contains__,
                   ("codec",)),
-    "lowpass": Attack(lowpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+    "lowpass": Attack(_lowpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
                       lambda hz: hz > 0),
-    "highpass": Attack(highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+    "highpass": Attack(_highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
                        lambda hz: hz > 0),
-    "resample": Attack(resample_roundtrip, "rate", int, "intermediate rate in Hz",
+    "resample": Attack(_resample_roundtrip, "rate", int, "intermediate rate in Hz",
                        "an integer > 0", lambda hz: hz > 0 and hz.is_integer()),
-    "requantize": Attack(requantize, "bits", int, "bit depth", "an integer in [2, 32]",
+    "requantize": Attack(_requantize, "bits", int, "bit depth", "an integer in [2, 32]",
                          lambda bits: 2 <= bits <= 32 and bits.is_integer()),
-    "amplitude_scale": Attack(amplitude_scale, "factor", float, "gain factor",
+    "amplitude_scale": Attack(_amplitude_scale, "factor", float, "gain factor",
                               "finite and > 0", lambda factor: factor > 0),
-    "crop": Attack(crop_leading, "fraction", float, "leading fraction removed",
+    "crop": Attack(_crop_leading, "fraction", float, "leading fraction removed",
                    "in [0, 1)", lambda fraction: 0 <= fraction < 1),
 }
 
 
-def _checked(kind, value):
-    # the parameter as its row's type, once it passes the row's rule; no
-    # kind takes NaN or +-inf
-    attack = ATTACKS[kind]
-    return attack.type(_real(f"{kind} {attack.meaning}", value, attack.rule,
-                             attack.allows, ValidationError))
-
-
 def _check_seed(seed):
-    # the one seed rule, for awgn, every AttackSpec and run_benchmark
+    # the one seed rule, for every AttackSpec and run_benchmark
     return _integer("seed", seed, "a non-negative integer", lambda n: n >= 0,
                     ValidationError)
 
@@ -258,7 +264,8 @@ class AttackSpec:
     ``kind`` is a key of :data:`ATTACKS`, whose entry says what
     ``parameter`` means and may be, and the spec keeps it as that
     entry's type; ``seed`` must be a non-negative integer and only
-    affects awgn.
+    affects awgn. Rules that depend on the signal are checked by
+    :meth:`apply`.
     """
 
     kind: str
@@ -269,7 +276,12 @@ class AttackSpec:
         if self.kind not in ATTACKS:
             raise ValidationError(
                 f"unknown attack {self.kind!r}, expected one of {tuple(ATTACKS)}")
-        object.__setattr__(self, "parameter", _checked(self.kind, self.parameter))
+        # the row's rule on a finite float, then the row's type; no kind
+        # takes NaN or +-inf
+        attack = ATTACKS[self.kind]
+        parameter = _real(f"{self.kind} {attack.meaning}", self.parameter, attack.rule,
+                          attack.allows, ValidationError)
+        object.__setattr__(self, "parameter", attack.type(parameter))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def apply(self, signal: AudioSignal,

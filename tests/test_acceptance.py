@@ -20,23 +20,15 @@ from gbtmark import (
     CodecCommand,
     EmbedParams,
     GraphConfig,
-    amplitude_scale,
-    awgn,
     ber,
     build_adjacency,
-    crop_leading,
     embed,
     extract,
-    highpass,
-    lowpass,
     make_plan,
-    mp3_roundtrip,
     payload,
     psnr,
     read_wav,
     report_to_csv,
-    requantize,
-    resample_roundtrip,
     run_benchmark,
     write_wav,
 )
@@ -57,8 +49,8 @@ def criterion(number, label):
     print(f"criterion {number:2d} ({label}): PASS")
 
 
-def attack_bers(embedded_clips, watermark, attack):
-    return [ber(watermark, extract(attack(result.signal), result.key))
+def attack_bers(embedded_clips, watermark, spec):
+    return [ber(watermark, extract(spec.apply(result.signal), result.key))
             for result in embedded_clips]
 
 
@@ -78,42 +70,40 @@ def test_criterion_01_no_attack_fidelity(tmp_path, watermark):
 def test_criterion_02_awgn_robustness(embedded_clips, watermark):
     with criterion(2, "AWGN 20 dB mean BER <= 0.01, 10 dB <= 0.05"):
         for snr_db, bound in ((20.0, 0.01), (10.0, 0.05)):
-            values = [ber(watermark, extract(awgn(result.signal, snr_db, seed=s),
-                                             result.key))
+            values = [ber(watermark,
+                          extract(AttackSpec("awgn", snr_db, seed=s).apply(result.signal),
+                                  result.key))
                       for result in embedded_clips for s in range(5)]
             assert float(np.mean(values)) <= bound, (snr_db, np.mean(values))
 
 
 def test_criterion_03_requantization(embedded_clips, watermark):
     with criterion(3, "requantize 24-bit BER 0.000, 8-bit <= 0.20"):
-        exact = attack_bers(embedded_clips, watermark, lambda s: requantize(s, 24))
+        exact = attack_bers(embedded_clips, watermark, AttackSpec("requantize", 24))
         assert exact == [0.0, 0.0, 0.0]
-        coarse = attack_bers(embedded_clips, watermark, lambda s: requantize(s, 8))
+        coarse = attack_bers(embedded_clips, watermark, AttackSpec("requantize", 8))
         assert float(np.mean(coarse)) <= 0.20
 
 
 def test_criterion_04_filtering(embedded_clips, watermark):
     with criterion(4, "lowpass 4 kHz BER <= 0.02, highpass 50 Hz <= 0.10"):
-        low = attack_bers(embedded_clips, watermark, lambda s: lowpass(s, 4000.0))
+        low = attack_bers(embedded_clips, watermark, AttackSpec("lowpass", 4000.0))
         assert float(np.mean(low)) <= 0.02, low
-        high = attack_bers(embedded_clips, watermark, lambda s: highpass(s, 50.0))
+        high = attack_bers(embedded_clips, watermark, AttackSpec("highpass", 50.0))
         assert float(np.mean(high)) <= 0.10, high
 
 
 def test_criterion_05_resampling(embedded_clips, watermark):
     with criterion(5, "resample 6000 BER <= 0.01, 4000 <= 0.05"):
-        mid = attack_bers(embedded_clips, watermark,
-                          lambda s: resample_roundtrip(s, 6000))
+        mid = attack_bers(embedded_clips, watermark, AttackSpec("resample", 6000))
         assert float(np.mean(mid)) <= 0.01, mid
-        low = attack_bers(embedded_clips, watermark,
-                          lambda s: resample_roundtrip(s, 4000))
+        low = attack_bers(embedded_clips, watermark, AttackSpec("resample", 4000))
         assert float(np.mean(low)) <= 0.05, low
 
 
 def test_criterion_06_amplitude_scaling_weakness(embedded_clips, watermark):
     with criterion(6, "amplitude scale 0.7 BER >= 0.3 (documented weakness)"):
-        values = attack_bers(embedded_clips, watermark,
-                             lambda s: amplitude_scale(s, 0.7))
+        values = attack_bers(embedded_clips, watermark, AttackSpec("amplitude_scale", 0.7))
         assert float(np.mean(values)) >= 0.3, values
 
 
@@ -156,7 +146,7 @@ def test_criterion_10_cropping_reported_not_asserted(tmp_path, watermark):
     with criterion(10, "crop: zero fraction exact, monotone, reported in CSV"):
         host = speech_like(3.0, 8000, seed=2)
         result = embed(host, watermark, EmbedParams())
-        values = [ber(watermark, extract(crop_leading(result.signal, fraction),
+        values = [ber(watermark, extract(AttackSpec("crop", fraction).apply(result.signal),
                                          result.key))
                   for fraction in (0.0, 0.1, 0.2, 0.3)]
         assert values[0] == 0.0
@@ -189,7 +179,7 @@ def test_criterion_11_mp3_when_codec_available(embedded_clips, watermark):
         pytest.skip("no external MP3 codec configured")
     with criterion(11, "mp3 64 kbps BER <= 0.30"):
         values = [ber(watermark,
-                      extract(mp3_roundtrip(result.signal, 64, codec=codec),
+                      extract(AttackSpec("mp3", 64).apply(result.signal, codec=codec),
                               result.key))
                   for result in embedded_clips]
         assert float(np.mean(values)) <= 0.30, values

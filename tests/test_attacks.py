@@ -15,15 +15,7 @@ from gbtmark import (
     CodecError,
     ValidationError,
     WatermarkImage,
-    amplitude_scale,
-    awgn,
-    crop_leading,
-    highpass,
-    lowpass,
-    mp3_roundtrip,
     read_wav,
-    requantize,
-    resample_roundtrip,
     write_wav,
 )
 from gbtmark.synth import speech_like
@@ -40,7 +32,7 @@ def rms(x):
 def test_awgn_hits_target_snr():
     signal = speech_like(10.0, 8000, seed=4)  # 80000 samples
     for target in (20.0, 10.0):
-        noisy = awgn(signal, target, seed=9)
+        noisy = AttackSpec("awgn", target, seed=9).apply(signal)
         noise = noisy.samples - signal.samples
         realized = 10 * np.log10(np.mean(signal.samples ** 2) / np.mean(noise ** 2))
         assert realized == pytest.approx(target, abs=0.5)
@@ -48,45 +40,34 @@ def test_awgn_hits_target_snr():
 
 def test_awgn_deterministic_per_seed():
     signal = ar_noise(5000, seed=1, rms=0.1)
-    assert np.array_equal(awgn(signal, 20, seed=7).samples,
-                          awgn(signal, 20, seed=7).samples)
-    assert not np.array_equal(awgn(signal, 20, seed=7).samples,
-                              awgn(signal, 20, seed=8).samples)
+    assert np.array_equal(AttackSpec("awgn", 20, seed=7).apply(signal).samples,
+                          AttackSpec("awgn", 20, seed=7).apply(signal).samples)
+    assert not np.array_equal(AttackSpec("awgn", 20, seed=7).apply(signal).samples,
+                              AttackSpec("awgn", 20, seed=8).apply(signal).samples)
 
 
 def test_awgn_high_snr_nearly_identity():
     signal = ar_noise(20000, seed=2, rms=0.3)
-    noisy = awgn(signal, 100.0, seed=3)
+    noisy = AttackSpec("awgn", 100.0, seed=3).apply(signal)
     assert rms(noisy.samples - signal.samples) <= 1e-4
 
 
 def test_awgn_rejects_silence_and_bad_snr():
     with pytest.raises(ValidationError):
-        awgn(AudioSignal(np.zeros(100), 8000), 20)
+        AttackSpec("awgn", 20).apply(AudioSignal(np.zeros(100), 8000))
     with pytest.raises(ValidationError):
-        awgn(ar_noise(100, seed=0), float("inf"))
+        AttackSpec("awgn", float("inf"))
     # 10 ** (snr / 10) would overflow or reach zero
     for snr in (4000.0, -4000.0):
         with pytest.raises(ValidationError, match="SNR"):
-            awgn(ar_noise(100, seed=0), snr)
-        with pytest.raises(ValidationError, match="SNR"):
             AttackSpec("awgn", snr)
-
-
-def test_awgn_seed_is_a_non_negative_integer():
-    signal = ar_noise(100, seed=0)
-    for seed in (-1, np.int64(-3), 2.5, "1"):
-        with pytest.raises(ValidationError, match="seed"):
-            awgn(signal, 20, seed=seed)
-    assert np.array_equal(awgn(signal, 20, seed=np.int64(5)).samples,
-                          awgn(signal, 20, seed=5).samples)
 
 
 # ------------------------------------------------------------- filters
 
 def test_lowpass_passband_preserved():
     probe = tone(100.0, 1.0, 8000)
-    out = lowpass(probe, 4000.0)
+    out = AttackSpec("lowpass", 4000.0).apply(probe)
     interior = slice(200, -200)  # skip edge transients
     ratio = rms(out.samples[interior]) / rms(probe.samples[interior])
     assert ratio == pytest.approx(1.0, abs=0.01)
@@ -94,7 +75,7 @@ def test_lowpass_passband_preserved():
 
 def test_lowpass_at_nyquist_is_identity_filter():
     probe = speech_like(1.0, 8000, seed=5)
-    out = lowpass(probe, 4000.0)
+    out = AttackSpec("lowpass", 4000.0).apply(probe)
     # taps collapse to a unit impulse; only the final 63 samples are
     # lost to the delay compensation
     assert np.allclose(out.samples[:-63], probe.samples[:-63], atol=1e-12)
@@ -103,13 +84,13 @@ def test_lowpass_at_nyquist_is_identity_filter():
 
 def test_lowpass_attenuates_stopband():
     probe = tone(3500.0, 1.0, 8000)
-    out = lowpass(probe, 1000.0)
+    out = AttackSpec("lowpass", 1000.0).apply(probe)
     assert rms(out.samples) < 0.01 * rms(probe.samples)
 
 
 def test_highpass_passband_preserved():
     probe = tone(3900.0, 1.0, 8000)
-    out = highpass(probe, 50.0)
+    out = AttackSpec("highpass", 50.0).apply(probe)
     interior = slice(200, -200)
     ratio = rms(out.samples[interior]) / rms(probe.samples[interior])
     assert ratio == pytest.approx(1.0, abs=0.01)
@@ -117,7 +98,7 @@ def test_highpass_passband_preserved():
 
 def test_highpass_removes_dc():
     signal = AudioSignal(np.full(8000, 0.25), 8000)
-    out = highpass(signal, 50.0)
+    out = AttackSpec("highpass", 50.0).apply(signal)
     assert abs(np.mean(out.samples)) <= 1e-3
 
 
@@ -131,7 +112,7 @@ def test_filter_output_is_the_advanced_convolution_then_zeros(kind, n):
     if kind == "highpass":
         taps = -taps
         taps[63] += 1.0
-    out = (lowpass if kind == "lowpass" else highpass)(AudioSignal(x, 8000), 1000.0)
+    out = AttackSpec(kind, 1000.0).apply(AudioSignal(x, 8000))
     tail = min(63, n)
     assert np.all(out.samples[n - tail:] == 0.0)
     want = np.clip(np.convolve(x, taps)[63:n], -1.0, 1.0)
@@ -139,38 +120,41 @@ def test_filter_output_is_the_advanced_convolution_then_zeros(kind, n):
 
 
 def test_filter_cutoff_validation():
+    # > 0 when the spec is made; below Nyquist when it meets a signal
     probe = tone(100.0, 0.2, 8000)
-    with pytest.raises(ValidationError):
-        lowpass(probe, 0.0)
-    with pytest.raises(ValidationError):
-        lowpass(probe, 4001.0)
-    with pytest.raises(ValidationError):
-        highpass(probe, 4000.0)  # highpass needs cutoff strictly below Nyquist
-    with pytest.raises(ValidationError):
-        highpass(probe, -5.0)
+    with pytest.raises(ValidationError, match="must be finite and > 0"):
+        AttackSpec("lowpass", 0.0)
+    with pytest.raises(ValidationError, match=r"must be in \(0, 4000\] Hz"):
+        AttackSpec("lowpass", 4001.0).apply(probe)
+    # highpass needs its cutoff strictly below Nyquist
+    with pytest.raises(ValidationError, match=r"must be in \(0, 4000\) Hz"):
+        AttackSpec("highpass", 4000.0).apply(probe)
+    with pytest.raises(ValidationError, match="must be finite and > 0"):
+        AttackSpec("highpass", -5.0)
 
 
 def test_filters_take_a_subnormal_cutoff():
     # cutoff / rate underflows to 0 or to a subnormal; the filters still
     # apply the near-DC taps of a tiny normal cutoff, with no NaN
     probe = speech_like(0.2, 8000, seed=5)
-    for filt in (lowpass, highpass):
-        near_dc = filt(probe, 1e-290).samples
+    for kind in ("lowpass", "highpass"):
+        near_dc = AttackSpec(kind, 1e-290).apply(probe).samples
         for cutoff in (5e-324, 1e-320, 1e-310):
-            assert np.allclose(filt(probe, cutoff).samples, near_dc, rtol=0, atol=1e-12)
+            assert np.allclose(AttackSpec(kind, cutoff).apply(probe).samples, near_dc,
+                               rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ resample
 
 def test_resample_identity_rate():
     signal = speech_like(1.0, 8000, seed=6)
-    out = resample_roundtrip(signal, 8000)
+    out = AttackSpec("resample", 8000).apply(signal)
     assert np.array_equal(out.samples, signal.samples)
 
 
 def test_resample_6000_preserves_low_tone():
     probe = tone(1000.0, 1.0, 8000)
-    out = resample_roundtrip(probe, 6000)
+    out = AttackSpec("resample", 6000).apply(probe)
     interior = slice(400, -400)
     ratio = rms(out.samples[interior]) / rms(probe.samples[interior])
     assert ratio == pytest.approx(1.0, abs=0.01)
@@ -178,25 +162,49 @@ def test_resample_6000_preserves_low_tone():
 
 def test_resample_4000_kills_high_tone():
     probe = tone(3000.0, 1.0, 8000)  # above the 2 kHz intermediate Nyquist
-    out = resample_roundtrip(probe, 4000)
+    out = AttackSpec("resample", 4000).apply(probe)
     assert rms(out.samples) < 0.05 * rms(probe.samples)
 
 
 def test_resample_length_preserved_odd_sizes():
     signal = AudioSignal(ar_noise(10007, seed=3).samples, 8000)
     for rate in (6000, 4000, 11025, 16000):
-        out = resample_roundtrip(signal, rate)
+        out = AttackSpec("resample", rate).apply(signal)
         assert len(out) == len(signal)
         assert out.sample_rate == 8000
 
 
 def test_resample_rejects_nonpositive_rate():
     with pytest.raises(ValidationError):
-        resample_roundtrip(ar_noise(100, seed=0), 0)
+        AttackSpec("resample", 0)
     # an integer parameter is checked, not truncated or overflowed
     for rate in (6000.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            resample_roundtrip(ar_noise(100, seed=0), rate)
+            AttackSpec("resample", rate)
+
+
+def test_resample_bounds_the_ratio_before_allocating(monkeypatch):
+    # resample_poly would hold rate / 8000 times the input and a filter
+    # of about 20 * max(up, down) taps: 10**9 Hz on a 1 s clip is 7.5 GiB
+    signal = ar_noise(8000, seed=0)
+    real_resample_poly = gbtmark.attacks.sps.resample_poly
+    calls = []
+
+    def counting_resample_poly(*args):
+        calls.append(args[1:])
+        return real_resample_poly(*args)
+
+    monkeypatch.setattr(gbtmark.attacks.sps, "resample_poly", counting_resample_poly)
+    for rate in (32001, 10**9, 2**70):
+        with pytest.raises(ValidationError, match="at most 32000 Hz"):
+            AttackSpec("resample", rate).apply(signal)
+    # 65537 Hz against 65536 Hz is within 4x, but its ratio does not reduce
+    with pytest.raises(ValidationError, match="terms <= 65536"):
+        AttackSpec("resample", 65537).apply(AudioSignal(signal.samples[:100], 65536))
+    assert calls == []
+    # every rate the tests, the grid and the README use still runs
+    for rate in (4000, 6000, 8000, 11025, 16000, 32000):
+        assert len(AttackSpec("resample", rate).apply(signal)) == 8000
 
 
 # ---------------------------------------------------------- requantize
@@ -205,70 +213,72 @@ def test_requantize_24_bits_refines_pcm16():
     # snap to the 16-bit read grid first
     signal = ar_noise(5000, seed=4, rms=0.3)
     pcm = AudioSignal(np.round(signal.samples * 32768.0) / 32768.0, 8000)
-    out = requantize(pcm, 24)
+    out = AttackSpec("requantize", 24).apply(pcm)
     # half a 24-bit step; the grids are not nested exactly
     assert np.max(np.abs(out.samples - pcm.samples)) <= 0.5 / (2 ** 23 - 1)
 
 
 def test_requantize_8_bit_error_bound():
     signal = ar_noise(5000, seed=5, rms=0.3)
-    out = requantize(signal, 8)
+    out = AttackSpec("requantize", 8).apply(signal)
     assert np.max(np.abs(out.samples - signal.samples)) <= 1 / 254 + 1e-12
 
 
 def test_requantize_2_bits_snaps_to_crude_grid():
     signal = AudioSignal(np.array([0.6, -0.6, 0.2, 0.0]), 8000)
-    out = requantize(signal, 2)
+    out = AttackSpec("requantize", 2).apply(signal)
     assert np.array_equal(out.samples, [1.0, -1.0, 0.0, 0.0])
 
 
 def test_requantize_validates_depth():
-    signal = ar_noise(100, seed=0)
     for bits in (1, 33, 8.7, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            requantize(signal, bits)
+            AttackSpec("requantize", bits)
 
 
 # ----------------------------------------------------- amplitude scale
 
 def test_amplitude_scale_basic():
     signal = AudioSignal(np.array([0.5, -0.5, 0.8]), 8000)
-    assert np.array_equal(amplitude_scale(signal, 1.0).samples, signal.samples)
-    assert amplitude_scale(signal, 0.7).samples[0] == pytest.approx(0.35, abs=1e-15)
-    assert amplitude_scale(signal, 2.0).samples[2] == 1.0  # clamped
+    def scaled(factor):
+        return AttackSpec("amplitude_scale", factor).apply(signal).samples
+
+    assert np.array_equal(scaled(1.0), signal.samples)
+    assert scaled(0.7)[0] == pytest.approx(0.35, abs=1e-15)
+    assert scaled(2.0)[2] == 1.0  # clamped
 
 
 def test_amplitude_scale_roundtrip_without_clamp():
     signal = ar_noise(1000, seed=6, rms=0.1)
-    out = amplitude_scale(amplitude_scale(signal, 0.5), 2.0)
+    halved = AttackSpec("amplitude_scale", 0.5).apply(signal)
+    out = AttackSpec("amplitude_scale", 2.0).apply(halved)
     assert np.allclose(out.samples, signal.samples, atol=1e-15)
 
 
 def test_amplitude_scale_rejects_nonpositive():
     with pytest.raises(ValidationError):
-        amplitude_scale(ar_noise(100, seed=0), 0.0)
+        AttackSpec("amplitude_scale", 0.0)
 
 
 # ---------------------------------------------------------------- crop
 
 def test_crop_zero_fraction_is_identity():
     signal = ar_noise(1000, seed=7)
-    assert np.array_equal(crop_leading(signal, 0.0).samples, signal.samples)
+    assert np.array_equal(AttackSpec("crop", 0.0).apply(signal).samples, signal.samples)
 
 
 def test_crop_fraction_02_len_100():
     signal = AudioSignal(np.linspace(-0.9, 0.9, 100), 8000)
-    out = crop_leading(signal, 0.2)
+    out = AttackSpec("crop", 0.2).apply(signal)
     assert len(out) == 100
     assert np.array_equal(out.samples[:80], signal.samples[20:])
     assert np.all(out.samples[80:] == 0)
 
 
 def test_crop_validates_fraction():
-    signal = ar_noise(100, seed=0)
     for fraction in (-0.1, 1.0):
         with pytest.raises(ValidationError):
-            crop_leading(signal, fraction)
+            AttackSpec("crop", fraction)
 
 
 # ----------------------------------------------------------------- mp3
@@ -306,7 +316,7 @@ def assert_own_frozen_samples(out, signal):
 
 def test_mp3_roundtrip_with_copy_codec(tmp_path):
     signal = speech_like(1.0, 8000, seed=8)
-    out = mp3_roundtrip(signal, 64, codec=fake_codec(tmp_path))
+    out = AttackSpec("mp3", 64).apply(signal, codec=fake_codec(tmp_path))
     assert len(out) == len(signal)
     assert out.sample_rate == signal.sample_rate
     assert_own_frozen_samples(out, signal)
@@ -318,7 +328,7 @@ def test_mp3_roundtrip_with_copy_codec(tmp_path):
 
 def test_mp3_roundtrip_alignment_cancels_decoder_delay(tmp_path):
     signal = speech_like(1.0, 8000, seed=9)
-    out = mp3_roundtrip(signal, 64, codec=fake_codec(tmp_path, delay=576))
+    out = AttackSpec("mp3", 64).apply(signal, codec=fake_codec(tmp_path, delay=576))
     assert len(out) == len(signal)
     assert np.max(np.abs(out.samples - signal.samples)) <= 1 / 32767
 
@@ -329,7 +339,7 @@ def test_mp3_missing_codec(tmp_path):
         decode_template="definitely-not-a-real-decoder {input} {output}",
     )
     with pytest.raises(CodecError, match="not found"):
-        mp3_roundtrip(speech_like(0.5, 8000, seed=1), 64, codec=codec)
+        AttackSpec("mp3", 64).apply(speech_like(0.5, 8000, seed=1), codec=codec)
 
 
 def test_mp3_failing_codec(tmp_path):
@@ -339,14 +349,20 @@ def test_mp3_failing_codec(tmp_path):
         decode_template=f'"{sys.executable}" -c pass {{input}} {{output}}',
     )
     with pytest.raises(CodecError, match="status 3"):
-        mp3_roundtrip(speech_like(0.5, 8000, seed=1), 64, codec=codec)
+        AttackSpec("mp3", 64).apply(speech_like(0.5, 8000, seed=1), codec=codec)
 
 
-def test_mp3_validates_bitrate(tmp_path):
+def test_mp3_validates_bitrate():
     for bitrate in (48, 64.9):
         with pytest.raises(ValidationError):
-            mp3_roundtrip(speech_like(0.5, 8000, seed=1), bitrate,
-                          codec=fake_codec(tmp_path))
+            AttackSpec("mp3", bitrate)
+
+
+# templates that split or format badly: an unknown placeholder, an
+# unbalanced quote and a stray brace
+BAD_ENCODE_TEMPLATES = ("enc {input} {output} {bitrate} {x}",
+                        'enc "{input} {output} {bitrate}',
+                        "enc {input} {output} {bitrate} }")
 
 
 def test_codec_template_placeholders_required():
@@ -354,6 +370,12 @@ def test_codec_template_placeholders_required():
         CodecCommand(encode_template="lame {input} {output}")  # no {bitrate}
     with pytest.raises(ValidationError):
         CodecCommand(decode_template="lame --decode {input}")
+    # refused when the command is made, not when the codec first runs
+    for template in BAD_ENCODE_TEMPLATES:
+        with pytest.raises(ValidationError, match="encode template cannot be split"):
+            CodecCommand(encode_template=template)
+    with pytest.raises(ValidationError, match="decode template cannot be split"):
+        CodecCommand(decode_template="lame --decode {input} {output} {bitrate}")
 
 
 # ----------------------------------------------------- generic contract
@@ -435,6 +457,9 @@ def test_attack_spec_seed_follows_the_awgn_rule():
             with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
                 AttackSpec(kind, value, seed=seed)
     assert AttackSpec("awgn", 20.0, seed=np.int64(5)).seed == 5
+    signal = ar_noise(100, seed=0)
+    assert np.array_equal(AttackSpec("awgn", 20, seed=np.int64(5)).apply(signal).samples,
+                          AttackSpec("awgn", 20, seed=5).apply(signal).samples)
 
 
 def test_run_benchmark_checks_seed_before_any_work(tmp_path, monkeypatch):

@@ -13,8 +13,9 @@ from gbtmark.cli import main
 from gbtmark.synth import speech_like
 
 from conftest import random_watermark
-from test_attacks import fake_codec
+from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
 from test_fileio import with_chunk_past_the_end, with_rate
+from test_numbers import LISTED
 
 
 def run_cli(argv):
@@ -302,6 +303,38 @@ def test_cli_exits_cleanly_on_mutated_inputs(small_inputs, target, edit):
                  ["embed", wav, pbm, folder / "out.wav", folder / "out.key"]):
         if files[target] in argv:
             assert run_cli(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def short_clip(tmp_path_factory):
+    """A 0.1 s 8 kHz clip, for the attack-argument property."""
+    folder = tmp_path_factory.mktemp("short")
+    write_wav(folder / "clip.wav", speech_like(0.1, 8000, seed=3))
+    return folder
+
+
+def _with_attack_examples(test):
+    # every kind at 10**9 (a resample rate of 7.5 GiB on a 1 s clip),
+    # and each bad template behind a bitrate that reaches the codec
+    for kind in ATTACKS:
+        test = example(kind=kind, value=10**9, template=None)(test)
+    for template in BAD_ENCODE_TEMPLATES:
+        test = example(kind="mp3", value=64, template=template)(test)
+    return test
+
+
+@_with_attack_examples
+@given(kind=st.sampled_from(sorted(ATTACKS)), value=st.sampled_from(LISTED + (10**9,)),
+       template=st.sampled_from((None,) + BAD_ENCODE_TEMPLATES))
+def test_cli_attack_argument_never_escapes_as_a_traceback(short_clip, kind, value,
+                                                          template):
+    # an attack argument ends in success, a usage error (argparse's own
+    # exit 1 included) or a missing codec, never in an uncaught exception
+    argv = ["attack", kind, short_clip / "clip.wav", short_clip / "out.wav",
+            f"--{ATTACKS[kind].flag}", value]
+    if kind == "mp3" and template is not None:
+        argv += ["--codec-encode", template]
+    assert run_cli(argv) in (0, 1, 3)
 
 
 def test_attack_unknown_kind_is_usage_error(workspace, capsys):

@@ -24,9 +24,6 @@ from gbtmark import (
     GbtmarkError,
     GraphConfig,
     WatermarkImage,
-    awgn,
-    highpass,
-    lowpass,
     make_plan,
     payload,
     run_benchmark,
@@ -87,13 +84,11 @@ SITES = [
     ("payload.frame_size", lambda v: payload(8000, v),
      lambda v: 8000.0 / operator.index(v)),
     ("AttackSpec.seed", lambda v: AttackSpec("awgn", 10.0, seed=v).seed, operator.index),
-    ("awgn.seed", lambda v: awgn(HOST, 10.0, seed=v).samples,
-     lambda v: awgn(HOST, 10.0, seed=operator.index(v)).samples),
     ("run_benchmark.seed", _benchmark_seed, operator.index),
-    ("lowpass.cutoff_hz", lambda v: lowpass(HOST, v).samples,
-     lambda v: lowpass(HOST, float(v)).samples),
-    ("highpass.cutoff_hz", lambda v: highpass(HOST, v).samples,
-     lambda v: highpass(HOST, float(v)).samples),
+    ("lowpass.cutoff_hz", lambda v: AttackSpec("lowpass", v).apply(HOST).samples,
+     lambda v: AttackSpec("lowpass", float(v)).apply(HOST).samples),
+    ("highpass.cutoff_hz", lambda v: AttackSpec("highpass", v).apply(HOST).samples,
+     lambda v: AttackSpec("highpass", float(v)).apply(HOST).samples),
 ] + [
     (f"AttackSpec.parameter[{kind}]", lambda v, kind=kind: AttackSpec(kind, v).parameter,
      float if attack.type is float else _integral_float)
