@@ -2,9 +2,9 @@
 
 :class:`AttackSpec` runs every attack. It checks its parameter against
 the kind's row of :data:`ATTACKS` when it is made, and the rules that
-need the signal when it is applied. Every attack keeps the signal's
-length and rate and its samples in [-1, 1]: each returns through
-``_attacked``. Attacks are deterministic; awgn also takes a seed.
+need the signal when it is applied. Each attack returns a raw array that
+:meth:`AttackSpec.apply` fits to the signal's length and rate, clamped
+to [-1, 1]. Attacks are deterministic; awgn also takes a seed.
 """
 
 import math
@@ -34,12 +34,12 @@ RESAMPLE_MAX_RATIO = 4
 RESAMPLE_MAX_TERM = 1 << 16
 
 
-def _attacked(signal, out):
-    # every attack's result: out trimmed or zero-padded to the input's
-    # length, clamped to [-1, 1] and adopted at the input's rate; np.clip
-    # returns a fresh array, so nothing else holds what is adopted
-    return _adopt(np.clip(_fit_length(out, len(signal)), -1.0, 1.0),
-                  signal.sample_rate)
+def _past_limit(kind, value, signal, limit):
+    # the error for a parameter past a limit set by the signal: the
+    # kind's rule from ATTACKS, then that limit for this signal
+    attack = ATTACKS[kind]
+    return ValidationError(f"{kind} {attack.meaning} must be {attack.rule}: {limit} "
+                           f"for this {signal.sample_rate} Hz signal, got {value!r}")
 
 
 def _awgn(signal, snr_db, seed):
@@ -51,7 +51,7 @@ def _awgn(signal, snr_db, seed):
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     noise = np.random.default_rng(seed).normal(0.0, sigma, x.size)
     noise += x
-    return _attacked(signal, noise)
+    return noise
 
 
 def _lowpass_taps(cutoff_hz, sample_rate):
@@ -76,21 +76,19 @@ def _lowpass(signal, cutoff_hz):
     # the Nyquist frequency degenerates to an identity filter
     nyquist = signal.sample_rate / 2.0
     if cutoff_hz > nyquist:
-        raise ValidationError(f"lowpass cutoff must be in (0, {nyquist:g}] Hz, "
-                              f"got {cutoff_hz!r}")
+        raise _past_limit("lowpass", cutoff_hz, signal, f"in (0, {nyquist:g}] Hz")
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
-    return _attacked(signal, _apply_fir(signal.samples, taps))
+    return _apply_fir(signal.samples, taps)
 
 
 def _highpass(signal, cutoff_hz):
     # spectral-inversion complement of the lowpass filter (zero gain at DC)
     nyquist = signal.sample_rate / 2.0
     if cutoff_hz >= nyquist:
-        raise ValidationError(f"highpass cutoff must be in (0, {nyquist:g}) Hz, "
-                              f"got {cutoff_hz!r}")
+        raise _past_limit("highpass", cutoff_hz, signal, f"in (0, {nyquist:g}) Hz")
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
     taps[(FIR_TAP_COUNT - 1) // 2] += 1.0
-    return _attacked(signal, _apply_fir(signal.samples, taps))
+    return _apply_fir(signal.samples, taps)
 
 
 def _resample_roundtrip(signal, rate):
@@ -99,30 +97,29 @@ def _resample_roundtrip(signal, rate):
     ratio = Fraction(rate, signal.sample_rate)
     up, down = ratio.numerator, ratio.denominator
     if ratio > RESAMPLE_MAX_RATIO or max(up, down) > RESAMPLE_MAX_TERM:
-        raise ValidationError(
-            f"resample intermediate rate must be at most "
-            f"{RESAMPLE_MAX_RATIO * signal.sample_rate} Hz, and its ratio to the "
-            f"signal's {signal.sample_rate} Hz must reduce to terms <= "
-            f"{RESAMPLE_MAX_TERM}, got {rate!r}")
+        raise _past_limit("resample", rate, signal,
+                          f"at most {RESAMPLE_MAX_RATIO * signal.sample_rate} Hz"
+                          if ratio > RESAMPLE_MAX_RATIO else
+                          f"the ratio {up}/{down} has a term over {RESAMPLE_MAX_TERM}")
     mid = sps.resample_poly(signal.samples, up, down)
-    return _attacked(signal, sps.resample_poly(mid, down, up))
+    return sps.resample_poly(mid, down, up)
 
 
 def _requantize(signal, bits):
     # mid-rise requantization onto a grid of 2**bits - 1 levels
     scale = float(2 ** (bits - 1) - 1)
-    return _attacked(signal, np.round(signal.samples * scale) / scale)
+    return np.round(signal.samples * scale) / scale
 
 
 def _amplitude_scale(signal, factor):
-    # every sample times a positive factor, clamped to [-1, 1]
-    return _attacked(signal, signal.samples * factor)
+    # every sample times a positive factor
+    return signal.samples * factor
 
 
 def _crop_leading(signal, fraction):
-    # the leading fraction of samples removed, the end zero-padded
+    # the leading fraction of samples removed (apply zero-pads the end)
     cut = int(fraction * len(signal))
-    return _attacked(signal, signal.samples[cut:])
+    return signal.samples[cut:]
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def _align_to(reference, decoded):
 def _mp3_roundtrip(signal, bitrate, codec):
     # compress to MP3 and decode back with external commands; the decoded
     # audio is re-aligned to the input by cross-correlation over lags up
-    # to +-2048 samples, then trimmed or zero-padded to the input's length
+    # to +-2048 samples
     codec = codec if codec is not None else CodecCommand()
     with tempfile.TemporaryDirectory() as tmp:
         wav_in = str(Path(tmp) / "roundtrip_in.wav")
@@ -211,23 +208,23 @@ def _mp3_roundtrip(signal, bitrate, codec):
         raise CodecError(
             f"decoder returned {decoded.sample_rate} Hz audio for a "
             f"{signal.sample_rate} Hz input; fix the codec templates")
-    return _attacked(signal, _align_to(signal.samples, decoded.samples))
+    return _align_to(signal.samples, decoded.samples)
 
 
 class Attack(NamedTuple):
     """One attack: its function and the one parameter it takes."""
 
-    function: Callable   # (signal, parameter, **extras) -> AudioSignal
+    function: Callable   # (signal, parameter, **extras) -> raw output array
     flag: str            # CLI option carrying the parameter, without "--"
     type: type           # the parameter's type, int or float
     meaning: str         # what the parameter is, with its unit
-    rule: str            # the signal-independent range rule, as text
-    allows: Callable     # the rule as a test on a finite float (integral for int)
+    rule: str            # the range rule as text, the signal's limits included
+    allows: Callable     # the signal-free part, on a finite float (integral for int)
     extras: tuple = ()   # AttackSpec.apply arguments the function also takes
 
 
 # Every attack, keyed by kind. AttackSpec and the CLI read this table.
-# Rules that need the signal (filter cutoffs below Nyquist, the resample
+# Rules that need the signal (filter cutoffs up to Nyquist, the resample
 # ratio, a non-silent awgn input) are checked by the functions when they run.
 ATTACKS = {
     # the bound keeps 10 ** (snr / 10) a finite, non-zero float
@@ -236,12 +233,16 @@ ATTACKS = {
     "mp3": Attack(_mp3_roundtrip, "bitrate", int, "bitrate in kbit/s",
                   f"one of {MP3_BITRATES}", MP3_BITRATES.__contains__,
                   ("codec",)),
-    "lowpass": Attack(_lowpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+    "lowpass": Attack(_lowpass, "cutoff", float, "cutoff in Hz",
+                      "finite, > 0 and at most Nyquist (half the signal's rate)",
                       lambda hz: hz > 0),
-    "highpass": Attack(_highpass, "cutoff", float, "cutoff in Hz", "finite and > 0",
+    "highpass": Attack(_highpass, "cutoff", float, "cutoff in Hz",
+                       "finite, > 0 and below Nyquist (half the signal's rate)",
                        lambda hz: hz > 0),
     "resample": Attack(_resample_roundtrip, "rate", int, "intermediate rate in Hz",
-                       "an integer > 0", lambda hz: hz > 0 and hz.is_integer()),
+                       f"an integer > 0, at most {RESAMPLE_MAX_RATIO}x the signal's "
+                       f"rate, whose ratio to that rate reduces to terms <= "
+                       f"{RESAMPLE_MAX_TERM}", lambda hz: hz > 0 and hz.is_integer()),
     "requantize": Attack(_requantize, "bits", int, "bit depth", "an integer in [2, 32]",
                          lambda bits: 2 <= bits <= 32 and bits.is_integer()),
     "amplitude_scale": Attack(_amplitude_scale, "factor", float, "gain factor",
@@ -286,8 +287,12 @@ class AttackSpec:
 
     def apply(self, signal: AudioSignal,
               codec: CodecCommand | None = None) -> AudioSignal:
-        """Run the attack on a signal; ``codec`` serves mp3."""
+        """Run the attack on a signal (``codec`` serves mp3); the result
+        keeps the signal's length and rate, its samples clamped to [-1, 1]."""
         attack = ATTACKS[self.kind]
         given = {"seed": self.seed, "codec": codec}
-        return attack.function(signal, self.parameter,
-                               **{name: given[name] for name in attack.extras})
+        out = attack.function(signal, self.parameter,
+                              **{name: given[name] for name in attack.extras})
+        # np.clip returns a fresh array, so nothing else holds what is adopted
+        return _adopt(np.clip(_fit_length(out, len(signal)), -1.0, 1.0),
+                      signal.sample_rate)

@@ -74,7 +74,8 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
 
     Files are processed in name order. Each attack's seed (only awgn
     reads one) is offset by the file's position so clips get independent
-    noise, reproducibly; a bad seed is refused before any file is read.
+    noise, reproducibly. A bad seed, and a file name that UTF-8 cannot
+    encode (the CSV's encoding), are refused before any file is read.
     MP3 rows turn into skipped entries when the codec is unavailable.
     """
     params = params if params is not None else EmbedParams()
@@ -82,6 +83,12 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
     paths = sorted(Path(corpus_dir).glob("*.wav"))
     if not paths:
         raise ValidationError(f"no .wav files found in {corpus_dir}")
+    for path in paths:
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"file name {path.name!r} in {corpus_dir} "
+                                  f"cannot be written as UTF-8") from None
 
     psnrs = []
     table = [[] for _ in grid]

@@ -123,7 +123,8 @@ def _cmd_benchmark(args) -> int:
     report = run_benchmark(args.corpus_dir, watermark,
                            params=_params_from(args), seed=args.seed,
                            codec=_codec_from(args))
-    Path(args.out_csv).write_text(report_to_csv(report), encoding="ascii")
+    # encoded before the file is opened, so a failure leaves no file behind
+    Path(args.out_csv).write_bytes(report_to_csv(report).encode("utf-8"))
     if args.markdown:
         print(report_to_markdown(report), end="")
     return EXIT_OK
@@ -155,11 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("kind", choices=ATTACKS)
     cmd.add_argument("wav_in")
     cmd.add_argument("wav_out")
-    # one option per flag: lowpass and highpass share --cutoff
+    # one option per flag, with each kind's rule: lowpass and highpass
+    # share --cutoff
     for flag, attack in {a.flag: a for a in ATTACKS.values()}.items():
-        kinds = "/".join(kind for kind, a in ATTACKS.items() if a.flag == flag)
-        cmd.add_argument(f"--{flag}", type=attack.type,
-                         help=f"{kinds}: {attack.meaning}, {attack.rule}")
+        cmd.add_argument(f"--{flag}", type=attack.type, help="; ".join(
+            f"{kind}: {a.meaning}, {a.rule}" for kind, a in ATTACKS.items()
+            if a.flag == flag))
     cmd.add_argument("--seed", type=int, default=0, help="awgn noise seed")
     _add_codec_flags(cmd)
     cmd.set_defaults(func=_cmd_attack)

@@ -6,7 +6,6 @@ coercing (no down-mixing, no resampling); writers produce files the
 readers round-trip exactly, up to the documented WAV quantization.
 """
 
-import operator
 import wave
 from pathlib import Path
 
@@ -133,10 +132,6 @@ _KEY_HEADER = (
 )
 
 
-def _key_text(kind, value):
-    return repr(float(value)) if kind is float else str(operator.index(value))
-
-
 def _key_numbers(names, values, first):
     # the lines from index first on: header values by their rows' int or float,
     # records as int64 indices and float64 s_max (numpy parses with int and float)
@@ -162,11 +157,10 @@ def _bad_line(path, lines):
 def write_key(path, key: EmbeddingKey) -> None:
     """Serialize an embedding key as line-oriented text.
 
-    Floats are written with repr of ``float``, the shortest decimal that
-    reads back to the identical 64-bit value, and ints through
-    ``operator.index``, which refuses (TypeError) rather than truncate.
+    Every value is a Python int or float (EmbeddingKey's checks see to
+    it), written with repr: a float as the shortest decimal read back exactly.
     """
-    lines = [f"{name} {_key_text(kind, get(key))}" for name, kind, get in _KEY_HEADER]
+    lines = [f"{name} {get(key)!r}" for name, _, get in _KEY_HEADER]
     # tolist gives Python ints and floats, so the same rule holds per bit
     lines += [f"{index} {s_max!r}" for index, s_max
               in zip(key.frame_indices.tolist(), key.s_max.tolist())]

@@ -8,6 +8,7 @@ Laplacian, ordered from low to high graph frequency, so the leading
 coefficients concentrate most of the frame energy.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,10 @@ def _canonical(vals, vecs):
     return (vecs * signs).take(np.lexsort((lead, runs)), axis=1)
 
 
+@functools.lru_cache(maxsize=4)
 def make_plan(config: GraphConfig) -> TransformPlan:
-    """Eigendecompose the frame-graph Laplacian into an orthonormal basis."""
+    """Eigendecompose the frame-graph Laplacian into an orthonormal basis, cached
+    for the last 4 configs: plans are frozen and read-only, so callers share one."""
     lap = build_laplacian(build_adjacency(config))
     try:
         vals, vecs = np.linalg.eigh(lap)

@@ -7,7 +7,6 @@ by the watermark strength. Extraction is non-blind: it compares the
 current largest singular value against the value saved at embed time.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +27,8 @@ class EmbedParams:
     graph: GraphConfig = field(default_factory=GraphConfig)
 
     def __post_init__(self):
+        if not isinstance(self.graph, GraphConfig):
+            raise ConfigError(f"graph must be a GraphConfig, got {type(self.graph)}")
         for name, what, rule, allows in (
                 ("ws", "watermark strength", "finite and > 0", lambda ws: ws > 0),
                 ("coeff_fraction", "coeff_fraction", "in (0, 1]", lambda f: 0 < f <= 1)):
@@ -76,11 +77,11 @@ class WatermarkImage:
 class EmbeddingKey:
     """Non-blind side channel written at embed time.
 
-    The sample rate is a positive integer. Entry i of the read-only
-    arrays ``frame_indices`` and ``s_max`` belongs to watermark bit i
+    ``params`` is an :class:`EmbedParams` and the rate a positive integer,
+    so a key file's header holds Python ints and floats. Entry i of the
+    read-only arrays ``frame_indices`` and ``s_max`` belongs to bit i
     (row-major); frame indices are non-negative, strictly increasing
-    integers, held as int64, and every ``s_max`` is finite and
-    non-negative.
+    integers, held as int64, and every ``s_max`` is finite and >= 0.
     """
 
     sample_rate: int
@@ -91,6 +92,8 @@ class EmbeddingKey:
     s_max: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.params, EmbedParams):
+            raise KeyFormatError(f"params must be EmbedParams, got {type(self.params)}")
         for name in ("sample_rate", "watermark_width", "watermark_height"):
             object.__setattr__(self, name, _integer(
                 "key sample rate and watermark dimensions", getattr(self, name),
@@ -187,14 +190,6 @@ def _smax_change(mats, delta):
     return np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
 
 
-@functools.lru_cache(maxsize=4)
-def _plan(config: GraphConfig) -> TransformPlan:
-    # one plan per GraphConfig (frozen, hashable) for embed and extract;
-    # plans are read-only, and the small bound keeps a few 1024-sample
-    # plans (8 MB each) at most
-    return make_plan(config)
-
-
 def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
                   plan: TransformPlan) -> np.ndarray:
     """Pick the frames that will each carry one watermark bit.
@@ -256,7 +251,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
-    plan = _plan(params.graph)
+    plan = make_plan(params.graph)
     chosen = select_frames(host, params, watermark.bits.size, plan)
     k = params.coeff_count
     samples = host.samples.copy()
@@ -290,7 +285,7 @@ def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
         raise ValidationError(
             f"signal is sampled at {signal.sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
-    plan = _plan(key.params.graph)
+    plan = make_plan(key.params.graph)
     # pad only up to the first all-zero frame; keyed frames past it read it
     count = min(int(key.frame_indices[-1]) + 1, len(signal) // plan.frame_size + 2)
     frames = _frames(signal.samples, plan.frame_size, count)

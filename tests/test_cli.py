@@ -1,3 +1,4 @@
+import os
 import struct
 import subprocess
 import sys
@@ -421,6 +422,37 @@ def test_benchmark_negative_seed(workspace, tmp_path, capsys):
     assert status == 1
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_benchmark_writes_names_as_utf8(workspace, tmp_path, capsys):
+    # a name UTF-8 can encode is written as it; one holding an undecodable
+    # byte (a lone surrogate in Python) is refused before any file is read,
+    # and no CSV is left behind
+    for name, status in (("voix_é.wav", 0), (os.fsdecode(b"x\xff.wav"), 1)):
+        corpus = tmp_path / f"corpus{status}"
+        corpus.mkdir()
+        write_wav(corpus / name, speech_like(2.0, 8000, seed=1))
+        csv_path = tmp_path / f"bench{status}.csv"
+        assert run_cli(["benchmark", corpus, workspace / "wm.pbm", csv_path]) == status
+        err = capsys.readouterr().err
+        if status == 0:
+            rows = csv_path.read_bytes().decode("utf-8").splitlines()
+            assert rows[3].startswith("voix_é.wav,none,,0.000000,")
+        else:
+            assert "cannot be written as UTF-8" in err
+            assert not csv_path.exists()
+
+
+def test_attack_help_states_the_limits_apply_enforces(capsys):
+    # the rows of ATTACKS give the help and the error messages one text
+    assert run_cli(["attack", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--cutoff CUTOFF lowpass: cutoff in Hz, finite, > 0 and at most Nyquist "
+            "(half the signal's rate); highpass: cutoff in Hz, finite, > 0 and below "
+            "Nyquist (half the signal's rate)") in text
+    assert ("--rate RATE resample: intermediate rate in Hz, an integer > 0, at most "
+            "4x the signal's rate, whose ratio to that rate reduces to terms <= 65536"
+            ) in text
 
 
 def test_benchmark_empty_corpus(workspace, tmp_path, capsys):

@@ -143,8 +143,11 @@ def test_path4_eigenvalues_closed_form():
 
 
 def test_plan_deterministic():
+    # two builds, not one cached plan read twice
     a, _, a_eigenvalues = plan_spectrum(GraphConfig())
+    make_plan.cache_clear()
     b, _, b_eigenvalues = plan_spectrum(GraphConfig())
+    assert a is not b
     assert np.array_equal(a_eigenvalues, b_eigenvalues)
     assert np.array_equal(a.basis, b.basis)
 
@@ -154,6 +157,7 @@ def test_plan_with_repeated_eigenvalues():
     plan, _, eigenvalues = plan_spectrum(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
     assert np.allclose(eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
     assert np.max(np.abs(plan.basis.T @ plan.basis - np.eye(3))) <= 1e-10
+    make_plan.cache_clear()
     again = make_plan(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
     assert np.array_equal(plan.basis, again.basis)
     lead = np.argmax(np.abs(plan.basis), axis=0)

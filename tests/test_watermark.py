@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbtmark.transform
 import gbtmark.watermark
 
 from gbtmark import (
@@ -465,22 +466,23 @@ def test_embed_extract_roundtrip_random_hosts():
 
 
 def test_embed_and_extract_build_each_plan_once(watermark):
-    # a plan is built once per graph config; the public make_plan is not cached
+    # make_plan caches: a plan is built once per graph config and shared
     host = speech_like(3.0, 8000, seed=2)
     graph = GraphConfig(frame_size=12)
-    gbtmark.watermark._plan.cache_clear()
+    make_plan.cache_clear()
     builds = []
+    build_adjacency = gbtmark.transform.build_adjacency
 
     def counting(config):
         builds.append(config)
-        return make_plan(config)
+        return build_adjacency(config)
 
-    with mock.patch.object(gbtmark.watermark, "make_plan", counting):
+    with mock.patch.object(gbtmark.transform, "build_adjacency", counting):
         for _ in range(2):
             result = embed(host, watermark, EmbedParams(graph=graph))
             extract(result.signal, result.key)
     assert builds == [graph]
-    assert make_plan(graph) is not make_plan(graph)
+    assert make_plan(graph) is make_plan(graph)
 
 
 def test_embed_locality(watermark):
@@ -603,6 +605,17 @@ def test_embedding_key_validation():
     for rate in (0, -8000):
         with pytest.raises(KeyFormatError, match="sample rate"):
             EmbeddingKey(rate, params, 2, 1, indices, s_max)
+
+
+def test_embedding_key_and_params_refuse_stand_ins():
+    # write_key and extract read the params' numbers; a stand-in would
+    # fail there with an AttributeError, or write a number read_key refuses
+    with pytest.raises(KeyFormatError, match="params must be EmbedParams, got .*object"):
+        EmbeddingKey(8000, object(), 1, 1, [0], [0.1])
+    with pytest.raises(KeyFormatError, match="got <class 'dict'>"):
+        EmbeddingKey(8000, {"ws": 0.05}, 1, 1, [0], [0.1])
+    with pytest.raises(ConfigError, match="graph must be a GraphConfig, got .*object"):
+        EmbedParams(graph=object())
 
 
 def test_embedding_key_arrays_are_frozen_copies():
