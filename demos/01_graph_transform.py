@@ -16,7 +16,7 @@ from gbtmark import GraphConfig, build_adjacency, build_laplacian, make_plan
 #    its second neighbours (weight 0.3).
 config = GraphConfig(frame_size=10, w1=1.0, w2=0.3)
 adjacency = build_adjacency(config)
-laplacian = build_laplacian(adjacency)
+laplacian = build_laplacian(config)
 
 print("adjacency (first 5 rows):")
 print(adjacency[:5])

@@ -1,19 +1,14 @@
 """Command-line interface: embed, extract, attack and benchmark."""
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
-from .errors import (
-    AudioFormatError,
-    CodecError,
-    GbtmarkError,
-    KeyFormatError,
-    ValidationError,
-)
+from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
 from .fileio import read_key, read_pbm, read_wav, write_key, write_pbm, write_wav
 from .metrics import ber, payload, psnr
 from .transform import GraphConfig
@@ -107,13 +102,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    attack = ATTACKS[args.kind]
-    value = getattr(args, attack.flag)
-    if value is None:
-        raise ValidationError(f"attack {args.kind!r} requires --{attack.flag}")
-    spec = AttackSpec(args.kind, value, seed=args.seed)
+    spec = AttackSpec(args.kind, args.parameter, seed=args.seed)
     signal = read_wav(args.wav_in)
-    codec = _codec_from(args) if "codec" in attack.extras else None
+    codec = _codec_from(args) if "codec" in ATTACKS[args.kind].extras else None
     write_wav(args.wav_out, spec.apply(signal, codec=codec))
     return EXIT_OK
 
@@ -130,7 +121,10 @@ def _cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: it reads no
+    per-call state, so the codec environment is read when a command runs."""
     parser = _Parser(prog="gbtmark",
                      description="Audio watermarking in the singular values of "
                                  "graph-transform coefficients")
@@ -153,18 +147,21 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_extract)
 
     cmd = commands.add_parser("attack", help="apply one attack to a WAV")
-    cmd.add_argument("kind", choices=ATTACKS)
-    cmd.add_argument("wav_in")
-    cmd.add_argument("wav_out")
-    # one option per flag, with each kind's rule: lowpass and highpass
-    # share --cutoff
-    for flag, attack in {a.flag: a for a in ATTACKS.values()}.items():
-        cmd.add_argument(f"--{flag}", type=attack.type, help="; ".join(
-            f"{kind}: {a.meaning}, {a.rule}" for kind, a in ATTACKS.items()
-            if a.flag == flag))
-    cmd.add_argument("--seed", type=int, default=0, help="awgn noise seed")
-    _add_codec_flags(cmd)
-    cmd.set_defaults(func=_cmd_attack)
+    kinds = cmd.add_subparsers(dest="kind", required=True)
+    # one sub-command per kind, taking only its row's option and extras;
+    # the seed is 0 wherever no --seed is given
+    for kind, attack in ATTACKS.items():
+        sub = kinds.add_parser(kind, help=f"--{attack.flag}: {attack.meaning}")
+        sub.add_argument("wav_in")
+        sub.add_argument("wav_out")
+        sub.add_argument(f"--{attack.flag}", dest="parameter", type=attack.type,
+                         required=True, metavar=attack.flag.upper(),
+                         help=f"{attack.meaning}, {attack.rule}")
+        if "seed" in attack.extras:
+            sub.add_argument("--seed", type=int, help="noise seed (default 0)")
+        if "codec" in attack.extras:
+            _add_codec_flags(sub)
+        sub.set_defaults(func=_cmd_attack, seed=0)
 
     cmd = commands.add_parser("benchmark",
                               help="run the full attack grid over a corpus")

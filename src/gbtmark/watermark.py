@@ -138,7 +138,10 @@ def _frames(samples, frame_size: int, count: int) -> np.ndarray:
 def _leading(plan, frames, k):
     # each frame's leading k coefficients as a row-major r x c matrix, r
     # the largest divisor of k not above sqrt(k), one row for a prime k.
-    # Not basis[:, :k]: at k = 1 BLAS sums in a batch-size-dependent order.
+    # On OpenBLAS the full-basis product reads a frame bit-equal in batches
+    # of 2 to 33 rows and in the full batch (checked at k = 1, 4, 6 and 9);
+    # basis[:, :k] does not at k = 1. A one-row batch goes to gemv and
+    # differs in the last bits (ROADMAP item 2).
     rows = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
     return (frames @ plan.basis)[:, :k].reshape(-1, rows, k // rows)
 
@@ -149,45 +152,48 @@ def _halves(mats):
     # scaled reflection, with E = (a+d)/2, H = (c-b)/2, F = (a-d)/2 and
     # G = (c+b)/2. With Q = hypot(E, H) and R = hypot(F, G) the singular
     # values are Q + R and |Q - R| (Blinn, "Consider the lowly 2x2
-    # matrix", 1996). Returns the two parts as pairs (E, H) and (F, G).
+    # matrix", 1996). Returns each part with its length, (E, H, Q) and
+    # (F, G, R).
     a, b, c, d = mats.reshape(-1, 4).T
-    return ((a + d) / 2, (c - b) / 2), ((a - d) / 2, (c + b) / 2)
+    e, h, f, g = (a + d) / 2, (c - b) / 2, (a - d) / 2, (c + b) / 2
+    return (e, h, np.hypot(e, h)), (f, g, np.hypot(f, g))
 
 
 def _smax(mats):
     # Largest singular value of each matrix: Q + R for 2x2 matrices (see
     # _halves), LAPACK's SVD for any other shape. Eligibility, the key's
-    # reference value and the extracted reading all come from this one
-    # call, so an unmarked frame compares equal to its key and reads 0.
+    # reference value (through _smax_change) and the extracted reading all
+    # come from it, so an unmarked frame compares equal to its key and reads 0.
     if mats.shape[1:] != (2, 2):
         return np.linalg.svd(mats, compute_uv=False)[:, 0]
-    (e, h), (f, g) = _halves(mats)
-    return np.hypot(e, h) + np.hypot(f, g)
+    (_, _, q), (_, _, r) = _halves(mats)
+    return q + r
 
 
-def _along(x, y, length):
-    # the pair (x, y) rescaled to the given length; a zero pair has no
-    # direction of its own and takes (length, 0)
-    norm = np.hypot(x, y)
+def _along(x, y, norm, length):
+    # the pair (x, y) of the given norm rescaled to the given length; a
+    # zero pair has no direction of its own and takes (length, 0)
     zero = norm == 0
     scale = length / np.where(zero, 1.0, norm)
     return np.where(zero, length, x * scale), y * scale
 
 
 def _smax_change(mats, delta):
-    # delta * u1 v1^T for each matrix M and its delta: M plus it has its
-    # largest singular value moved by delta, the other singular values
-    # and all singular vectors kept. In the 2x2 form of _halves, u1 v1^T
-    # is (E, H)/2Q + (F, G)/2R, so the change is each part rescaled to
-    # length delta/2; a zero part takes the direction (delta/2, 0), one
-    # valid choice of the (then tied) top singular pair.
+    # Each matrix M's s_max, as _smax gives it, and the change delta *
+    # u1 v1^T: M plus it has its largest singular value moved by delta, the
+    # other singular values and all singular vectors kept. In the 2x2 form
+    # of _halves, u1 v1^T is (E, H)/2Q + (F, G)/2R, so the change is each
+    # part rescaled to length delta/2; a zero part takes the direction
+    # (delta/2, 0), one valid choice of the (then tied) top singular pair.
+    # LAPACK's SVD with vectors can differ from _smax in the last bits.
     if mats.shape[1:] != (2, 2):
         u, _, vt = np.linalg.svd(mats, full_matrices=False)
-        return delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
+        return _smax(mats), delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
     rotation, reflection = _halves(mats)
     e, h = _along(*rotation, delta / 2)
     f, g = _along(*reflection, delta / 2)
-    return np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
+    change = np.stack([e + f, g - h, g + h, e - f], axis=1).reshape(-1, 2, 2)
+    return rotation[2] + reflection[2], change
 
 
 def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
@@ -257,10 +263,9 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     samples = host.samples.copy()
     frames = _frames(samples, plan.frame_size, len(samples) // plan.frame_size)
     marked = frames[chosen]
-    mats = _leading(plan, marked, k)
-    s_ref = _smax(mats)
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    marked += _smax_change(mats, shift).reshape(-1, k) @ plan.basis[:, :k].T
+    s_ref, change = _smax_change(_leading(plan, marked, k), shift)
+    marked += change.reshape(-1, k) @ plan.basis[:, :k].T
     frames[chosen] = np.clip(marked, -1.0, 1.0, out=marked)
     key = EmbeddingKey(
         sample_rate=host.sample_rate,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gbtmark import AttackSpec, AudioSignal, read_pbm, read_wav, write_pbm, write_wav
 from gbtmark.attacks import ATTACKS
-from gbtmark.cli import main
+from gbtmark.cli import build_parser, main
 from gbtmark.synth import speech_like
 
 from conftest import random_watermark
@@ -180,7 +180,8 @@ def test_attack_requires_its_parameter(workspace, capsys):
     status = run_cli(["attack", "lowpass", workspace / "host.wav",
                       workspace / "out.wav"])
     assert status == 1
-    assert "--cutoff" in capsys.readouterr().err
+    assert ("the following arguments are required: --cutoff"
+            in capsys.readouterr().err)
     for kind, (flag, _) in CLI_PARAMETERS.items():
         status = run_cli(["attack", kind, workspace / "host.wav",
                           workspace / "out.wav"])
@@ -444,15 +445,63 @@ def test_benchmark_writes_names_as_utf8(workspace, tmp_path, capsys):
 
 
 def test_attack_help_states_the_limits_apply_enforces(capsys):
-    # the rows of ATTACKS give the help and the error messages one text
+    # the rows of ATTACKS give the help and the error messages one text;
+    # each kind's help shows its own option and rule
+    for kind, wanted in (
+            ("lowpass", "--cutoff CUTOFF cutoff in Hz, finite, > 0 and at most Nyquist "
+                        "(half the signal's rate)"),
+            ("highpass", "--cutoff CUTOFF cutoff in Hz, finite, > 0 and below Nyquist "
+                         "(half the signal's rate)"),
+            ("resample", "--rate RATE intermediate rate in Hz, an integer > 0, at most "
+                         "4x the signal's rate, whose ratio to that rate reduces to "
+                         "terms <= 65536")):
+        assert run_cli(["attack", kind, "--help"]) == 0
+        assert wanted in " ".join(capsys.readouterr().out.split())
     assert run_cli(["attack", "--help"]) == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert ("--cutoff CUTOFF lowpass: cutoff in Hz, finite, > 0 and at most Nyquist "
-            "(half the signal's rate); highpass: cutoff in Hz, finite, > 0 and below "
-            "Nyquist (half the signal's rate)") in text
-    assert ("--rate RATE resample: intermediate rate in Hz, an integer > 0, at most "
-            "4x the signal's rate, whose ratio to that rate reduces to terms <= 65536"
-            ) in text
+    listed = capsys.readouterr().out.split()
+    assert all(kind in listed for kind in ATTACKS)
+
+
+# options a kind does not take: each other kind's option, --seed but on
+# awgn and the codec templates but on mp3
+STRAY_OPTIONS = [
+    (kind, stray) for kind in ATTACKS for stray in (
+        [CLI_PARAMETERS[other] for other in ATTACKS
+         if ATTACKS[other].flag != ATTACKS[kind].flag]
+        + ([("--seed", 4)] if kind != "awgn" else [])
+        + ([("--codec-encode", "nonsense"), ("--codec-decode", "nonsense")]
+           if kind != "mp3" else []))]
+
+
+@pytest.mark.parametrize(("kind", "stray"), STRAY_OPTIONS)
+def test_attack_refuses_another_kinds_option(kind, stray, workspace, capsys):
+    out = workspace / "out.wav"
+    status = run_cli(["attack", kind, workspace / "host.wav", out,
+                      *CLI_PARAMETERS[kind], *stray])
+    assert status == 1
+    assert f"unrecognized arguments: {stray[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_attack_mp3_reads_the_codec_environment_per_call(workspace, monkeypatch,
+                                                          tmp_path, capsys):
+    # the parser is shared, so each call must still read its own template
+    codec = fake_codec(tmp_path)
+    monkeypatch.setenv("GBTMARK_CODEC_DECODE", codec.decode_template)
+    argv = ["attack", "mp3", workspace / "host.wav", workspace / "mp3.wav",
+            "--bitrate", 64]
+    for encoder in ("no-such-encoder-1", "no-such-encoder-2"):
+        monkeypatch.setenv("GBTMARK_CODEC_ENCODE", f"{encoder} {{input}} {{output}} "
+                                                   f"{{bitrate}}")
+        assert run_cli(argv) == 3
+        assert f"encode command not found: {encoder!r}" in capsys.readouterr().err
+    monkeypatch.setenv("GBTMARK_CODEC_ENCODE", codec.encode_template)
+    assert run_cli(argv) == 0
+    assert (workspace / "mp3.wav").exists()
 
 
 def test_benchmark_empty_corpus(workspace, tmp_path, capsys):

@@ -145,7 +145,9 @@ def test_shift_smax_2x2_moves_only_the_largest_singular_value():
     def check(data, mats):
         delta = shifts(data.draw, mats)
         s1, s2 = np.linalg.svd(mats, compute_uv=False).T
-        got = np.linalg.svd(mats + _smax_change(mats, delta), compute_uv=False)
+        s_max, change = _smax_change(mats, delta)
+        assert np.array_equal(s_max, _smax(mats))
+        got = np.linalg.svd(mats + change, compute_uv=False)
         want = np.sort([np.abs(s1 + delta), s2], axis=0)[::-1].T
         tolerance = 16 * EPS * (s1 + np.abs(delta))
         assert np.all(np.abs(got - want) <= tolerance[:, None])
@@ -164,7 +166,9 @@ def test_shift_smax_2x2_matches_lapack_rank_one_update():
         delta = shifts(data.draw, mats)
         want = mats + delta[:, None, None] * u[:, :, :1] * vt[:, :1, :]
         tolerance = 16 * EPS * (s[:, 0] + np.abs(delta))
-        shifted = mats + _smax_change(mats, delta)
+        s_max, change = _smax_change(mats, delta)
+        assert np.array_equal(s_max, _smax(mats))
+        shifted = mats + change
         gap = np.abs(shifted - want).max(axis=(1, 2), initial=0.0)
         assert np.all(gap <= tolerance)
 
@@ -175,7 +179,9 @@ def test_shift_smax_2x2_zero_part_takes_the_first_direction():
     # with Q or R zero the top singular pair is tied; the zero part
     # grows along (delta/2, 0): E for the rotation, F for the reflection
     mats = np.array([np.zeros((2, 2)), 2 * np.eye(2), [[0.0, 3.0], [3.0, 0.0]]])
-    got = mats + _smax_change(mats, np.array([0.5, -0.5, 0.5]))
+    s_max, change = _smax_change(mats, np.array([0.5, -0.5, 0.5]))
+    assert np.array_equal(s_max, _smax(mats))
+    got = mats + change
     assert np.array_equal(got, [[[0.5, 0.0], [0.0, 0.0]],
                                 [[1.5, 0.0], [0.0, 2.0]],
                                 [[0.25, 3.25], [3.25, 0.25]]])
