@@ -21,7 +21,10 @@ class AudioSignal:
     write to the caller's array reaches it. Arrays the library has just
     made itself (a decoded WAV, an embed result, an attack result, a
     synthetic clip) are adopted instead: the same checks, then frozen in
-    place, without the copy.
+    place, without the copy. A decoded WAV and an embed result skip the
+    scan of the sample values, which cannot fail for them: int16 codes
+    over 32768 lie in [-1, 1), and embed checks the frames it changed
+    and keeps the host's checked samples everywhere else.
     """
 
     samples: np.ndarray
@@ -34,18 +37,14 @@ class AudioSignal:
         return self.samples.size
 
 
-def _settle(signal, samples, rate):
-    # the one validation of every signal: check the float64 samples and
-    # the rate, then freeze the samples and store both on signal
+def _settle(signal, samples, rate, in_range=False):
+    # the one validation of every signal: check the float64 samples (their
+    # values unless in_range) and the rate, then freeze the samples and
+    # store both on signal
     if samples.ndim != 1 or samples.size == 0:
         raise ValidationError("samples must be a non-empty 1-D sequence")
-    # max and min propagate NaN, so this one test also rejects NaN
-    # and +-inf; isfinite runs only to pick the message
-    peak = max(samples.max(), -samples.min())
-    if not peak <= 1.0:
-        if not np.isfinite(samples).all():
-            raise ValidationError("samples must be finite")
-        raise ValidationError("samples must lie in [-1, 1]")
+    if not in_range:
+        _check_range(samples)
     rate = _integer("sample_rate", rate, "a positive integer", lambda r: r > 0,
                     ValidationError)
     samples.flags.writeable = False
@@ -53,12 +52,23 @@ def _settle(signal, samples, rate):
     object.__setattr__(signal, "sample_rate", rate)
 
 
-def _adopt(samples, rate):
+def _check_range(samples):
+    # max and min propagate NaN, so this one test also rejects NaN
+    # and +-inf; isfinite runs only to pick the message
+    peak = max(samples.max(), -samples.min())
+    if not peak <= 1.0:
+        if not np.isfinite(samples).all():
+            raise ValidationError("samples must be finite")
+        raise ValidationError("samples must lie in [-1, 1]")
+
+
+def _adopt(samples, rate, in_range=False):
     # a signal holding samples itself, not a copy (asarray copies only
     # a non-float64 array); only for an array the library has just made
-    # and that nothing else holds
+    # and that nothing else holds; in_range vouches that every sample is
+    # finite and in [-1, 1] by construction
     signal = object.__new__(AudioSignal)
-    _settle(signal, np.asarray(samples, dtype=np.float64), rate)
+    _settle(signal, np.asarray(samples, dtype=np.float64), rate, in_range)
     return signal
 
 

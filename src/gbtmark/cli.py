@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # a sub-command hands the arguments it does not know up to its parent;
+    # refusing them here instead names the sub-command and shows its usage
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _add_embed_flags(parser):
     defaults = EmbedParams()

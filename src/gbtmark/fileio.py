@@ -52,20 +52,22 @@ def read_wav(path) -> AudioSignal:
     if len(data) % 2:
         raise AudioFormatError(
             f"{path}: truncated WAV file, data ends mid-sample ({len(data)} bytes)")
-    return _adopt(np.frombuffer(data, dtype="<i2") / 32768.0, rate)
+    # an int16 code over 32768 is finite and in [-1, 32767/32768], so the
+    # signal's value scan could never fail and is skipped
+    return _adopt(np.frombuffer(data, dtype="<i2") / 32768.0, rate, in_range=True)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
-    """Write mono 16-bit PCM; samples scale by 32767 and clamp."""
+    """Write mono 16-bit PCM; samples scale by 32767 and round half to
+    even. Nothing is clamped: samples in [-1, 1] give codes in +-32767."""
     _integer(f"{path}: a WAV file's sample rate", signal.sample_rate,
              f"at most {MAX_WAV_RATE}", lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
-    # block by block: scaled, rounded (half to even) and clamped in the
-    # block buffer, then stored as PCM
+    # block by block: scaled and rounded in the block buffer, then stored
+    # as PCM; |x| <= 1 keeps rint(32767 x) in int16's range unclamped
     pcm = np.empty(len(signal), dtype="<i2")
     for block, scaled in _blocks(len(signal)):
         np.multiply(signal.samples[block], 32767.0, out=scaled)
         np.rint(scaled, out=scaled)
-        np.clip(scaled, -32768, 32767, out=scaled)
         pcm[block] = scaled
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _fit_length
+from .audio import AudioSignal, _adopt, _check_range, _fit_length
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
 from .transform import GraphConfig, TransformPlan, make_plan
@@ -62,7 +62,9 @@ class WatermarkImage:
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size != size:
             raise ValidationError(f"expected {size} bits, got {bits.size}")
-        if not np.isin(bits, (0, 1)).all():
+        # np.all, not .all(): numpy < 1.25 compares a str array to 0 as a
+        # plain False, not an array
+        if not np.all((bits == 0) | (bits == 1)):
             raise ValidationError("watermark bits must be 0 or 1")
         bits = bits.astype(np.uint8)
         bits.flags.writeable = False
@@ -267,6 +269,9 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     s_ref, change = _smax_change(_leading(plan, marked, k), shift)
     marked += change.reshape(-1, k) @ plan.basis[:, :k].T
     frames[chosen] = np.clip(marked, -1.0, 1.0, out=marked)
+    # the clip leaves a NaN change as NaN; every other sample is the
+    # host's, already checked, so the new signal needs no scan of its own
+    _check_range(marked)
     key = EmbeddingKey(
         sample_rate=host.sample_rate,
         params=params,
@@ -274,7 +279,8 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
         watermark_height=watermark.height,
         frame_indices=chosen, s_max=s_ref,
     )
-    return WatermarkedResult(signal=_adopt(samples, host.sample_rate), key=key)
+    return WatermarkedResult(signal=_adopt(samples, host.sample_rate, in_range=True),
+                             key=key)
 
 
 def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:

@@ -4,7 +4,7 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbtmark import (
@@ -61,6 +61,28 @@ def test_read_wav_sample_mapping(tmp_path):
     assert signal.samples[3] == 0.5
 
 
+def test_read_wav_maps_any_pcm_exactly_into_the_unit_range(tmp_path):
+    # read_wav skips the signal's value scan: every int16 code over
+    # 32768 is exact and lies in [-1, 1)
+    path = tmp_path / "pcm.wav"
+
+    @example(pcm=[-32768, 32767, 0, -1, 1])
+    @given(pcm=st.lists(st.integers(-32768, 32767), min_size=1, max_size=300))
+    def check(pcm):
+        codes = np.array(pcm, dtype="<i2")
+        with wave.open(str(path), "wb") as handle:
+            handle.setnchannels(1)
+            handle.setsampwidth(2)
+            handle.setframerate(8000)
+            handle.writeframes(codes.tobytes())
+        samples = read_wav(path).samples
+        assert np.array_equal(samples, codes / 32768)
+        assert samples.dtype == np.float64
+        assert np.all((-1.0 <= samples) & (samples < 1.0))
+
+    check()
+
+
 def test_write_wav_zero_stored_as_zero(tmp_path):
     path = tmp_path / "zero.wav"
     write_wav(path, AudioSignal(np.zeros(4), 8000))
@@ -79,11 +101,14 @@ def test_read_wav_signal_is_read_only(tmp_path):
 
 
 def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
-    # full scale, negative zero, every exact half step between two PCM
-    # codes (rounded half to even) and random samples
+    # full scale and the steps just inside it, negative zero, subnormals,
+    # every exact half step between two PCM codes (rounded half to even)
+    # and random samples; no code needs clamping
     k = np.arange(-32767, 32767)
     rng = np.random.default_rng(12)
-    samples = np.concatenate([[1.0, -1.0, -0.0, 0.0], (k + 0.5) / 32767,
+    tiny = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308]
+    inside = [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+    samples = np.concatenate([[1.0, -1.0, -0.0, 0.0], tiny, inside, (k + 0.5) / 32767,
                               rng.uniform(-1.0, 1.0, 10_000)])
     path = tmp_path / "pcm.wav"
     write_wav(path, AudioSignal(samples, 8000))
@@ -91,7 +116,7 @@ def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
         pcm = np.frombuffer(handle.readframes(handle.getnframes()), dtype="<i2")
     expected = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
     assert np.array_equal(pcm, expected)
-    assert list(pcm[:4]) == [32767, -32767, 0, 0]
+    assert list(pcm[:10]) == [32767, -32767, 0, 0, 0, 0, 0, 0, 32767, -32767]
     scaled = samples * 32767.0
     ties = scaled - np.floor(scaled) == 0.5
     assert ties.sum() > 30_000 and not (pcm[ties] % 2).any()

@@ -545,6 +545,21 @@ def test_key_records_aligned_and_independent(embedded_clips, watermark):
         assert extract(result.signal, single).bits[0] == watermark.bits[i]
 
 
+def test_embed_refuses_a_change_that_is_not_finite(monkeypatch):
+    # embed scans only the frames it changed, the rest being the host's
+    # checked samples; a NaN change survives the clip and must be refused
+    smax_change = gbtmark.watermark._smax_change
+
+    def nan_change(mats, delta):
+        s_ref, change = smax_change(mats, delta)
+        change[-1, 0, 0] = np.nan
+        return s_ref, change
+
+    monkeypatch.setattr(gbtmark.watermark, "_smax_change", nan_change)
+    with pytest.raises(ValidationError, match="^samples must be finite$"):
+        embed(speech_like(2.0, 8000, seed=1), WatermarkImage(2, 2, [0, 1, 1, 0]))
+
+
 def test_embed_capacity_error_propagates(watermark):
     host = ar_noise(4000, seed=5, rms=0.1)  # 400 frames < 625 bits
     with pytest.raises(CapacityError) as info:
@@ -571,8 +586,13 @@ def test_extract_zero_pads_short_signal(embedded_clips, watermark):
 
 
 def test_watermark_image_validation():
-    with pytest.raises(ValidationError):
-        WatermarkImage(2, 2, [0, 1, 2, 0])
+    for bits in ([0, 1, 2, 0], [0.0, 1.0, 0.5, 0.0], [0.0, np.nan, 1.0, 0.0],
+                 [0, 1, 1j, 0], [0, 1, None, 0]):
+        with pytest.raises(ValidationError, match="^watermark bits must be 0 or 1$"):
+            WatermarkImage(2, 2, np.array(bits))
+    for bits in ([True, False, True, True], [1.0, 0.0, 1.0, 1.0],
+                 np.array([1, 0, 1, 1], dtype=object)):
+        assert WatermarkImage(2, 2, bits).bits.tolist() == [1, 0, 1, 1]
     with pytest.raises(ValidationError):
         WatermarkImage(2, 2, [0, 1, 1])
     with pytest.raises(ValidationError):
