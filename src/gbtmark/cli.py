@@ -9,10 +9,11 @@ from pathlib import Path
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
-from .fileio import read_key, read_pbm, read_wav, write_key, write_pbm, write_wav
-from .metrics import ber, payload, psnr
+from .fileio import (_read_keyed_frames, read_key, read_pbm, read_wav, write_key,
+                     write_pbm, write_wav)
+from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
-from .watermark import EmbedParams, embed, extract
+from .watermark import EmbedParams, _read_bits, embed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,16 +93,16 @@ def _cmd_embed(args) -> int:
     result = embed(host, watermark, _params_from(args))
     write_wav(args.out_wav, result.signal)
     write_key(args.out_key, result.key)
-    quality = psnr(host, result.signal)
+    quality = _embed_psnr(host, result)
     print(f"psnr: {quality.psnr_db:.2f} dB")
     print(f"payload: {payload(host.sample_rate, args.frame_size):g} bits/s")
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
-    signal = read_wav(args.wav)
+    # the key first: it names the only frames of the WAV that are read
     key = read_key(args.key)
-    recovered = extract(signal, key)
+    recovered = _read_bits(*_read_keyed_frames(args.wav, key), key)
     write_pbm(args.out_pbm, recovered)
     if args.reference is not None:
         reference = read_pbm(args.reference)

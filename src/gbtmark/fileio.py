@@ -6,6 +6,7 @@ coercing (no down-mixing, no resampling); writers produce files the
 readers round-trip exactly, up to the documented WAV quantization.
 """
 
+import os
 import wave
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 from .audio import AudioSignal, _adopt, _blocks
 from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
-from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
+from .watermark import EmbeddingKey, EmbedParams, WatermarkImage, _gather
 
 MAX_PBM_DIMENSION = 4096
 # the header holds the byte rate, twice the sample rate, in 32 bits
@@ -23,14 +24,19 @@ MAX_WAV_RATE = 2**31 - 1
 _SPACE = bytes(code for code in range(128) if chr(code).isspace())
 
 
-def read_wav(path) -> AudioSignal:
-    """Read a mono 16-bit PCM WAV file; integer sample i maps to i/32768."""
+def _wav_data(path, file):
+    # The one header step of read_wav and _read_keyed_frames: every format
+    # check, then the sample rate, the data's byte offset and the bytes of
+    # it that wave would read. wave leaves the file just past the data
+    # chunk's header, and reads at most as far as the RIFF chunk's size
+    # and the file reach.
     try:
-        with wave.open(str(path), "rb") as handle:
+        with wave.open(file) as handle:
             channels = handle.getnchannels()
             sample_width = handle.getsampwidth()
             rate = handle.getframerate()
-            data = handle.readframes(handle.getnframes())
+            frames = handle.getnframes()
+            offset = file.tell()
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
     except (EOFError, RuntimeError) as exc:
@@ -45,16 +51,39 @@ def read_wav(path) -> AudioSignal:
             f"{8 * sample_width}-bit samples")
     rate = _integer(f"{path}: sample rate", rate, f"in 1..{MAX_WAV_RATE}",
                     lambda hz: 1 <= hz <= MAX_WAV_RATE, AudioFormatError)
+    file.seek(4)
+    riff_end = 8 + int.from_bytes(file.read(4), "little")
+    size = min(2 * frames, riff_end - offset, os.fstat(file.fileno()).st_size - offset)
     # a data chunk shorter than its header says is read as it stands, as
     # streaming writers leave it; one that is empty or ends mid-sample is not
-    if not data:
+    if not size:
         raise AudioFormatError(f"{path}: WAV file holds no samples")
-    if len(data) % 2:
+    if size % 2:
         raise AudioFormatError(
-            f"{path}: truncated WAV file, data ends mid-sample ({len(data)} bytes)")
+            f"{path}: truncated WAV file, data ends mid-sample ({size} bytes)")
+    return rate, offset, size
+
+
+def read_wav(path) -> AudioSignal:
+    """Read a mono 16-bit PCM WAV file; integer sample i maps to i/32768."""
+    with open(path, "rb") as file:
+        rate, offset, size = _wav_data(path, file)
+        file.seek(offset)
+        data = file.read(size)
     # an int16 code over 32768 is finite and in [-1, 32767/32768], so the
     # signal's value scan could never fail and is skipped
     return _adopt(np.frombuffer(data, dtype="<i2") / 32768.0, rate, in_range=True)
+
+
+def _read_keyed_frames(path, key: EmbeddingKey):
+    # The sample rate of a WAV file and the key's frames of it, as extract
+    # reads them from read_wav's signal, with the same checks; only the
+    # pages holding those frames are read from the file.
+    with open(path, "rb") as file:
+        rate, offset, size = _wav_data(path, file)
+        pcm = np.memmap(file, dtype="<i2", mode="r", offset=offset, shape=(size // 2,))
+        frames = _gather(pcm, key.params.graph.frame_size, key.frame_indices)
+    return rate, frames / 32768.0
 
 
 def write_wav(path, signal: AudioSignal) -> None:

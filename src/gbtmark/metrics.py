@@ -7,7 +7,7 @@ import numpy as np
 
 from .audio import AudioSignal, _blocks
 from .errors import ValidationError, _integer, _real
-from .watermark import WatermarkImage
+from .watermark import WatermarkedResult, WatermarkImage, _gather
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,22 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     for block, error in _blocks(len(test)):
         np.subtract(test.samples[block], reference.samples[block], out=error)
         total += np.add.reduce(np.square(error, out=error))
-    mse = float(total / len(test))
+    return _quality(total, len(test))
+
+
+def _embed_psnr(host: AudioSignal, result: WatermarkedResult) -> QualityReport:
+    # psnr(host, result.signal) from the frames embed changed: every other
+    # sample of the result is the host's, so its error is exactly 0
+    frame_size = result.key.params.graph.frame_size
+    error = (_gather(result.signal.samples, frame_size, result.key.frame_indices)
+             - _gather(host.samples, frame_size, result.key.frame_indices))
+    return _quality(np.square(error, out=error).sum(), len(host))
+
+
+def _quality(squared_error_sum, count):
+    # the one rule from a sum of squared errors over count samples to a
+    # report; an error of exactly 0 is infinitely far below the peak
+    mse = float(squared_error_sum / count)
     if mse == 0.0:
         return QualityReport(psnr_db=math.inf, mse=0.0)
     return QualityReport(psnr_db=10.0 * math.log10(1.0 / mse), mse=mse)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _check_range, _fit_length
+from .audio import AudioSignal, _adopt, _check_range
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
 from .transform import GraphConfig, TransformPlan, make_plan
@@ -131,10 +131,11 @@ class WatermarkedResult:
     key: EmbeddingKey
 
 
-def _frames(samples, frame_size: int, count: int) -> np.ndarray:
-    # the first count frames as a (count, frame_size) array; a view when
-    # the samples reach that far (embed writes through it)
-    return _fit_length(samples, count * frame_size).reshape(count, frame_size)
+def _frames(samples, frame_size: int) -> np.ndarray:
+    # the whole frames of the samples as a (count, frame_size) view; embed
+    # writes through it, and a partial last frame is left out
+    count = samples.size // frame_size
+    return samples[:count * frame_size].reshape(count, frame_size)
 
 
 def _leading(plan, frames, k):
@@ -224,7 +225,7 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     if total < 1:
         raise ValidationError(f"signal has {len(signal)} samples, need at least "
                               f"{plan.frame_size} for one frame")
-    frames = _frames(signal.samples, plan.frame_size, total)
+    frames = _frames(signal.samples, plan.frame_size)
     energies = np.einsum("ij,ij->i", frames, frames)
     winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
     upper = np.inf  # frames at or above this energy are already tested
@@ -263,7 +264,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     chosen = select_frames(host, params, watermark.bits.size, plan)
     k = params.coeff_count
     samples = host.samples.copy()
-    frames = _frames(samples, plan.frame_size, len(samples) // plan.frame_size)
+    frames = _frames(samples, plan.frame_size)
     marked = frames[chosen]
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
     s_ref, change = _smax_change(_leading(plan, marked, k), shift)
@@ -283,23 +284,44 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
                              key=key)
 
 
+def _gather(samples, frame_size: int, indices) -> np.ndarray:
+    # A key's frames (indices strictly increasing), one row each in the
+    # samples' dtype: frames past the end read as zeros, a partial last
+    # frame is zero-padded. An index is compared, never multiplied, so any
+    # int64 is safe, and a memmap is read only at the keyed frames.
+    frames = _frames(samples, frame_size)
+    full = len(frames)
+    inside = int(np.searchsorted(indices, full))
+    rows = frames[indices[:inside]]
+    if inside < indices.size:
+        past = np.zeros((indices.size - inside, frame_size), rows.dtype)
+        if indices[inside] == full:
+            tail = samples[full * frame_size:]
+            past[0, :tail.size] = tail
+        rows = np.concatenate([rows, past])
+    return rows
+
+
+def _read_bits(sample_rate: int, frames, key: EmbeddingKey) -> WatermarkImage:
+    # the key's bits from its frames, as _gather gives them, of a signal
+    # sampled at sample_rate
+    if sample_rate != key.sample_rate:
+        raise ValidationError(
+            f"signal is sampled at {sample_rate} Hz but the key was "
+            f"made at {key.sample_rate} Hz")
+    plan = make_plan(key.params.graph)
+    bits = _smax(_leading(plan, frames, key.params.coeff_count)) > key.s_max
+    return WatermarkImage(key.watermark_width, key.watermark_height, bits)
+
+
 def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
     """Recover the watermark image from a (possibly attacked) signal.
 
-    The signal must have the key's sample rate. A signal too short to
-    reach the last keyed frame is zero-padded at the end, so frames past
-    the signal read as zeros. Each bit is read independently from its
-    own frame: 1 when the frame's largest singular value exceeds the
-    key's, else 0, so an unmarked copy of the host reads all zeros.
+    The signal must have the key's sample rate. Frames past the signal
+    read as zeros, and a partial last frame is zero-padded. Each bit is
+    read independently from its own frame: 1 when the frame's largest
+    singular value exceeds the key's, else 0, so an unmarked copy of the
+    host reads all zeros.
     """
-    if signal.sample_rate != key.sample_rate:
-        raise ValidationError(
-            f"signal is sampled at {signal.sample_rate} Hz but the key was "
-            f"made at {key.sample_rate} Hz")
-    plan = make_plan(key.params.graph)
-    # pad only up to the first all-zero frame; keyed frames past it read it
-    count = min(int(key.frame_indices[-1]) + 1, len(signal) // plan.frame_size + 2)
-    frames = _frames(signal.samples, plan.frame_size, count)
-    keyed = frames[np.minimum(key.frame_indices, count - 1)]
-    bits = _smax(_leading(plan, keyed, key.params.coeff_count)) > key.s_max
-    return WatermarkImage(key.watermark_width, key.watermark_height, bits)
+    frames = _gather(signal.samples, key.params.graph.frame_size, key.frame_indices)
+    return _read_bits(signal.sample_rate, frames, key)

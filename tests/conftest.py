@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import example, settings
+from hypothesis import strategies as st
 
 from gbtmark import (
     AudioSignal,
@@ -30,6 +33,51 @@ WATERMARK_SEED = 7
 def random_watermark(width=25, height=25, seed=WATERMARK_SEED):
     rng = np.random.default_rng(seed)
     return WatermarkImage(width, height, rng.integers(0, 2, width * height))
+
+
+def mutate(data, edit):
+    """Apply one (kind, position, argument) edit; positions wrap around."""
+    kind, at, arg = edit
+    at %= len(data)
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ arg]) + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + arg:]
+    if kind == "insert":
+        return data[:at] + arg + data[at:]
+    return data[:at]  # truncate
+
+
+# Byte edits of an input file, for the properties that check that every
+# edit ends in a value or a clean error. Most edits land in a header: the
+# WAV's is 44 bytes, the PBM's and key's text lines come first.
+POSITIONS = st.integers(0, 64) | st.integers(0, 2**20)
+EDITS = st.one_of(
+    st.tuples(st.just("flip"), POSITIONS, st.integers(1, 255)),
+    st.tuples(st.just("delete"), POSITIONS, st.integers(1, 8)),
+    st.tuples(st.just("insert"), POSITIONS,
+              st.lists(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1c\x1f"),
+                       min_size=1, max_size=4).map(bytes)),
+    # a chunk header of odd size: RIFF pads such a chunk to an even length
+    st.tuples(st.just("insert"), POSITIONS,
+              st.builds(lambda name, half: name + struct.pack("<I", 2 * half + 1),
+                        st.sampled_from([b"LIST", b"fmt ", b"data"]),
+                        st.integers(0, 2**31 - 1))),
+    st.tuples(st.just("truncate"), POSITIONS, st.none()),
+)
+
+
+def with_wav_edit_examples(**fixed):
+    """The WAV edits every mutation property tries first, as examples of
+    its ``edit`` argument; ``fixed`` gives its other arguments."""
+    def decorate(test):
+        # a LIST chunk whose size points past the end, and a sample rate
+        # of 2**31 + 8000
+        for edit in (("insert", 36, b"LIST" + struct.pack("<I", 10**6)),
+                     ("flip", 27, 0x80)):
+            test = example(edit=edit, **fixed)(test)
+        return test
+    return decorate
 
 
 def embed_oracle_gap(plan, candidates, params):

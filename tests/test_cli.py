@@ -1,5 +1,4 @@
 import os
-import struct
 import subprocess
 import sys
 
@@ -8,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbtmark import AttackSpec, AudioSignal, read_pbm, read_wav, write_pbm, write_wav
+from gbtmark import (AttackSpec, AudioSignal, embed, psnr, read_pbm, read_wav, write_pbm,
+                     write_wav)
 from gbtmark.attacks import ATTACKS
 from gbtmark.cli import build_parser, main
+from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
 
-from conftest import random_watermark
+from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
 from test_fileio import with_chunk_past_the_end, with_rate
 from test_numbers import LISTED
@@ -58,6 +59,33 @@ def test_embed_extract_cycle(workspace, capsys):
     original = read_pbm(workspace / "wm.pbm")
     recovered = read_pbm(out_pbm)
     assert np.array_equal(recovered.bits, original.bits)
+
+
+def _clipping_host():
+    # peak-normalised, then driven half again past full scale and clipped
+    samples = speech_like(3.0, 8000, seed=2).samples
+    return AudioSignal(np.clip(1.5 * samples / np.abs(samples).max(), -1, 1), 8000)
+
+
+@pytest.mark.parametrize("make_host", [
+    lambda: speech_like(3.0, 8000, seed=2),
+    _clipping_host,
+    lambda: AudioSignal(speech_like(3.0, 8000, seed=2).samples[:-5], 8000),
+], ids=["default", "clipping", "partial-last-frame"])
+def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
+    # embed's PSNR comes from the frames it changed; it is psnr over the
+    # whole signal up to the order of the sum, and prints the same line
+    path, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
+    write_wav(path, make_host())
+    write_pbm(mark, random_watermark())
+    host = read_wav(path)
+    result = embed(host, random_watermark())
+    whole, framed = psnr(host, result.signal), _embed_psnr(host, result)
+    assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
+    assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
+    if make_host is _clipping_host:
+        assert np.abs(result.signal.samples).max() == 1.0  # embed clipped
 
 
 def test_embed_capacity_error(workspace, capsys):
@@ -130,17 +158,19 @@ def test_extract_corrupt_key(workspace, capsys):
 
 
 def test_extract_frame_far_past_the_signal(workspace):
-    # a frame that far out is all zeros, so its bit reads 0, and extract
-    # pads the signal only up to its first all-zero frame
+    # a frame that far out is all zeros, so its bit reads 0; the index is
+    # compared with the frame count, never multiplied by the frame size,
+    # so the largest index a key holds does not overflow
     marked = workspace / "marked.wav"
     key = workspace / "marked.key"
     out_pbm = workspace / "out.pbm"
     run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm", marked, key])
     lines = key.read_text().splitlines()
-    lines[-1] = f"{2**50} {lines[-1].split()[1]}"
-    key.write_text("\n".join(lines) + "\n")
-    assert run_cli(["extract", marked, key, out_pbm]) == 0
-    assert read_pbm(out_pbm).bits[-1] == 0
+    for index in (2**50, 2**63 - 1):
+        lines[-1] = f"{index} {lines[-1].split()[1]}"
+        key.write_text("\n".join(lines) + "\n")
+        assert run_cli(["extract", marked, key, out_pbm]) == 0
+        assert read_pbm(out_pbm).bits[-1] == 0
 
 
 def test_attack_awgn_deterministic(workspace):
@@ -257,43 +287,11 @@ def small_inputs(tmp_path_factory):
     return folder
 
 
-def mutate(data, edit):
-    """Apply one (kind, position, argument) edit; positions wrap around."""
-    kind, at, arg = edit
-    at %= len(data)
-    if kind == "flip":
-        return data[:at] + bytes([data[at] ^ arg]) + data[at + 1:]
-    if kind == "delete":
-        return data[:at] + data[at + arg:]
-    if kind == "insert":
-        return data[:at] + arg + data[at:]
-    return data[:at]  # truncate
-
-
-# most edits land in a header: the WAV's is 44 bytes, the PBM's and key's
-# text lines come first
-_POSITIONS = st.integers(0, 64) | st.integers(0, 2**20)
-_EDITS = st.one_of(
-    st.tuples(st.just("flip"), _POSITIONS, st.integers(1, 255)),
-    st.tuples(st.just("delete"), _POSITIONS, st.integers(1, 8)),
-    st.tuples(st.just("insert"), _POSITIONS,
-              st.lists(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1c\x1f"),
-                       min_size=1, max_size=4).map(bytes)),
-    # a chunk header of odd size: RIFF pads such a chunk to an even length
-    st.tuples(st.just("insert"), _POSITIONS,
-              st.builds(lambda name, half: name + struct.pack("<I", 2 * half + 1),
-                        st.sampled_from([b"LIST", b"fmt ", b"data"]),
-                        st.integers(0, 2**31 - 1))),
-    st.tuples(st.just("truncate"), _POSITIONS, st.none()),
-)
-
-
 # each CLI call takes a few ms; an edited key frame_size can build a
 # 1024-sample plan, which takes far longer, so the examples are bounded
 @settings(max_examples=150)
-@example(target="marked.wav", edit=("insert", 36, b"LIST" + struct.pack("<I", 10**6)))
-@example(target="marked.wav", edit=("flip", 27, 0x80))  # sample rate 2**31 + 8000
-@given(target=st.sampled_from(["marked.wav", "wm.pbm", "marked.key"]), edit=_EDITS)
+@with_wav_edit_examples(target="marked.wav")
+@given(target=st.sampled_from(["marked.wav", "wm.pbm", "marked.key"]), edit=EDITS)
 def test_cli_exits_cleanly_on_mutated_inputs(small_inputs, target, edit):
     folder = small_inputs
     files = {name: folder / name for name in ("marked.wav", "wm.pbm", "marked.key")}

@@ -15,6 +15,7 @@ from gbtmark import (
     GraphConfig,
     KeyFormatError,
     WatermarkImage,
+    embed,
     read_key,
     read_pbm,
     read_wav,
@@ -23,9 +24,11 @@ from gbtmark import (
     write_wav,
 )
 from gbtmark.audio import _BLOCK
+from gbtmark.fileio import _read_keyed_frames, _wav_data
 from gbtmark.synth import speech_like
+from gbtmark.watermark import _gather
 
-from conftest import random_watermark
+from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 
 
 def write_raw_wav(path, pcm_values, channels=1, sampwidth=2, rate=8000):
@@ -239,6 +242,139 @@ def test_read_wav_rejects_garbage(tmp_path):
 def test_read_wav_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_wav(tmp_path / "absent.wav")
+
+
+# ------------------------------------------------------ keyed frames
+
+# an 8 kHz key at the default settings, for keyed() to give frame indices
+BASE_KEY = EmbeddingKey(8000, EmbedParams(), 1, 1, [0], [0.0])
+
+
+def keyed(key, indices):
+    """The key with the given frame indices in place of its own."""
+    return dataclasses.replace(key, watermark_width=len(indices), watermark_height=1,
+                               frame_indices=np.array(indices, dtype=np.int64),
+                               s_max=np.zeros(len(indices)))
+
+
+def frame_readings(path, key):
+    """The key's frames of a WAV file as the keyed-frame reader gives them
+    and as read_wav then the in-memory gather give them: each a (rate,
+    frames) pair, or AudioFormatError."""
+    def in_memory():
+        signal = read_wav(path)
+        return signal.sample_rate, _gather(signal.samples, key.params.graph.frame_size,
+                                           key.frame_indices)
+
+    readings = []
+    for read in (lambda: _read_keyed_frames(path, key), in_memory):
+        try:
+            readings.append(read())
+        except AudioFormatError:
+            readings.append(AudioFormatError)
+    return readings
+
+
+def assert_same_frames(path, key):
+    """Both readings agree, bit for bit where both accept; returns one."""
+    frames, whole = frame_readings(path, key)
+    if whole is AudioFormatError:
+        assert frames is AudioFormatError
+        return whole
+    assert frames is not AudioFormatError
+    assert frames[0] == whole[0]
+    assert frames[1].dtype == whole[1].dtype == np.float64
+    assert frames[1].tobytes() == whole[1].tobytes()
+    return whole
+
+
+def expected_frames(pcm, size, indices):
+    """The frames from their definition: zero-padded past the samples."""
+    padded = np.zeros(size * (max(indices) + 1))
+    padded[:len(pcm)] = np.array(pcm) / 32768
+    return np.array([padded[size * i:size * (i + 1)] for i in indices])
+
+
+def with_list_chunk(wav, body):
+    """WAV bytes with a LIST chunk before the data (padded to an even
+    length) and the RIFF size grown to match."""
+    chunk = b"LIST" + struct.pack("<I", len(body)) + body + bytes(len(body) % 2)
+    wav = wav[:36] + chunk + wav[36:]
+    return wav[:4] + struct.pack("<I", len(wav) - 8) + wav[8:]
+
+
+@pytest.fixture(scope="module")
+def small_marked(tmp_path_factory):
+    """A folder holding a 0.5 s marked WAV, with its key and a key of the
+    frames at the end: 400 full frames, so 399 is the last and 400 the
+    first past the end (or a partial frame, after an edit that adds
+    samples)."""
+    folder = tmp_path_factory.mktemp("keyed")
+    result = embed(speech_like(0.5, 8000, seed=2), random_watermark(4, 4))
+    write_wav(folder / "marked.wav", result.signal)
+    ends = keyed(result.key, [0, 398, 399, 400, 401, 10**6, 2**63 - 1])
+    return folder, (result.key, ends)
+
+
+@settings(max_examples=150)
+@with_wav_edit_examples()
+@given(edit=EDITS)
+def test_keyed_frame_reader_matches_read_wav_on_every_edit(small_marked, edit):
+    # the edits of the CLI mutation property: the same verdict and, where
+    # both accept, the same frames; read_wav reads what wave itself reads
+    folder, keys = small_marked
+    path = folder / "mutated.wav"
+    path.write_bytes(mutate((folder / "marked.wav").read_bytes(), edit))
+    for key in keys:
+        whole = assert_same_frames(path, key)
+    if whole is not AudioFormatError:
+        with wave.open(str(path)) as handle:
+            pcm = np.frombuffer(handle.readframes(handle.getnframes()), "<i2")
+        assert np.array_equal(read_wav(path).samples * 32768, pcm)
+
+
+def test_keyed_frames_after_a_list_chunk(tmp_path):
+    # the data starts past the LIST chunk, and past its pad byte when its
+    # size is odd: 44 + 8 + 4 and 44 + 8 + 5 + 1
+    path = tmp_path / "list.wav"
+    pcm = list(range(-20, 25))  # 4 full frames, then a partial one of 5
+    write_raw_wav(path, pcm)
+    plain = path.read_bytes()
+    key = keyed(BASE_KEY, [0, 3, 4, 5, 2**63 - 1])
+    for body, offset in ((b"", 44), (b"abcd", 56), (b"abcde", 58)):
+        path.write_bytes(with_list_chunk(plain, body) if body else plain)
+        with open(path, "rb") as file:
+            assert _wav_data(path, file) == (8000, offset, 2 * len(pcm))
+        rate, frames = assert_same_frames(path, key)
+        assert rate == 8000
+        assert np.array_equal(frames, expected_frames(pcm, 10, [0, 3, 4, 5, 6]))
+
+
+def test_keyed_frames_of_a_short_or_cut_data_chunk(tmp_path):
+    # a data chunk shorter than its header says is read as it stands, so
+    # its last frame is partial; one that ends mid-sample is refused
+    path = tmp_path / "short.wav"
+    pcm = list(range(1, 31))  # 3 full frames
+    write_raw_wav(path, pcm)
+    wav = path.read_bytes()
+    key = keyed(BASE_KEY, [1, 2, 3])
+    path.write_bytes(wav[:-12])
+    _, frames = assert_same_frames(path, key)
+    assert np.array_equal(frames, expected_frames(pcm[:-6], 10, [1, 2, 3]))
+    path.write_bytes(wav[:-13])
+    assert assert_same_frames(path, key) is AudioFormatError
+
+
+def test_keyed_frames_stop_at_the_riff_size(tmp_path):
+    # wave reads no further than the RIFF chunk's size, though the file
+    # and the data chunk's size say there is more
+    path = tmp_path / "riff.wav"
+    pcm = list(range(1, 31))
+    write_raw_wav(path, pcm)
+    wav = path.read_bytes()
+    path.write_bytes(wav[:4] + struct.pack("<I", len(wav) - 8 - 14) + wav[8:])
+    _, frames = assert_same_frames(path, keyed(BASE_KEY, [0, 1, 2]))
+    assert np.array_equal(frames, expected_frames(pcm[:23], 10, [0, 1, 2]))
 
 
 # ----------------------------------------------------------------- pbm

@@ -6,6 +6,8 @@ peak above it means a full-length temporary, which these tests catch
 before a benchmark run does. ``read_wav``, ``embed`` and ``extract`` may
 hold one float64 copy; ``write_wav`` holds only its int16 PCM (0.25) plus
 one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
+``gbtmark extract`` reads only the keyed frames of the WAV file, so it
+holds a small fraction of the host.
 """
 
 import dataclasses
@@ -13,7 +15,8 @@ import tracemalloc
 
 import pytest
 
-from gbtmark import AttackSpec, embed, extract, psnr, read_wav, write_wav
+from gbtmark import AttackSpec, embed, extract, psnr, read_wav, write_key, write_wav
+from gbtmark.cli import build_parser, main
 from gbtmark.synth import speech_like
 
 from conftest import random_watermark
@@ -21,6 +24,7 @@ from conftest import random_watermark
 PEAK_LIMIT = 1.5  # traced peak over the signal's float64 bytes
 WRITE_WAV_PEAK_LIMIT = 0.75  # int16 PCM plus one float64 block
 PSNR_PEAK_LIMIT = 0.5  # one float64 block
+CLI_EXTRACT_PEAK_LIMIT = 0.1  # the key, the keyed frames and the bits
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +64,27 @@ def test_psnr_peak_memory(host):
 
 
 def test_extract_far_key_peak_memory(host):
-    # a key pointing far past the signal pads it only to its first
-    # all-zero frame, not to the last keyed frame
+    # a key pointing far past the signal pads nothing: a frame past the
+    # end is one zero row, not padding up to the last keyed frame
     key = embed(host, random_watermark()).key
     far = key.frame_indices.copy()
     far[-1] = 10**6
     far_key = dataclasses.replace(key, frame_indices=far)
     assert peak_ratio(lambda: extract(host, far_key), host) <= PEAK_LIMIT
+
+
+def test_cli_extract_peak_memory(host, tmp_path):
+    # the whole host would be 1.0: extract gathers only the 256 keyed
+    # frames (0.02 of this host) from the file. Parsing the key text holds
+    # about 290 bytes per bit (0.06 here), which grows with the mark, not
+    # the host, so the mark is 16x16: 25x25 would read 0.14 from the key
+    result = embed(host, random_watermark(16, 16))
+    wav, key = tmp_path / "marked.wav", tmp_path / "marked.key"
+    write_wav(wav, result.signal)
+    write_key(key, result.key)
+    build_parser()  # built once per process, before the traced call
+    argv = ["extract", str(wav), str(key), str(tmp_path / "out.pbm")]
+    assert peak_ratio(lambda: main(argv), host) <= CLI_EXTRACT_PEAK_LIMIT
 
 
 # an attack's result plus the full-length temporaries it is made from;

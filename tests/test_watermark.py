@@ -41,14 +41,14 @@ def constant_frames_signal(levels, frame_size=10, rate=8000):
 
 def test_frame_signal_drops_partial_tail():
     samples = AudioSignal(np.linspace(-0.5, 0.5, 25), 8000).samples
-    frames = _frames(samples, 10, len(samples) // 10)
+    frames = _frames(samples, 10)
     assert frames.shape == (2, 10)
     assert np.array_equal(frames[0], samples[:10])
     assert np.array_equal(frames[1], samples[10:20])
 
 
 def test_frame_signal_exact_fit():
-    frames = _frames(AudioSignal(np.zeros(20), 8000).samples, 10, 2)
+    frames = _frames(AudioSignal(np.zeros(20), 8000).samples, 10)
     assert frames.shape == (2, 10)
 
 
