@@ -25,18 +25,18 @@ print("\nLaplacian row sums (all zero):", laplacian.sum(axis=1))
 # ------------------------------------------------------------------
 # 2. The eigenbasis. Eigenvalues play the role of frequencies: the
 #    constant vector sits at zero, wiggly vectors at the top.
-plan = make_plan(config)
+basis = make_plan(config)
 print("\neigenvalues (graph frequencies):")
 print(np.round(np.linalg.eigvalsh(laplacian), 4))
 print("\nfirst basis vector (constant, the 'DC' of the graph):")
-print(np.round(plan.basis[:, 0], 4))
+print(np.round(basis[:, 0], 4))
 
 # ------------------------------------------------------------------
 # 3. Energy compaction. Feed in frames of strongly correlated noise,
 #    the kind audio is made of, and look where the energy lands.
 rng = np.random.default_rng(0)
 frames = sps.lfilter([1.0], [1.0, -0.95], rng.normal(size=(2000, 10)), axis=1)
-coeffs = frames @ plan.basis
+coeffs = frames @ basis
 share = np.mean(coeffs ** 2, axis=0)
 share /= share.sum()
 
@@ -49,5 +49,5 @@ print(f"last 4 hold {share[-4:].sum():.1%} -- the watermark rides on the first 4
 # ------------------------------------------------------------------
 # 4. The transform is orthonormal, so nothing is lost either way.
 frame = frames[0] / np.max(np.abs(frames[0]))
-roundtrip = (frame @ plan.basis) @ plan.basis.T
+roundtrip = (frame @ basis) @ basis.T
 print(f"\nround-trip max error: {np.max(np.abs(roundtrip - frame)):.2e}")

@@ -36,7 +36,6 @@ from .fileio import (
 from .metrics import QualityReport, ber, payload, psnr
 from .transform import (
     GraphConfig,
-    TransformPlan,
     build_adjacency,
     build_laplacian,
     make_plan,

@@ -80,11 +80,11 @@ def _params_from(args) -> EmbedParams:
 
 
 def _codec_from(args) -> CodecCommand:
-    encode = args.codec_encode or os.environ.get(CODEC_ENCODE_ENV)
-    decode = args.codec_decode or os.environ.get(CODEC_DECODE_ENV)
-    defaults = CodecCommand()
-    return CodecCommand(encode_template=encode or defaults.encode_template,
-                        decode_template=decode or defaults.decode_template)
+    # a given flag wins even when empty; an empty environment variable is unset
+    encode = os.environ.get(CODEC_ENCODE_ENV) or CodecCommand.encode_template
+    decode = os.environ.get(CODEC_DECODE_ENV) or CodecCommand.decode_template
+    return CodecCommand(encode if args.codec_encode is None else args.codec_encode,
+                        decode if args.codec_decode is None else args.codec_decode)
 
 
 def _cmd_embed(args) -> int:

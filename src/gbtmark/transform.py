@@ -39,24 +39,6 @@ class GraphConfig:
                                                  ConfigError))
 
 
-@dataclass(frozen=True, eq=False)
-class TransformPlan:
-    """Precomputed Laplacian eigenbasis for one frame size.
-
-    ``basis`` holds eigenvectors as columns, sorted by ascending
-    eigenvalue and sign-normalized: frames in rows have coefficients
-    ``frames @ basis``. Immutable after construction, so a single plan
-    can serve any number of concurrent frame transforms.
-    """
-
-    config: GraphConfig
-    basis: np.ndarray
-
-    @property
-    def frame_size(self) -> int:
-        return self.config.frame_size
-
-
 def build_adjacency(config: GraphConfig) -> np.ndarray:
     """Adjacency matrix with w1 on the first off-diagonals, w2 on the second."""
     n = config.frame_size
@@ -86,9 +68,11 @@ def _canonical(vals, vecs):
 
 
 @functools.lru_cache(maxsize=4)
-def make_plan(config: GraphConfig) -> TransformPlan:
-    """Eigendecompose the frame-graph Laplacian into an orthonormal basis, cached
-    for the last 4 configs: plans are frozen and read-only, so callers share one."""
+def make_plan(config: GraphConfig) -> np.ndarray:
+    """The frame-graph Laplacian's orthonormal eigenbasis: eigenvectors as
+    columns by ascending eigenvalue, each column's largest entry positive, so
+    frames in rows have coefficients ``frames @ make_plan(config)``. Read-only
+    and cached for the last 4 configs, so callers share one array per config."""
     lap = build_laplacian(config)
     try:
         vals, vecs = np.linalg.eigh(lap)
@@ -99,5 +83,5 @@ def make_plan(config: GraphConfig) -> TransformPlan:
     if not np.max(np.abs((vecs * vals) @ vecs.T - lap)) <= 1e-9:
         raise NumericError("eigenvectors do not reconstruct the Laplacian")
     vecs.flags.writeable = False
-    return TransformPlan(config=config, basis=vecs)
+    return vecs
 

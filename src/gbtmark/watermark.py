@@ -15,7 +15,7 @@ import numpy as np
 from .audio import AudioSignal, _adopt, _check_range
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
-from .transform import GraphConfig, TransformPlan, make_plan
+from .transform import GraphConfig, make_plan
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def _frames(samples, frame_size: int) -> np.ndarray:
     return samples[:count * frame_size].reshape(count, frame_size)
 
 
-def _leading(plan, frames, k):
+def _leading(basis, frames, k):
     # each frame's leading k coefficients as a row-major r x c matrix, r
     # the largest divisor of k not above sqrt(k), one row for a prime k.
     # On OpenBLAS the full-basis product reads a frame bit-equal in batches
@@ -146,7 +146,7 @@ def _leading(plan, frames, k):
     # basis[:, :k] does not at k = 1. A one-row batch goes to gemv and
     # differs in the last bits (ROADMAP item 2).
     rows = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
-    return (frames @ plan.basis)[:, :k].reshape(-1, rows, k // rows)
+    return (frames @ basis)[:, :k].reshape(-1, rows, k // rows)
 
 
 def _halves(mats):
@@ -199,15 +199,14 @@ def _smax_change(mats, delta):
     return rotation[2] + reflection[2], change
 
 
-def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
-                  plan: TransformPlan) -> np.ndarray:
+def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> np.ndarray:
     """Pick the frames that will each carry one watermark bit.
 
     Frames whose largest singular value does not exceed the watermark
     strength cannot take a bit-0 shift and are ineligible. Among the
     rest, the ``bit_count`` highest-energy frames win (ties to the lower
-    index); the result is sorted by ascending frame index. ``plan``
-    must be built for ``params.graph``.
+    index); the result is sorted by ascending frame index. Frames are cut
+    on the ``params.graph.frame_size`` grid.
 
     Cost: every frame's energy, but singular values only for a prefix
     of the frames ranked by (-energy, index). The prefix starts at the
@@ -219,13 +218,13 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
     """
     bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
                          ValidationError)
-    if plan.config != params.graph:
-        raise ValidationError(f"plan is for {plan.config}, not {params.graph}")
-    total = len(signal) // plan.frame_size
+    basis = make_plan(params.graph)
+    size = params.graph.frame_size
+    total = len(signal) // size
     if total < 1:
         raise ValidationError(f"signal has {len(signal)} samples, need at least "
-                              f"{plan.frame_size} for one frame")
-    frames = _frames(signal.samples, plan.frame_size)
+                              f"{size} for one frame")
+    frames = _frames(signal.samples, size)
     energies = np.einsum("ij,ij->i", frames, frames)
     winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
     upper = np.inf  # frames at or above this energy are already tested
@@ -238,7 +237,7 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int,
         cut = np.partition(energies, total - wanted)[total - wanted]
         new = np.flatnonzero((energies >= cut) & (energies < upper))
         new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(plan, frames[new], params.coeff_count))
+        smax = _smax(_leading(basis, frames[new], params.coeff_count))
         winners = np.concatenate([winners, new[smax > params.ws]])
         if winners.size >= bit_count:
             return np.sort(winners[:bit_count])
@@ -260,15 +259,15 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
-    plan = make_plan(params.graph)
-    chosen = select_frames(host, params, watermark.bits.size, plan)
+    basis = make_plan(params.graph)
+    chosen = select_frames(host, params, watermark.bits.size)
     k = params.coeff_count
     samples = host.samples.copy()
-    frames = _frames(samples, plan.frame_size)
+    frames = _frames(samples, params.graph.frame_size)
     marked = frames[chosen]
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    s_ref, change = _smax_change(_leading(plan, marked, k), shift)
-    marked += change.reshape(-1, k) @ plan.basis[:, :k].T
+    s_ref, change = _smax_change(_leading(basis, marked, k), shift)
+    marked += change.reshape(-1, k) @ basis[:, :k].T
     frames[chosen] = np.clip(marked, -1.0, 1.0, out=marked)
     # the clip leaves a NaN change as NaN; every other sample is the
     # host's, already checked, so the new signal needs no scan of its own
@@ -309,8 +308,8 @@ def _read_bits(sample_rate: int, frames, key: EmbeddingKey) -> WatermarkImage:
         raise ValidationError(
             f"signal is sampled at {sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
-    plan = make_plan(key.params.graph)
-    bits = _smax(_leading(plan, frames, key.params.coeff_count)) > key.s_max
+    basis = make_plan(key.params.graph)
+    bits = _smax(_leading(basis, frames, key.params.coeff_count)) > key.s_max
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)
 
 

@@ -122,21 +122,21 @@ def test_criterion_08_payload():
         assert payload(16000, 10) == 1600
 
 
-def test_criterion_09_transform_correctness(default_plan):
+def test_criterion_09_transform_correctness(default_basis):
     with criterion(9, "transform identities and closed-form SVD oracle"):
         rng = np.random.default_rng(90)
-        n = default_plan.frame_size
-        assert np.max(np.abs(default_plan.basis.T @ default_plan.basis
+        n = len(default_basis)
+        assert np.max(np.abs(default_basis.T @ default_basis
                              - np.eye(n))) <= 1e-10
         frames = rng.uniform(-1.0, 1.0, (1000, n))
-        recon = (frames @ default_plan.basis) @ default_plan.basis.T
+        recon = (frames @ default_basis) @ default_basis.T
         assert np.max(np.abs(recon - frames)) <= 1e-9
 
         assert np.array_equal(build_adjacency(GraphConfig(frame_size=8)),
                               PUBLISHED_8x8)
 
         # embed's rank-1 update against the closed-form 2x2 SVD, both bits
-        kept, gap = embed_oracle_gap(default_plan, rng.uniform(-0.5, 0.5, (60, n)),
+        kept, gap = embed_oracle_gap(default_basis, rng.uniform(-0.5, 0.5, (60, n)),
                                      EmbedParams())
         assert kept >= 50
         assert gap <= 1e-9

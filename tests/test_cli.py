@@ -141,7 +141,7 @@ def test_extract_corrupt_key(workspace, capsys):
                  for line in header] + records
     negative_rate = [line.replace("sample_rate 8000", "sample_rate -8000")
                      for line in header] + records
-    # a frame size whose plan would not fit in memory
+    # a frame size whose basis would not fit in memory
     huge_frame = ["frame_size 10000000" if line == "frame_size 10" else line
                   for line in header] + records
     # indices numpy can hold only as floats, which index no frame
@@ -288,7 +288,7 @@ def small_inputs(tmp_path_factory):
 
 
 # each CLI call takes a few ms; an edited key frame_size can build a
-# 1024-sample plan, which takes far longer, so the examples are bounded
+# 1024-sample basis, which takes far longer, so the examples are bounded
 @settings(max_examples=150)
 @with_wav_edit_examples(target="marked.wav")
 @given(target=st.sampled_from(["marked.wav", "wm.pbm", "marked.key"]), edit=EDITS)
@@ -363,6 +363,21 @@ def test_attack_mp3_with_codec_from_environment(workspace, monkeypatch, tmp_path
     assert run_cli(["attack", "mp3", workspace / "host.wav", out,
                     "--bitrate", 64]) == 0
     assert len(read_wav(out)) == len(read_wav(workspace / "host.wav"))
+
+
+@pytest.mark.parametrize("label", ["encode", "decode"])
+def test_attack_mp3_empty_codec_flag_is_refused(workspace, monkeypatch, tmp_path,
+                                                capsys, label):
+    # a given template wins even when empty: neither the environment's
+    # working codec nor the lame default stands in for it
+    codec = fake_codec(tmp_path)
+    monkeypatch.setenv("GBTMARK_CODEC_ENCODE", codec.encode_template)
+    monkeypatch.setenv("GBTMARK_CODEC_DECODE", codec.decode_template)
+    status = run_cli(["attack", "mp3", workspace / "host.wav", workspace / "mp3.wav",
+                      "--bitrate", 64, f"--codec-{label}", ""])
+    assert status == 1
+    assert f"{label} template is missing placeholders" in capsys.readouterr().err
+    assert not (workspace / "mp3.wav").exists()
 
 
 def test_benchmark_small_corpus(workspace, tmp_path, capsys):

@@ -24,7 +24,6 @@ from gbtmark import (
     GbtmarkError,
     GraphConfig,
     WatermarkImage,
-    make_plan,
     payload,
     run_benchmark,
     select_frames,
@@ -39,7 +38,6 @@ LISTED = (True, False, np.True_, "1", b"1", None, math.nan, math.inf, -math.inf,
 
 HOST = speech_like(0.5, 8000, seed=1)
 PARAMS = EmbedParams()
-PLAN = make_plan(PARAMS.graph)
 MARK = WatermarkImage(2, 2, [0, 1, 1, 0])
 
 
@@ -78,7 +76,7 @@ SITES = [
     ("AudioSignal.sample_rate", lambda v: AudioSignal(HOST.samples, v).sample_rate,
      operator.index),
     ("select_frames.bit_count",
-     lambda v: len(select_frames(HOST, PARAMS, v, PLAN)),
+     lambda v: len(select_frames(HOST, PARAMS, v)),
      operator.index),
     ("payload.sample_rate_hz", lambda v: payload(v, 10), lambda v: float(v) / 10),
     ("payload.frame_size", lambda v: payload(8000, v),

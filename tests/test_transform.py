@@ -81,22 +81,22 @@ def test_laplacian_annihilates_constant_vector():
 
 
 def plan_spectrum(config):
-    """A plan, its Laplacian, and the eigenvalues its basis columns carry."""
-    plan = make_plan(config)
+    """A basis, its Laplacian, and the eigenvalues its columns carry."""
+    basis = make_plan(config)
     lap = build_laplacian(config)
-    return plan, lap, np.diag(plan.basis.T @ lap @ plan.basis)
+    return basis, lap, np.diag(basis.T @ lap @ basis)
 
 
 def test_plan_invariants_default_config():
-    plan, lap, eigenvalues = plan_spectrum(GraphConfig())
+    basis, lap, eigenvalues = plan_spectrum(GraphConfig())
     n = 10
     assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
-    assert np.max(np.abs(plan.basis.T @ plan.basis - np.eye(n))) <= 1e-10
+    assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-10
     assert np.all(np.diff(eigenvalues) >= 0)
     assert abs(eigenvalues[0]) <= 1e-10
     assert np.all(eigenvalues[1:] > 0)       # connected graph
     assert np.all(eigenvalues >= -1e-10)     # positive semidefinite
-    recon = (plan.basis * eigenvalues) @ plan.basis.T
+    recon = (basis * eigenvalues) @ basis.T
     assert np.max(np.abs(recon - lap)) <= 1e-9
 
 
@@ -107,14 +107,14 @@ def test_plan_refuses_a_laplacian_that_overflows():
 
 
 def test_plan_first_eigenvector_is_positive_constant():
-    plan = make_plan(GraphConfig())
-    assert np.allclose(plan.basis[:, 0], np.full(10, 1 / np.sqrt(10)), atol=1e-12)
+    basis = make_plan(GraphConfig())
+    assert np.allclose(basis[:, 0], np.full(10, 1 / np.sqrt(10)), atol=1e-12)
 
 
 def test_plan_sign_normalization():
-    plan = make_plan(GraphConfig(frame_size=16))
-    lead = np.argmax(np.abs(plan.basis), axis=0)
-    assert np.all(plan.basis[lead, np.arange(16)] > 0)
+    basis = make_plan(GraphConfig(frame_size=16))
+    lead = np.argmax(np.abs(basis), axis=0)
+    assert np.all(basis[lead, np.arange(16)] > 0)
 
 
 def test_path4_eigenvalues_closed_form():
@@ -125,25 +125,25 @@ def test_path4_eigenvalues_closed_form():
 
 
 def test_plan_deterministic():
-    # two builds, not one cached plan read twice
+    # two builds, not one cached basis read twice
     a, _, a_eigenvalues = plan_spectrum(GraphConfig())
     make_plan.cache_clear()
     b, _, b_eigenvalues = plan_spectrum(GraphConfig())
     assert a is not b
     assert np.array_equal(a_eigenvalues, b_eigenvalues)
-    assert np.array_equal(a.basis, b.basis)
+    assert np.array_equal(a, b)
 
 
 def test_plan_with_repeated_eigenvalues():
     # w2 = w1 on three nodes gives the complete graph, spectrum {0, 3, 3}
-    plan, _, eigenvalues = plan_spectrum(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
+    basis, _, eigenvalues = plan_spectrum(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
     assert np.allclose(eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
-    assert np.max(np.abs(plan.basis.T @ plan.basis - np.eye(3))) <= 1e-10
+    assert np.max(np.abs(basis.T @ basis - np.eye(3))) <= 1e-10
     make_plan.cache_clear()
     again = make_plan(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
-    assert np.array_equal(plan.basis, again.basis)
-    lead = np.argmax(np.abs(plan.basis), axis=0)
-    assert np.all(plan.basis[lead, np.arange(3)] > 0)
+    assert np.array_equal(basis, again)
+    lead = np.argmax(np.abs(basis), axis=0)
+    assert np.all(basis[lead, np.arange(3)] > 0)
 
 
 @given(n=st.integers(3, 48), w1=st.floats(0.05, 5.0), w2=st.floats(0.0, 5.0))
@@ -153,14 +153,14 @@ def test_plan_basis_is_canonical(n, w1, w2):
     # each column's first largest-magnitude entry is positive, and inside a
     # run of tied eigenvalues the rows of those entries do not decrease
     config = GraphConfig(frame_size=n, w1=w1, w2=w2)
-    basis = make_plan(config).basis
+    basis = make_plan(config)
     vals = np.linalg.eigh(build_laplacian(config))[0]
     lead = np.argmax(np.abs(basis), axis=0)
     assert np.all(basis[lead, np.arange(n)] > 0)
     assert np.all(np.diff(lead)[np.diff(vals) <= _EIGENVALUE_TIE] >= 0)
 
 
-# The default plan's basis, columns in order. A flipped sign or a swapped
+# The default basis, columns in order. A flipped sign or a swapped
 # column changes every key's s_max.
 DEFAULT_BASIS = np.array([
     [0.316227766017, 0.448214501470, 0.448829614110, 0.439295964758, 0.399408392695,
@@ -186,45 +186,45 @@ DEFAULT_BASIS = np.array([
 ])
 
 
-def test_default_plan_basis_matches_committed_values(default_plan):
-    assert np.max(np.abs(default_plan.basis - DEFAULT_BASIS)) <= 1e-12
+def test_default_plan_basis_matches_committed_values(default_basis):
+    assert np.max(np.abs(default_basis - DEFAULT_BASIS)) <= 1e-12
 
 
 # a frame's coefficients are frame @ basis, and coeffs @ basis.T is the frame
 
-def test_forward_constant_frame(default_plan):
-    coeffs = np.full(10, 0.25) @ default_plan.basis
+def test_forward_constant_frame(default_basis):
+    coeffs = np.full(10, 0.25) @ default_basis
     assert coeffs[0] == pytest.approx(0.25 * np.sqrt(10), abs=1e-12)
     assert np.max(np.abs(coeffs[1:])) < 1e-12
 
 
-def test_forward_zero_frame(default_plan):
-    assert np.array_equal(np.zeros(10) @ default_plan.basis, np.zeros(10))
+def test_forward_zero_frame(default_basis):
+    assert np.array_equal(np.zeros(10) @ default_basis, np.zeros(10))
 
 
-def test_forward_preserves_norm(default_plan):
+def test_forward_preserves_norm(default_basis):
     rng = np.random.default_rng(1)
     for _ in range(50):
         frame = rng.uniform(-1, 1, 10)
-        coeffs = frame @ default_plan.basis
+        coeffs = frame @ default_basis
         assert abs(np.linalg.norm(coeffs) - np.linalg.norm(frame)) <= 1e-10
 
 
-def test_inverse_unit_coefficient_gives_constant_frame(default_plan):
-    frame = np.eye(10)[0] @ default_plan.basis.T
+def test_inverse_unit_coefficient_gives_constant_frame(default_basis):
+    frame = np.eye(10)[0] @ default_basis.T
     assert np.allclose(frame, np.full(10, 1 / np.sqrt(10)), atol=1e-12)
 
 
-def test_inverse_preserves_norm(default_plan):
+def test_inverse_preserves_norm(default_basis):
     rng = np.random.default_rng(2)
     for _ in range(50):
         coeffs = rng.normal(size=10)
-        assert abs(np.linalg.norm(coeffs @ default_plan.basis.T)
+        assert abs(np.linalg.norm(coeffs @ default_basis.T)
                    - np.linalg.norm(coeffs)) <= 1e-10
 
 
-def test_roundtrip_identity_1000_random_frames(default_plan):
-    basis = default_plan.basis
+def test_roundtrip_identity_1000_random_frames(default_basis):
+    basis = default_basis
     rng = np.random.default_rng(3)
     frames = rng.uniform(-1, 1, (1000, 10))
     worst = 0.0
@@ -239,12 +239,12 @@ def test_roundtrip_identity_1000_random_frames(default_plan):
     assert np.max(np.abs(coeffs @ basis.T - frames)) <= 1e-9
 
 
-def test_energy_compaction_on_correlated_frames(default_plan):
+def test_energy_compaction_on_correlated_frames(default_basis):
     # frames from an AR(1) process with coefficient 0.95: the first 40%
     # of coefficients must hold far more energy than the last 40%
     rng = np.random.default_rng(4)
     frames = sps.lfilter([1.0], [1.0, -0.95], rng.normal(size=(1000, 10)), axis=1)
-    coeffs = frames @ default_plan.basis
+    coeffs = frames @ default_basis
     total = np.sum(coeffs ** 2, axis=1)
     first = np.mean(np.sum(coeffs[:, :4] ** 2, axis=1) / total)
     last = np.mean(np.sum(coeffs[:, -4:] ** 2, axis=1) / total)

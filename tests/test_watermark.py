@@ -52,17 +52,17 @@ def test_frame_signal_exact_fit():
     assert frames.shape == (2, 10)
 
 
-def test_frame_signal_too_short(default_plan):
+def test_frame_signal_too_short():
     with pytest.raises(ValidationError, match="9 samples"):
-        select_frames(AudioSignal(np.zeros(9), 8000), EmbedParams(), 1, default_plan)
+        select_frames(AudioSignal(np.zeros(9), 8000), EmbedParams(), 1)
 
 
 def leading_of_random_frames(k, count=5):
     # all coefficients of random frames of the default 10-sample graph,
     # and _leading's matrices of them
     frames = np.random.default_rng(k).uniform(-0.5, 0.5, (count, 10))
-    plan = make_plan(GraphConfig())
-    return frames @ plan.basis, _leading(plan, frames, k)
+    basis = make_plan(GraphConfig())
+    return frames @ basis, _leading(basis, frames, k)
 
 
 def test_reshape_k4_row_major():
@@ -202,65 +202,57 @@ def test_embed_params_rejects_invalid(kwargs):
         EmbedParams(**kwargs)
 
 
-def test_select_frames_top_energy_ascending(default_plan):
+def test_select_frames_top_energy_ascending():
     signal = constant_frames_signal([np.sqrt(0.01), np.sqrt(0.5), np.sqrt(0.3)])
-    chosen = select_frames(signal, EmbedParams(), 2, default_plan)
+    chosen = select_frames(signal, EmbedParams(), 2)
     assert list(chosen) == [1, 2]
 
 
-def test_select_frames_tie_goes_to_lower_index(default_plan):
+def test_select_frames_tie_goes_to_lower_index():
     signal = constant_frames_signal([0.3, 0.3, 0.2])
-    assert list(select_frames(signal, EmbedParams(), 1, default_plan)) == [0]
-    assert list(select_frames(signal, EmbedParams(), 2, default_plan)) == [0, 1]
+    assert list(select_frames(signal, EmbedParams(), 1)) == [0]
+    assert list(select_frames(signal, EmbedParams(), 2)) == [0, 1]
 
 
-def test_select_frames_rejects_a_plan_for_another_graph():
-    # a 16-sample plan would pick frames on a grid the key never names
-    other = make_plan(GraphConfig(frame_size=16))
-    with pytest.raises(ValidationError, match="plan"):
-        select_frames(speech_like(2.0, 8000, seed=1), EmbedParams(), 5, other)
-
-
-def test_select_frames_bit_count_is_an_integer_at_least_one(default_plan):
+def test_select_frames_bit_count_is_an_integer_at_least_one():
     signal = speech_like(2.0, 8000, seed=1)
     for count in (2.5, "3", 3.0, None, 0, -1):
         with pytest.raises(ValidationError, match="bit_count"):
-            select_frames(signal, EmbedParams(), count, default_plan)
+            select_frames(signal, EmbedParams(), count)
     assert np.array_equal(
-        select_frames(signal, EmbedParams(), np.int64(3), default_plan),
-        select_frames(signal, EmbedParams(), 3, default_plan))
+        select_frames(signal, EmbedParams(), np.int64(3)),
+        select_frames(signal, EmbedParams(), 3))
 
 
-def test_select_frames_silent_signal_has_no_capacity(default_plan):
+def test_select_frames_silent_signal_has_no_capacity():
     with pytest.raises(CapacityError) as info:
-        select_frames(AudioSignal(np.zeros(100), 8000), EmbedParams(), 1,
-                      default_plan)
+        select_frames(AudioSignal(np.zeros(100), 8000), EmbedParams(), 1)
     assert info.value.eligible == 0
     assert info.value.required == 1
 
 
-def test_select_frames_real_clip_capacity(default_plan):
+def test_select_frames_real_clip_capacity():
     clip = speech_like(3.0, 8000, seed=1)  # 2400 frames available
-    chosen = select_frames(clip, EmbedParams(), 625, default_plan)
+    chosen = select_frames(clip, EmbedParams(), 625)
     assert len(chosen) == 625
     assert np.all(np.diff(chosen) > 0)
 
 
-def test_select_frames_eligibility_threshold(default_plan):
+def test_select_frames_eligibility_threshold(default_basis):
     # eligible means the kernel's smax > ws: a frame exactly at the
     # strength is out, and one a single ulp above it is in
     signal = ar_noise(10, seed=21, rms=0.2)
-    smax = float(_smax(_leading(default_plan, signal.samples.reshape(-1, 10), 4))[0])
+    smax = float(_smax(_leading(default_basis, signal.samples.reshape(-1, 10), 4))[0])
     with pytest.raises(CapacityError):
-        select_frames(signal, EmbedParams(ws=smax), 1, default_plan)
+        select_frames(signal, EmbedParams(ws=smax), 1)
     below = EmbedParams(ws=np.nextafter(smax, 0.0))
-    assert list(select_frames(signal, below, 1, default_plan)) == [0]
+    assert list(select_frames(signal, below, 1)) == [0]
 
 
-def full_scan(signal, params, bit_count, plan):
+def full_scan(signal, params, bit_count):
     # the oracle behind select_frames' signature
-    return select_frames_full_scan(signal.samples, plan.basis, params.coeff_count,
-                                   params.ws, bit_count)
+    return select_frames_full_scan(signal.samples, make_plan(params.graph),
+                                   params.coeff_count, params.ws, bit_count)
 
 
 @contextlib.contextmanager
@@ -282,44 +274,46 @@ def smax_batches():
 NYQUIST = np.array([1.0, -1.0] * 5)
 
 
-def test_select_frames_tie_run_straddling_the_cut(default_plan):
+def test_select_frames_tie_run_straddling_the_cut():
     # frames 0, 2, 3 and 5 share one energy; the cut for 3 bits falls
-    # inside that run, and its lowest indices win
-    signal = constant_frames_signal([0.3, 0.5, -0.3, 0.3, 0.1, -0.3])
-    params = EmbedParams()
-    with smax_batches() as sizes:
-        chosen = select_frames(signal, params, 3, default_plan)
-    assert list(chosen) == [0, 1, 2]
-    assert sizes == [5]  # the whole tie run is tested at once
-    assert np.array_equal(chosen, full_scan(signal, params, 3, default_plan))
+    # inside that run, and its lowest indices win. Frames are cut on the
+    # params' grid, so 16-sample frames pick the same indices.
+    for frame_size in (10, 16):
+        signal = constant_frames_signal([0.3, 0.5, -0.3, 0.3, 0.1, -0.3], frame_size)
+        params = EmbedParams(graph=GraphConfig(frame_size=frame_size))
+        with smax_batches() as sizes:
+            chosen = select_frames(signal, params, 3)
+        assert list(chosen) == [0, 1, 2]
+        assert sizes == [5]  # the whole tie run is tested at once
+        assert np.array_equal(chosen, full_scan(signal, params, 3))
 
 
-def test_select_frames_prefix_grows_past_loud_ineligible_frames(default_plan):
+def test_select_frames_prefix_grows_past_loud_ineligible_frames():
     # twelve loud frames of distinct energies outrank every quiet one
     loud = [(0.34 - 0.01 * i) * NYQUIST for i in range(12)]
     quiet = [np.full(10, 0.15), np.full(10, -0.15), np.full(10, 0.12)]
     signal = AudioSignal(np.concatenate(loud[:5] + quiet + loud[5:]), 8000)
     params = EmbedParams(ws=0.3)
     with smax_batches() as sizes:
-        chosen = select_frames(signal, params, 2, default_plan)
+        chosen = select_frames(signal, params, 2)
     assert list(chosen) == [5, 6]
     # the tested prefix doubles (2, 4, 8, then all 15 frames), and each
     # frame is tested once
     assert sizes == [2, 2, 4, 7]
-    assert np.array_equal(chosen, full_scan(signal, params, 2, default_plan))
+    assert np.array_equal(chosen, full_scan(signal, params, 2))
 
 
-def test_select_frames_capacity_error_reports_exact_eligible_count(default_plan):
+def test_select_frames_capacity_error_reports_exact_eligible_count():
     # eligible count known from the full scan; the prefix has to reach
     # every frame before the error can be raised
     clip = speech_like(10.0, 8000, seed=5)
     params = EmbedParams(ws=0.2)
     with smax_batches() as sizes, pytest.raises(CapacityError) as info:
-        select_frames(clip, params, 1600, default_plan)
+        select_frames(clip, params, 1600)
     assert (info.value.eligible, info.value.required) == (1594, 1600)
     assert sum(sizes) == 8000
-    assert np.array_equal(select_frames(clip, params, 1594, default_plan),
-                          full_scan(clip, params, 1594, default_plan))
+    assert np.array_equal(select_frames(clip, params, 1594),
+                          full_scan(clip, params, 1594))
 
 
 def test_embed_with_full_scan_selection_gives_the_same_key(
@@ -352,7 +346,7 @@ def build_frame(ws, kind, scale, seed):
     return np.random.default_rng(seed).uniform(-peak, peak, 10)
 
 
-def test_select_frames_matches_full_scan_oracle(default_plan):
+def test_select_frames_matches_full_scan_oracle():
     grew = []
 
     @settings(max_examples=300)
@@ -369,12 +363,12 @@ def test_select_frames_matches_full_scan_oracle(default_plan):
         bit_count = data.draw(st.one_of(st.integers(1, max(1, len(specs) // 4)),
                                         st.integers(1, len(specs))), label="bit_count")
         try:
-            expected = full_scan(signal, params, bit_count, default_plan)
+            expected = full_scan(signal, params, bit_count)
         except CapacityError as error:
             expected = error
         with smax_batches() as sizes:
             try:
-                chosen = select_frames(signal, params, bit_count, default_plan)
+                chosen = select_frames(signal, params, bit_count)
             except CapacityError as error:
                 chosen = error
         # every round tests new frames, and no frame is tested twice
@@ -393,11 +387,11 @@ def test_select_frames_matches_full_scan_oracle(default_plan):
 
 def test_embed_k1_changes_coefficient_magnitude():
     params = EmbedParams(coeff_fraction=0.1)  # one coefficient, 1x1 matrix
-    plan = make_plan(params.graph)
+    basis = make_plan(params.graph)
     host = constant_frames_signal([0.2, -0.3])
     result = embed(host, WatermarkImage(2, 1, [1, 0]), params)
-    coeff = (host.samples.reshape(-1, 10) @ plan.basis)[:, 0]
-    new_coeff = (result.signal.samples.reshape(-1, 10) @ plan.basis)[:, 0]
+    coeff = (host.samples.reshape(-1, 10) @ basis)[:, 0]
+    new_coeff = (result.signal.samples.reshape(-1, 10) @ basis)[:, 0]
     assert result.key.s_max == pytest.approx(np.abs(coeff), abs=1e-12)
     assert new_coeff == pytest.approx(coeff + np.sign(coeff) * [params.ws, -params.ws],
                                       abs=1e-9)
@@ -407,12 +401,12 @@ def test_embed_prime_k_rescales_the_coefficient_row():
     # k = 5 gives a 1x5 matrix whose one singular value is the row's
     # norm, so a bit rescales the five coefficients to norm +- ws
     params = EmbedParams(coeff_fraction=0.5)
-    plan = make_plan(params.graph)
+    basis = make_plan(params.graph)
     host = ar_noise(40, seed=22, rms=0.2)  # four frames, all of them carry a bit
     watermark = WatermarkImage(2, 2, [1, 0, 0, 1])
     result = embed(host, watermark, params)
-    before = (host.samples.reshape(-1, 10) @ plan.basis)[:, :5]
-    after = (result.signal.samples.reshape(-1, 10) @ plan.basis)[:, :5]
+    before = (host.samples.reshape(-1, 10) @ basis)[:, :5]
+    after = (result.signal.samples.reshape(-1, 10) @ basis)[:, :5]
     norms = np.linalg.norm(before, axis=1)
     assert result.key.s_max == pytest.approx(norms, abs=1e-12)
     target = norms + np.where(watermark.bits == 1, params.ws, -params.ws)
@@ -426,11 +420,11 @@ def test_a_bit_is_a_rank_one_change_of_the_leading_coefficients(coeff_fraction, 
     # coefficients keep their values, and its leading r x c matrix moves
     # by ws u1 v1^T: rank 1, Frobenius norm ws
     params = EmbedParams(coeff_fraction=coeff_fraction)
-    plan = make_plan(params.graph)
+    basis = make_plan(params.graph)
     host = ar_noise(4000, seed=23, rms=0.1)
     result = embed(host, random_watermark(10, 10, seed=3), params)
     assert np.max(np.abs(result.signal.samples)) < 1.0
-    change = (result.signal.samples - host.samples).reshape(-1, 10) @ plan.basis
+    change = (result.signal.samples - host.samples).reshape(-1, 10) @ basis
     k = params.coeff_count
     assert np.max(np.abs(change[:, k:])) <= 1e-12
     marked = change[result.key.frame_indices, :k].reshape(-1, *shape)
@@ -439,11 +433,11 @@ def test_a_bit_is_a_rank_one_change_of_the_leading_coefficients(coeff_fraction, 
     assert np.max(sv[:, 1:], initial=0.0) <= 1e-12
 
 
-def test_embed_matches_closed_form_oracle(default_plan):
+def test_embed_matches_closed_form_oracle(default_basis):
     # rank-1 singular value shift cross-checked against an independent
     # quadratic-formula SVD of the 2x2 coefficient matrix
     rng = np.random.default_rng(12)
-    kept, gap = embed_oracle_gap(default_plan, rng.uniform(-0.5, 0.5, (100, 10)),
+    kept, gap = embed_oracle_gap(default_basis, rng.uniform(-0.5, 0.5, (100, 10)),
                                  EmbedParams())
     assert kept >= 50
     assert gap <= 1e-9
@@ -472,7 +466,7 @@ def test_embed_extract_roundtrip_random_hosts():
 
 
 def test_embed_and_extract_build_each_plan_once(watermark):
-    # make_plan caches: a plan is built once per graph config and shared
+    # make_plan caches: a basis is built once per graph config and shared
     host = speech_like(3.0, 8000, seed=2)
     graph = GraphConfig(frame_size=12)
     make_plan.cache_clear()
@@ -489,6 +483,10 @@ def test_embed_and_extract_build_each_plan_once(watermark):
             extract(result.signal, result.key)
     assert builds == [graph]
     assert make_plan(graph) is make_plan(graph)
+    # so the shared basis cannot be written
+    assert not make_plan(graph).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        make_plan(graph)[0, 0] = 0.0
 
 
 def test_embed_locality(watermark):
@@ -510,7 +508,7 @@ def test_embed_result_is_frozen_and_apart_from_the_host(embedded_clips, speech_c
         assert not np.shares_memory(result.signal.samples, host.samples)
 
 
-def test_embed_detection_margin(embedded_clips, watermark, default_plan):
+def test_embed_detection_margin(embedded_clips, watermark, default_basis):
     # before any quantization the watermarked frame's largest singular
     # value sits exactly ws away from the recorded one
     params = EmbedParams()
@@ -518,7 +516,7 @@ def test_embed_detection_margin(embedded_clips, watermark, default_plan):
     frames = result.signal.samples.reshape(-1, 10)
     key = result.key
     for index, s_ref, bit in zip(key.frame_indices, key.s_max, watermark.bits):
-        coeffs = frames[index] @ default_plan.basis
+        coeffs = frames[index] @ default_basis
         smax = np.linalg.svd(coeffs[:4].reshape(2, 2), compute_uv=False)[0]
         expected = s_ref + (params.ws if bit else -params.ws)
         assert smax == pytest.approx(expected, abs=1e-6)
