@@ -9,11 +9,11 @@ from pathlib import Path
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
-from .fileio import (_read_keyed_frames, read_key, read_pbm, read_wav, write_key,
-                     write_pbm, write_wav)
+from .fileio import (_read_keyed_frames, _write_marked, read_key, read_pbm, read_wav,
+                     write_key, write_pbm, write_wav)
 from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
-from .watermark import EmbedParams, _read_bits, embed
+from .watermark import EmbedParams, _mark, _read_bits
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,10 +90,10 @@ def _codec_from(args) -> CodecCommand:
 def _cmd_embed(args) -> int:
     host = read_wav(args.host)
     watermark = read_pbm(args.watermark)
-    result = embed(host, watermark, _params_from(args))
-    write_wav(args.out_wav, result.signal)
-    write_key(args.out_key, result.key)
-    quality = _embed_psnr(host, result)
+    key, rows = _mark(host, watermark, _params_from(args))
+    _write_marked(args.out_wav, host, key, rows)
+    write_key(args.out_key, key)
+    quality = _embed_psnr(host, key, rows)
     print(f"psnr: {quality.psnr_db:.2f} dB")
     print(f"payload: {payload(host.sample_rate, args.frame_size):g} bits/s")
     return EXIT_OK

@@ -15,7 +15,7 @@ import numpy as np
 from .audio import AudioSignal, _adopt, _blocks
 from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
-from .watermark import EmbeddingKey, EmbedParams, WatermarkImage, _gather
+from .watermark import EmbeddingKey, EmbedParams, WatermarkImage, _frames, _gather
 
 MAX_PBM_DIMENSION = 4096
 # the header holds the byte rate, twice the sample rate, in 32 bits
@@ -86,23 +86,36 @@ def _read_keyed_frames(path, key: EmbeddingKey):
     return rate, frames / 32768.0
 
 
+def _pcm(samples):
+    # int16 PCM, block by block: scaled and rounded in the block buffer,
+    # then stored; |x| <= 1 keeps rint(32767 x) in int16's range unclamped
+    pcm = np.empty(len(samples), dtype="<i2")
+    for block, scaled in _blocks(len(samples)):
+        np.multiply(samples[block], 32767.0, out=scaled)
+        np.rint(scaled, out=scaled)
+        pcm[block] = scaled
+    return pcm
+
+
+def _write_pcm(path, rate, pcm):
+    _integer(f"{path}: a WAV file's sample rate", rate, f"at most {MAX_WAV_RATE}",
+             lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
+    with wave.open(str(path), "wb") as handle:
+        handle.setparams((1, 2, rate, 0, "NONE", "not compressed"))  # mono PCM16
+        handle.writeframes(pcm)
+
+
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM; samples scale by 32767 and round half to
     even. Nothing is clamped: samples in [-1, 1] give codes in +-32767."""
-    _integer(f"{path}: a WAV file's sample rate", signal.sample_rate,
-             f"at most {MAX_WAV_RATE}", lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
-    # block by block: scaled and rounded in the block buffer, then stored
-    # as PCM; |x| <= 1 keeps rint(32767 x) in int16's range unclamped
-    pcm = np.empty(len(signal), dtype="<i2")
-    for block, scaled in _blocks(len(signal)):
-        np.multiply(signal.samples[block], 32767.0, out=scaled)
-        np.rint(scaled, out=scaled)
-        pcm[block] = scaled
-    with wave.open(str(path), "wb") as handle:
-        handle.setnchannels(1)
-        handle.setsampwidth(2)
-        handle.setframerate(signal.sample_rate)
-        handle.writeframes(pcm)
+    _write_pcm(path, signal.sample_rate, _pcm(signal.samples))
+
+
+def _write_marked(path, host: AudioSignal, key: EmbeddingKey, rows) -> None:
+    # write_wav of embed's signal: each sample's PCM code depends on it alone
+    pcm, marked = _pcm(host.samples), _pcm(rows.ravel())
+    _frames(pcm, rows.shape[1])[key.frame_indices] = marked.reshape(rows.shape)
+    _write_pcm(path, host.sample_rate, pcm)
 
 
 def read_pbm(path) -> WatermarkImage:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .audio import AudioSignal, _blocks
 from .errors import ValidationError, _integer, _real
-from .watermark import WatermarkedResult, WatermarkImage, _gather
+from .watermark import EmbeddingKey, WatermarkImage, _gather
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,10 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     return _quality(total, len(test))
 
 
-def _embed_psnr(host: AudioSignal, result: WatermarkedResult) -> QualityReport:
-    # psnr(host, result.signal) from the frames embed changed: every other
-    # sample of the result is the host's, so its error is exactly 0
-    frame_size = result.key.params.graph.frame_size
-    error = (_gather(result.signal.samples, frame_size, result.key.frame_indices)
-             - _gather(host.samples, frame_size, result.key.frame_indices))
+def _embed_psnr(host: AudioSignal, key: EmbeddingKey, rows) -> QualityReport:
+    # psnr of embed's signal from _mark's rows: every other sample of that
+    # signal is the host's, so its error is exactly 0
+    error = rows - _gather(host.samples, key.params.graph.frame_size, key.frame_indices)
     return _quality(np.square(error, out=error).sum(), len(host))
 
 

@@ -248,6 +248,25 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
         wanted = 2 * tested
 
 
+def _mark(host: AudioSignal, watermark: WatermarkImage, params: EmbedParams):
+    # embed's key and its keyed frames' marked rows, a new array; the host is only read
+    basis = make_plan(params.graph)
+    chosen = select_frames(host, params, watermark.bits.size)
+    k = params.coeff_count
+    marked = _frames(host.samples, params.graph.frame_size)[chosen]
+    shift = np.where(watermark.bits == 1, params.ws, -params.ws)
+    s_ref, change = _smax_change(_leading(basis, marked, k), shift)
+    marked += change.reshape(-1, k) @ basis[:, :k].T
+    np.clip(marked, -1.0, 1.0, out=marked)
+    # the clip leaves a NaN change as NaN; every other sample is the
+    # host's, already checked, so a marked signal needs no scan of its own
+    _check_range(marked)
+    key = EmbeddingKey(sample_rate=host.sample_rate, params=params,
+                       watermark_width=watermark.width, watermark_height=watermark.height,
+                       frame_indices=chosen, s_max=s_ref)
+    return key, marked
+
+
 def embed(host: AudioSignal, watermark: WatermarkImage,
           params: EmbedParams | None = None) -> WatermarkedResult:
     """Embed a binary image into the host signal.
@@ -255,32 +274,14 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     Bits map row-major onto the selected frames in ascending frame
     order. Each selected frame's leading coefficient matrix M becomes
     M + (+-ws) u1 v1^T, which moves its largest singular value by ws.
-    Frames that carry no bit keep their exact samples; modified frames
-    are clamped to [-1, 1].
+    Frames that carry no bit keep their exact samples in the returned
+    signal (a WAV written from it can move codes above 16 384 by one, as
+    write_wav scales by 32767); modified frames are clamped to [-1, 1].
     """
-    params = params if params is not None else EmbedParams()
-    basis = make_plan(params.graph)
-    chosen = select_frames(host, params, watermark.bits.size)
-    k = params.coeff_count
+    key, rows = _mark(host, watermark, params if params is not None else EmbedParams())
     samples = host.samples.copy()
-    frames = _frames(samples, params.graph.frame_size)
-    marked = frames[chosen]
-    shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    s_ref, change = _smax_change(_leading(basis, marked, k), shift)
-    marked += change.reshape(-1, k) @ basis[:, :k].T
-    frames[chosen] = np.clip(marked, -1.0, 1.0, out=marked)
-    # the clip leaves a NaN change as NaN; every other sample is the
-    # host's, already checked, so the new signal needs no scan of its own
-    _check_range(marked)
-    key = EmbeddingKey(
-        sample_rate=host.sample_rate,
-        params=params,
-        watermark_width=watermark.width,
-        watermark_height=watermark.height,
-        frame_indices=chosen, s_max=s_ref,
-    )
-    return WatermarkedResult(signal=_adopt(samples, host.sample_rate, in_range=True),
-                             key=key)
+    _frames(samples, key.params.graph.frame_size)[key.frame_indices] = rows
+    return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
 
 
 def _gather(samples, frame_size: int, indices) -> np.ndarray:

@@ -13,6 +13,7 @@ from gbtmark.attacks import ATTACKS
 from gbtmark.cli import build_parser, main
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
+from gbtmark.watermark import EmbedParams, _mark
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
@@ -67,6 +68,13 @@ def _clipping_host():
     return AudioSignal(np.clip(1.5 * samples / np.abs(samples).max(), -1, 1), 8000)
 
 
+def _loud_host():
+    # peak-normalised to 0.99 (32 439 codes): write_wav's 32767 scale moves
+    # the codes above 16 384 of samples that embed leaves as they are
+    samples = speech_like(3.0, 8000, seed=2).samples
+    return AudioSignal(0.99 * samples / np.abs(samples).max(), 8000)
+
+
 @pytest.mark.parametrize("make_host", [
     lambda: speech_like(3.0, 8000, seed=2),
     _clipping_host,
@@ -80,12 +88,31 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
-    whole, framed = psnr(host, result.signal), _embed_psnr(host, result)
+    key, rows = _mark(host, random_watermark(), EmbedParams())
+    whole, framed = psnr(host, result.signal), _embed_psnr(host, key, rows)
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
     if make_host is _clipping_host:
         assert np.abs(result.signal.samples).max() == 1.0  # embed clipped
+
+
+@pytest.mark.parametrize("make_host", [
+    lambda: speech_like(3.0, 8000, seed=2),
+    _clipping_host,
+    lambda: AudioSignal(speech_like(3.0, 8000, seed=2).samples[:-5], 8000),
+    _loud_host,
+], ids=["default", "clipping", "partial-last-frame", "loud"])
+def test_cli_embed_writes_write_wav_of_embed(make_host, tmp_path):
+    # the CLI writes its WAV from the host and the marked frames; the bytes
+    # are write_wav's of the library's signal, loud samples and clips too
+    path, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
+    write_wav(path, make_host())
+    write_pbm(mark, random_watermark())
+    out = tmp_path / "m.wav"
+    assert run_cli(["embed", path, mark, out, tmp_path / "m.key"]) == 0
+    write_wav(tmp_path / "lib.wav", embed(read_wav(path), read_pbm(mark)).signal)
+    assert out.read_bytes() == (tmp_path / "lib.wav").read_bytes()
 
 
 def test_embed_capacity_error(workspace, capsys):

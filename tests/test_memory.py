@@ -7,7 +7,9 @@ before a benchmark run does. ``read_wav``, ``embed`` and ``extract`` may
 hold one float64 copy; ``write_wav`` holds only its int16 PCM (0.25) plus
 one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
 ``gbtmark extract`` reads only the keyed frames of the WAV file, so it
-holds a small fraction of the host.
+holds a small fraction of the host. ``gbtmark embed`` writes its WAV from
+the host and the marked frames, with no second full-length signal: it
+holds the host it reads plus the PCM it writes, under 2.0.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ import tracemalloc
 
 import pytest
 
-from gbtmark import AttackSpec, embed, extract, psnr, read_wav, write_key, write_wav
+from gbtmark import (AttackSpec, embed, extract, psnr, read_wav, write_key, write_pbm,
+                     write_wav)
 from gbtmark.cli import build_parser, main
 from gbtmark.synth import speech_like
 
@@ -25,6 +28,7 @@ PEAK_LIMIT = 1.5  # traced peak over the signal's float64 bytes
 WRITE_WAV_PEAK_LIMIT = 0.75  # int16 PCM plus one float64 block
 PSNR_PEAK_LIMIT = 0.5  # one float64 block
 CLI_EXTRACT_PEAK_LIMIT = 0.1  # the key, the keyed frames and the bits
+CLI_EMBED_PEAK_LIMIT = 2.0  # the host, its int16 PCM and embed's temporaries
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,17 @@ def test_cli_extract_peak_memory(host, tmp_path):
     build_parser()  # built once per process, before the traced call
     argv = ["extract", str(wav), str(key), str(tmp_path / "out.pbm")]
     assert peak_ratio(lambda: main(argv), host) <= CLI_EXTRACT_PEAK_LIMIT
+
+
+def test_cli_embed_peak_memory(host, tmp_path):
+    # a second float64 copy of the host, as embed's signal, would take the
+    # peak past 2.0; the marked frames of a 25x25 mark are 0.04 of this host
+    wav, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
+    write_wav(wav, host)
+    write_pbm(mark, random_watermark(25, 25))
+    build_parser()  # built once per process, before the traced call
+    argv = ["embed", str(wav), str(mark), str(tmp_path / "m.wav"), str(tmp_path / "m.key")]
+    assert peak_ratio(lambda: main(argv), host) <= CLI_EMBED_PEAK_LIMIT
 
 
 # an attack's result plus the full-length temporaries it is made from;
