@@ -39,11 +39,13 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     return _quality(total, len(test))
 
 
-def _embed_psnr(host: AudioSignal, key: EmbeddingKey, rows) -> QualityReport:
-    # psnr of embed's signal from _mark's rows: every other sample of that
-    # signal is the host's, so its error is exactly 0
-    error = rows - _gather(host.samples, key.params.graph.frame_size, key.frame_indices)
-    return _quality(np.square(error, out=error).sum(), len(host))
+def _embed_psnr(samples, scale, key: EmbeddingKey, rows) -> QualityReport:
+    # psnr of embed's signal from _mark's rows, for the host signal
+    # samples * scale: every other sample of that signal is the host's, so
+    # its error is exactly 0
+    host = _gather(samples, key.params.graph.frame_size, key.frame_indices)
+    error = rows - host * scale
+    return _quality(np.square(error, out=error).sum(), len(samples))
 
 
 def _quality(squared_error_sum, count):

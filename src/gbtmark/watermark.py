@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _check_range
+from .audio import AudioSignal, _adopt, _blocks, _check_range
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
 from .transform import GraphConfig, make_plan
@@ -216,16 +216,44 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
     loud frames are ineligible (e.g. high-frequency content the leading
     coefficients miss), the prefix can grow to a full scan of the host.
     """
+    return _select(signal.samples, 1.0, params, bit_count)
+
+
+def _energies(frames, scale):
+    # each frame's sum of squares of its samples times scale. float64
+    # samples are summed where they are; PCM codes go a block of frames at
+    # a time into one float64 buffer, and a frame's sum does not depend on
+    # the block it is in. The sums are scaled last: scale is a power of
+    # two, so that is exact.
+    if frames.dtype == np.float64:
+        energies = np.einsum("ij,ij->i", frames, frames)
+    else:
+        size, flat = frames.shape[1], frames.reshape(-1)
+        energies = np.empty(len(frames))
+        for block, rows in _blocks(flat.size, size):
+            np.copyto(rows, flat[block])
+            rows = rows.reshape(-1, size)
+            first = block.start // size
+            np.einsum("ij,ij->i", rows, rows, out=energies[first:first + len(rows)])
+    energies *= scale * scale
+    return energies
+
+
+def _select(samples, scale, params: EmbedParams, bit_count) -> np.ndarray:
+    # select_frames of the signal samples * scale, with the same results:
+    # a signal's float64 samples with scale 1.0, or the int16 PCM codes of
+    # a WAV file with 2**-15, which give read_wav's signal exactly. Only
+    # the energies and the tested frames are made in float64.
     bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
                          ValidationError)
     basis = make_plan(params.graph)
     size = params.graph.frame_size
-    total = len(signal) // size
+    total = len(samples) // size
     if total < 1:
-        raise ValidationError(f"signal has {len(signal)} samples, need at least "
+        raise ValidationError(f"signal has {len(samples)} samples, need at least "
                               f"{size} for one frame")
-    frames = _frames(signal.samples, size)
-    energies = np.einsum("ij,ij->i", frames, frames)
+    frames = _frames(samples, size)
+    energies = _energies(frames, scale)
     winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
     upper = np.inf  # frames at or above this energy are already tested
     tested = 0
@@ -237,7 +265,7 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
         cut = np.partition(energies, total - wanted)[total - wanted]
         new = np.flatnonzero((energies >= cut) & (energies < upper))
         new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(basis, frames[new], params.coeff_count))
+        smax = _smax(_leading(basis, frames[new] * scale, params.coeff_count))
         winners = np.concatenate([winners, new[smax > params.ws]])
         if winners.size >= bit_count:
             return np.sort(winners[:bit_count])
@@ -248,12 +276,14 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
         wanted = 2 * tested
 
 
-def _mark(host: AudioSignal, watermark: WatermarkImage, params: EmbedParams):
-    # embed's key and its keyed frames' marked rows, a new array; the host is only read
+def _mark(samples, scale, sample_rate: int, watermark: WatermarkImage,
+          params: EmbedParams):
+    # embed's key and its keyed frames' marked rows, a new float64 array,
+    # for the host signal samples * scale (see _select); samples are only read
     basis = make_plan(params.graph)
-    chosen = select_frames(host, params, watermark.bits.size)
+    chosen = _select(samples, scale, params, watermark.bits.size)
     k = params.coeff_count
-    marked = _frames(host.samples, params.graph.frame_size)[chosen]
+    marked = _frames(samples, params.graph.frame_size)[chosen] * scale
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
     s_ref, change = _smax_change(_leading(basis, marked, k), shift)
     marked += change.reshape(-1, k) @ basis[:, :k].T
@@ -261,7 +291,7 @@ def _mark(host: AudioSignal, watermark: WatermarkImage, params: EmbedParams):
     # the clip leaves a NaN change as NaN; every other sample is the
     # host's, already checked, so a marked signal needs no scan of its own
     _check_range(marked)
-    key = EmbeddingKey(sample_rate=host.sample_rate, params=params,
+    key = EmbeddingKey(sample_rate=sample_rate, params=params,
                        watermark_width=watermark.width, watermark_height=watermark.height,
                        frame_indices=chosen, s_max=s_ref)
     return key, marked
@@ -276,9 +306,11 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     M + (+-ws) u1 v1^T, which moves its largest singular value by ws.
     Frames that carry no bit keep their exact samples in the returned
     signal (a WAV written from it can move codes above 16 384 by one, as
-    write_wav scales by 32767); modified frames are clamped to [-1, 1].
+    write_wav scales by 32767; ``fileio._round_trip`` states that rule per
+    code); modified frames are clamped to [-1, 1].
     """
-    key, rows = _mark(host, watermark, params if params is not None else EmbedParams())
+    key, rows = _mark(host.samples, 1.0, host.sample_rate, watermark,
+                      params if params is not None else EmbedParams())
     samples = host.samples.copy()
     _frames(samples, key.params.graph.frame_size)[key.frame_indices] = rows
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)

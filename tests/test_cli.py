@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,17 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbtmark import (AttackSpec, AudioSignal, embed, psnr, read_pbm, read_wav, write_pbm,
-                     write_wav)
+from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_pbm,
+                     read_wav, write_key, write_pbm, write_wav)
 from gbtmark.attacks import ATTACKS
+from gbtmark.audio import _BLOCK
 from gbtmark.cli import build_parser, main
+from gbtmark.fileio import _WRITE_BLOCK
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
+from gbtmark.transform import GraphConfig
 from gbtmark.watermark import EmbedParams, _mark
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
-from test_fileio import with_chunk_past_the_end, with_rate
+from test_fileio import with_chunk_past_the_end, with_rate, write_raw_wav
 from test_numbers import LISTED
 
 
@@ -88,8 +93,9 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
-    key, rows = _mark(host, random_watermark(), EmbedParams())
-    whole, framed = psnr(host, result.signal), _embed_psnr(host, key, rows)
+    key, rows = _mark(host.samples, 1.0, host.sample_rate, random_watermark(),
+                      EmbedParams())
+    whole, framed = psnr(host, result.signal), _embed_psnr(host.samples, 1.0, key, rows)
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
@@ -97,22 +103,100 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
         assert np.abs(result.signal.samples).max() == 1.0  # embed clipped
 
 
+def _every_code_host():
+    # int16 PCM holding each of the 65 536 codes: 700 frames at -32768
+    # outrank every other frame and take the 625 bits (the first 625 of the
+    # tie), so the ramp of all codes after them is written unkeyed,
+    # -32768, +-16384, +-16385 and 32767 included
+    return np.concatenate([np.full(7000, -32768), np.arange(-32768, 32768)])
+
+
 @pytest.mark.parametrize("make_host", [
     lambda: speech_like(3.0, 8000, seed=2),
     _clipping_host,
     lambda: AudioSignal(speech_like(3.0, 8000, seed=2).samples[:-5], 8000),
     _loud_host,
-], ids=["default", "clipping", "partial-last-frame", "loud"])
+    _every_code_host,
+], ids=["default", "clipping", "partial-last-frame", "loud", "every-code"])
 def test_cli_embed_writes_write_wav_of_embed(make_host, tmp_path):
-    # the CLI writes its WAV from the host and the marked frames; the bytes
-    # are write_wav's of the library's signal, loud samples and clips too
+    # the CLI writes its WAV from the host's codes and the marked frames;
+    # the bytes are write_wav's of the library's signal, loud samples and
+    # clips too. A host given as codes is written as it stands, since
+    # write_wav makes no -32768.
     path, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
-    write_wav(path, make_host())
+    host = make_host()
+    if isinstance(host, AudioSignal):
+        write_wav(path, host)
+    else:
+        write_raw_wav(path, host.tolist())
     write_pbm(mark, random_watermark())
     out = tmp_path / "m.wav"
     assert run_cli(["embed", path, mark, out, tmp_path / "m.key"]) == 0
     write_wav(tmp_path / "lib.wav", embed(read_wav(path), read_pbm(mark)).signal)
     assert out.read_bytes() == (tmp_path / "lib.wav").read_bytes()
+
+
+def test_cli_embed_over_its_own_host(workspace):
+    # the host is read into memory before the output is opened, so an
+    # embed that writes over the host file gives the bytes of a fresh path
+    host, mark = workspace / "host.wav", workspace / "wm.pbm"
+    fresh, fresh_key = workspace / "fresh.wav", workspace / "fresh.key"
+    assert run_cli(["embed", host, mark, fresh, fresh_key]) == 0
+    assert run_cli(["embed", host, mark, host, workspace / "same.key"]) == 0
+    assert host.read_bytes() == fresh.read_bytes()
+    assert (workspace / "same.key").read_bytes() == fresh_key.read_bytes()
+
+
+# The CLI's embed passes over the host's codes a block of whole frames at
+# a time: _BLOCK samples for the energies, _WRITE_BLOCK for the writes,
+# each rounded down to whole frames. Hosts end at and around the first or
+# second seam of each, with loud frames, which take the bits, around the
+# first (on both sides of it when the host reaches past it) and anywhere.
+@settings(max_examples=30)
+@given(frame_size=st.sampled_from([3, 10, 16, 1023]),
+       block=st.sampled_from([_BLOCK, _WRITE_BLOCK]),
+       seams=st.integers(1, 2),
+       end=st.sampled_from(["-size", "-1", "0", "+1", "+size", "+size+half"]),
+       loud=st.lists(st.integers(-3, 2), max_size=3),
+       spread=st.lists(st.floats(0, 1), max_size=3),
+       level=st.sampled_from([200, 20_000]),
+       seed=st.integers(0, 2**16))
+def test_cli_embed_matches_the_library_across_block_seams(
+        tmp_path_factory, frame_size, block, seams, end, loud, spread, level, seed):
+    seam = max(block // frame_size, 1) * frame_size
+    length = seams * seam + {"-size": -frame_size, "-1": -1, "0": 0, "+1": 1,
+                             "+size": frame_size,
+                             "+size+half": frame_size + frame_size // 2}[end]
+    rng = np.random.default_rng(seed)
+    pcm = rng.integers(-level, level + 1, length)
+    # constant frames louder than any noise frame, either sign, full scale
+    # included; the ones the host holds in whole carry one bit each
+    total = length // frame_size
+    frames = sorted({seam // frame_size + at for at in loud + [-2, -1, 0]}
+                    & set(range(total)) | {int(at * (total - 1)) for at in spread})
+    for index in frames:
+        pcm[index * frame_size:(index + 1) * frame_size] = rng.choice([-1, 1]) * (
+            32767 - rng.integers(0, 2))
+    folder = tmp_path_factory.getbasetemp() / "seam"  # each example overwrites the last
+    folder.mkdir(exist_ok=True)
+    path, mark = folder / "host.wav", folder / "wm.pbm"
+    write_raw_wav(path, pcm.tolist())
+    watermark = WatermarkImage(len(frames), 1, rng.integers(0, 2, len(frames)))
+    write_pbm(mark, watermark)
+    argv = ["embed", path, mark, folder / "m.wav", folder / "m.key",
+            "--frame-size", frame_size]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli(argv) == 0
+    host = read_wav(path)
+    result = embed(host, watermark, EmbedParams(graph=GraphConfig(frame_size=frame_size)))
+    assert list(result.key.frame_indices) == frames
+    write_wav(folder / "lib.wav", result.signal)
+    write_key(folder / "lib.key", result.key)
+    assert (folder / "m.wav").read_bytes() == (folder / "lib.wav").read_bytes()
+    assert (folder / "m.key").read_bytes() == (folder / "lib.key").read_bytes()
+    assert printed.getvalue().splitlines()[0] == (
+        f"psnr: {psnr(host, result.signal).psnr_db:.2f} dB")
 
 
 def test_embed_capacity_error(workspace, capsys):

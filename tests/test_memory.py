@@ -7,9 +7,10 @@ before a benchmark run does. ``read_wav``, ``embed`` and ``extract`` may
 hold one float64 copy; ``write_wav`` holds only its int16 PCM (0.25) plus
 one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
 ``gbtmark extract`` reads only the keyed frames of the WAV file, so it
-holds a small fraction of the host. ``gbtmark embed`` writes its WAV from
-the host and the marked frames, with no second full-length signal: it
-holds the host it reads plus the PCM it writes, under 2.0.
+holds a small fraction of the host. ``gbtmark embed`` works on the host's
+int16 PCM codes and makes no float64 copy of the host: it holds the codes
+(0.25), the frame energies (0.1) and one 65 536-sample float64 block (0.41
+of this host), 0.77 in all, under 1.0.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ PEAK_LIMIT = 1.5  # traced peak over the signal's float64 bytes
 WRITE_WAV_PEAK_LIMIT = 0.75  # int16 PCM plus one float64 block
 PSNR_PEAK_LIMIT = 0.5  # one float64 block
 CLI_EXTRACT_PEAK_LIMIT = 0.1  # the key, the keyed frames and the bits
-CLI_EMBED_PEAK_LIMIT = 2.0  # the host, its int16 PCM and embed's temporaries
+CLI_EMBED_PEAK_LIMIT = 1.0  # the codes, the energies and one float64 block
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +93,8 @@ def test_cli_extract_peak_memory(host, tmp_path):
 
 
 def test_cli_embed_peak_memory(host, tmp_path):
-    # a second float64 copy of the host, as embed's signal, would take the
-    # peak past 2.0; the marked frames of a 25x25 mark are 0.04 of this host
+    # a float64 copy of the host would take the peak past 1.0; the marked
+    # frames of a 25x25 mark are 0.04 of this host
     wav, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
     write_wav(wav, host)
     write_pbm(mark, random_watermark(25, 25))
