@@ -80,13 +80,10 @@ def _fit_length(samples, length):
     return np.concatenate([samples, np.zeros(length - samples.size)])
 
 
-def _blocks(size, frame=1, dtype=np.float64, block=_BLOCK):
-    # a slice for each consecutive block of range(size), block samples
-    # rounded down to whole frames (one frame at least), and a dtype buffer
-    # of the block's length; one buffer serves every block. A frame of a
-    # block starting at sample s is frame s // frame of the whole.
-    step = max(block // frame, 1) * frame
-    buffer = np.empty(min(size, step), dtype)
-    for start in range(0, size, step):
-        stop = min(start + step, size)
+def _blocks(size):
+    # a slice for each consecutive _BLOCK-sample block of range(size), and
+    # a float64 buffer of the block's length; one buffer serves every block
+    buffer = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
         yield slice(start, stop), buffer[:stop - start]

@@ -9,8 +9,8 @@ from pathlib import Path
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
-from .fileio import (_PCM_SCALE, _read_keyed_frames, _read_pcm, _write_marked, read_key,
-                     read_pbm, read_wav, write_key, write_pbm, write_wav)
+from .fileio import (_read_keyed_frames, _read_pcm, _write_marked, read_key, read_pbm,
+                     read_wav, write_key, write_pbm, write_wav)
 from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
 from .watermark import EmbedParams, _mark, _read_bits
@@ -88,14 +88,14 @@ def _codec_from(args) -> CodecCommand:
 
 
 def _cmd_embed(args) -> int:
-    # the host's PCM codes stand for read_wav's signal, code p for the
-    # sample p * _PCM_SCALE, so no float64 copy of the host is made
+    # the host's PCM codes stand for read_wav's signal (see
+    # watermark._values), so no float64 copy of the host is made
     rate, pcm = _read_pcm(args.host)
     watermark = read_pbm(args.watermark)
-    key, rows = _mark(pcm, _PCM_SCALE, rate, watermark, _params_from(args))
-    _write_marked(args.out_wav, pcm, key, rows)
+    key, rows = _mark(pcm, rate, watermark, _params_from(args))
+    quality = _embed_psnr(pcm, key, rows)
+    _write_marked(args.out_wav, pcm, key, rows)  # turns pcm into the marked codes
     write_key(args.out_key, key)
-    quality = _embed_psnr(pcm, _PCM_SCALE, key, rows)
     print(f"psnr: {quality.psnr_db:.2f} dB")
     print(f"payload: {payload(rate, args.frame_size):g} bits/s")
     return EXIT_OK

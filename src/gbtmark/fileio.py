@@ -15,17 +15,12 @@ import numpy as np
 from .audio import AudioSignal, _adopt, _blocks
 from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
-from .watermark import EmbeddingKey, EmbedParams, WatermarkImage, _frames, _gather
+from .watermark import (EmbeddingKey, EmbedParams, WatermarkImage, _frames, _gather,
+                        _values)
 
 MAX_PBM_DIMENSION = 4096
 # the header holds the byte rate, twice the sample rate, in 32 bits
 MAX_WAV_RATE = 2**31 - 1
-# read_wav's sample for PCM code p: p * 2**-15 = p / 32768, exactly
-_PCM_SCALE = 2.0**-15
-# samples per write of a streamed WAV, 2 MB of int16: the page cache holds
-# a file written in large pieces in large pages, and a memmap of it then
-# faults less (128 KB writes made the next extract of a 300 s host 10 % slower)
-_WRITE_BLOCK = 1 << 20
 # the ASCII characters str.split() splits at
 _SPACE = bytes(code for code in range(128) if chr(code).isspace())
 
@@ -72,12 +67,12 @@ def _wav_data(path, file):
 
 def _read_pcm(path):
     # the sample rate and the int16 PCM codes of a WAV file, read once after
-    # _wav_data's checks into memory; a memmap of the host would break an
-    # embed that writes over the file it reads
+    # _wav_data's checks into a new array; a memmap of the host would break
+    # an embed that writes over the file it reads
     with open(path, "rb") as file:
         rate, offset, size = _wav_data(path, file)
         file.seek(offset)
-        return rate, np.frombuffer(file.read(size), dtype="<i2")
+        return rate, np.fromfile(file, dtype="<i2", count=size // 2)
 
 
 def read_wav(path) -> AudioSignal:
@@ -85,7 +80,7 @@ def read_wav(path) -> AudioSignal:
     rate, pcm = _read_pcm(path)
     # an int16 code over 32768 is finite and in [-1, 32767/32768], so the
     # signal's value scan could never fail and is skipped
-    return _adopt(pcm * _PCM_SCALE, rate, in_range=True)
+    return _adopt(_values(pcm), rate, in_range=True)
 
 
 def _read_keyed_frames(path, key: EmbeddingKey):
@@ -96,7 +91,7 @@ def _read_keyed_frames(path, key: EmbeddingKey):
         rate, offset, size = _wav_data(path, file)
         pcm = np.memmap(file, dtype="<i2", mode="r", offset=offset, shape=(size // 2,))
         frames = _gather(pcm, key.params.graph.frame_size, key.frame_indices)
-    return rate, frames / 32768.0
+    return rate, _values(frames)
 
 
 def _pcm(samples):
@@ -110,51 +105,38 @@ def _pcm(samples):
     return pcm
 
 
-def _write_pcm(path, rate, count, blocks):
-    # a mono PCM16 WAV file of count samples, written from int16 blocks
+def _write_pcm(path, rate, pcm):
     _integer(f"{path}: a WAV file's sample rate", rate, f"at most {MAX_WAV_RATE}",
              lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
     with wave.open(str(path), "wb") as handle:
-        handle.setparams((1, 2, rate, count, "NONE", "not compressed"))  # mono PCM16
-        for pcm in blocks:
-            handle.writeframesraw(pcm)
+        handle.setparams((1, 2, rate, 0, "NONE", "not compressed"))  # mono PCM16
+        handle.writeframes(pcm)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM; samples scale by 32767 and round half to
     even. Nothing is clamped: samples in [-1, 1] give codes in +-32767."""
-    _write_pcm(path, signal.sample_rate, len(signal), [_pcm(signal.samples)])
+    _write_pcm(path, signal.sample_rate, _pcm(signal.samples))
 
 
-def _round_trip(codes, out):
-    # write_wav's code for each sample read_wav makes of a code p,
-    # rint(32767 p / 32768), into out: p itself for |p| <= 16384 and one
-    # step nearer 0 beyond, for all 65 536 codes (ROADMAP item 11)
-    if codes.max() <= 16384 and codes.min() >= -16384:
-        np.copyto(out, codes)
-    else:
-        np.subtract(codes, codes > 16384, out=out)
-        np.add(out, codes < -16384, out=out)
+def _round_trip(codes):
+    # write_wav's code for each sample read_wav makes of a code p, in place:
+    # rint(32767 p / 32768) is p itself for |p| <= 16384 and one step
+    # nearer 0 beyond, for all 65 536 codes (ROADMAP item 11)
+    if codes.max() > 16384:
+        codes -= codes > 16384
+    if codes.min() < -16384:
+        codes += codes < -16384
 
 
 def _write_marked(path, pcm, key: EmbeddingKey, rows) -> None:
     # write_wav of embed's signal for the host read_wav makes of the PCM
-    # codes pcm, from those codes and _mark's rows, a block of whole frames
-    # at a time: a keyed frame's codes are _pcm's of its row, every other
-    # code is _round_trip's of the host's
-    size = rows.shape[1]
-    marked = _pcm(rows.ravel()).reshape(rows.shape)
-    indices = key.frame_indices
-
-    def blocks():
-        for block, out in _blocks(pcm.size, size, "<i2", _WRITE_BLOCK):
-            _round_trip(pcm[block], out)
-            first = block.start // size
-            inside = slice(*np.searchsorted(indices, [first, block.stop // size]))
-            _frames(out, size)[indices[inside] - first] = marked[inside]
-            yield out
-
-    _write_pcm(path, key.sample_rate, pcm.size, blocks())
+    # codes pcm, made in pcm itself, so no second full-length array is
+    # made: a keyed frame's codes are _pcm's of its row, every other code
+    # is _round_trip's of the host's
+    _round_trip(pcm)
+    _frames(pcm, rows.shape[1])[key.frame_indices] = _pcm(rows.ravel()).reshape(rows.shape)
+    _write_pcm(path, key.sample_rate, pcm)
 
 
 def read_pbm(path) -> WatermarkImage:

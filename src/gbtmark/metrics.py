@@ -7,7 +7,7 @@ import numpy as np
 
 from .audio import AudioSignal, _blocks
 from .errors import ValidationError, _integer, _real
-from .watermark import EmbeddingKey, WatermarkImage, _gather
+from .watermark import EmbeddingKey, WatermarkImage, _gather, _values
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     return _quality(total, len(test))
 
 
-def _embed_psnr(samples, scale, key: EmbeddingKey, rows) -> QualityReport:
-    # psnr of embed's signal from _mark's rows, for the host signal
-    # samples * scale: every other sample of that signal is the host's, so
-    # its error is exactly 0
+def _embed_psnr(samples, key: EmbeddingKey, rows) -> QualityReport:
+    # psnr of embed's signal from _mark's rows, for the host signal whose
+    # _values the samples are: every other sample of that signal is the
+    # host's, so its error is exactly 0
     host = _gather(samples, key.params.graph.frame_size, key.frame_indices)
-    error = rows - host * scale
+    error = rows - _values(host)
     return _quality(np.square(error, out=error).sum(), len(samples))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _blocks, _check_range
+from .audio import _BLOCK, AudioSignal, _adopt, _check_range
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
 from .transform import GraphConfig, make_plan
@@ -138,6 +138,12 @@ def _frames(samples, frame_size: int) -> np.ndarray:
     return samples[:count * frame_size].reshape(count, frame_size)
 
 
+def _values(samples):
+    # the float64 signal values samples stand for: read_wav's p * 2**-15 =
+    # p / 32768 for int16 PCM codes p, float samples themselves (not copied)
+    return samples * 2.0**-15 if samples.dtype.kind == "i" else samples
+
+
 def _leading(basis, frames, k):
     # each frame's leading k coefficients as a row-major r x c matrix, r
     # the largest divisor of k not above sqrt(k), one row for a prime k.
@@ -216,34 +222,27 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
     loud frames are ineligible (e.g. high-frequency content the leading
     coefficients miss), the prefix can grow to a full scan of the host.
     """
-    return _select(signal.samples, 1.0, params, bit_count)
+    return _select(signal.samples, params, bit_count)
 
 
-def _energies(frames, scale):
-    # each frame's sum of squares of its samples times scale. float64
-    # samples are summed where they are; PCM codes go a block of frames at
-    # a time into one float64 buffer, and a frame's sum does not depend on
-    # the block it is in. The sums are scaled last: scale is a power of
-    # two, so that is exact.
-    if frames.dtype == np.float64:
-        energies = np.einsum("ij,ij->i", frames, frames)
-    else:
-        size, flat = frames.shape[1], frames.reshape(-1)
-        energies = np.empty(len(frames))
-        for block, rows in _blocks(flat.size, size):
-            np.copyto(rows, flat[block])
-            rows = rows.reshape(-1, size)
-            first = block.start // size
-            np.einsum("ij,ij->i", rows, rows, out=energies[first:first + len(rows)])
-    energies *= scale * scale
+def _energies(frames):
+    # each frame's sum of squares of its _values, a block of frames at a
+    # time so int16 codes are never all made float64 at once; a frame's
+    # sum does not depend on the block it is in
+    energies = np.empty(len(frames))
+    step = max(_BLOCK // frames.shape[1], 1)
+    for first in range(0, len(frames), step):
+        rows = _values(frames[first:first + step])
+        np.einsum("ij,ij->i", rows, rows, out=energies[first:first + step])
+        del rows  # else it lives on while the next block's values are made
     return energies
 
 
-def _select(samples, scale, params: EmbedParams, bit_count) -> np.ndarray:
-    # select_frames of the signal samples * scale, with the same results:
-    # a signal's float64 samples with scale 1.0, or the int16 PCM codes of
-    # a WAV file with 2**-15, which give read_wav's signal exactly. Only
-    # the energies and the tested frames are made in float64.
+def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
+    # select_frames of the signal whose _values the samples are, with the
+    # same results for a signal's float64 samples and for the int16 PCM
+    # codes read_wav makes it of. Only the energies and the tested frames
+    # are made in float64.
     bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
                          ValidationError)
     basis = make_plan(params.graph)
@@ -253,7 +252,7 @@ def _select(samples, scale, params: EmbedParams, bit_count) -> np.ndarray:
         raise ValidationError(f"signal has {len(samples)} samples, need at least "
                               f"{size} for one frame")
     frames = _frames(samples, size)
-    energies = _energies(frames, scale)
+    energies = _energies(frames)
     winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
     upper = np.inf  # frames at or above this energy are already tested
     tested = 0
@@ -265,7 +264,7 @@ def _select(samples, scale, params: EmbedParams, bit_count) -> np.ndarray:
         cut = np.partition(energies, total - wanted)[total - wanted]
         new = np.flatnonzero((energies >= cut) & (energies < upper))
         new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(basis, frames[new] * scale, params.coeff_count))
+        smax = _smax(_leading(basis, _values(frames[new]), params.coeff_count))
         winners = np.concatenate([winners, new[smax > params.ws]])
         if winners.size >= bit_count:
             return np.sort(winners[:bit_count])
@@ -276,14 +275,13 @@ def _select(samples, scale, params: EmbedParams, bit_count) -> np.ndarray:
         wanted = 2 * tested
 
 
-def _mark(samples, scale, sample_rate: int, watermark: WatermarkImage,
-          params: EmbedParams):
+def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
     # embed's key and its keyed frames' marked rows, a new float64 array,
-    # for the host signal samples * scale (see _select); samples are only read
+    # for the host signal whose _values the samples are; they are only read
     basis = make_plan(params.graph)
-    chosen = _select(samples, scale, params, watermark.bits.size)
+    chosen = _select(samples, params, watermark.bits.size)
     k = params.coeff_count
-    marked = _frames(samples, params.graph.frame_size)[chosen] * scale
+    marked = _values(_frames(samples, params.graph.frame_size)[chosen])
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
     s_ref, change = _smax_change(_leading(basis, marked, k), shift)
     marked += change.reshape(-1, k) @ basis[:, :k].T
@@ -309,7 +307,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     write_wav scales by 32767; ``fileio._round_trip`` states that rule per
     code); modified frames are clamped to [-1, 1].
     """
-    key, rows = _mark(host.samples, 1.0, host.sample_rate, watermark,
+    key, rows = _mark(host.samples, host.sample_rate, watermark,
                       params if params is not None else EmbedParams())
     samples = host.samples.copy()
     _frames(samples, key.params.graph.frame_size)[key.frame_indices] = rows

@@ -14,7 +14,6 @@ from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_
 from gbtmark.attacks import ATTACKS
 from gbtmark.audio import _BLOCK
 from gbtmark.cli import build_parser, main
-from gbtmark.fileio import _WRITE_BLOCK
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
 from gbtmark.transform import GraphConfig
@@ -93,9 +92,8 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
-    key, rows = _mark(host.samples, 1.0, host.sample_rate, random_watermark(),
-                      EmbedParams())
-    whole, framed = psnr(host, result.signal), _embed_psnr(host.samples, 1.0, key, rows)
+    key, rows = _mark(host.samples, host.sample_rate, random_watermark(), EmbedParams())
+    whole, framed = psnr(host, result.signal), _embed_psnr(host.samples, key, rows)
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
@@ -147,14 +145,13 @@ def test_cli_embed_over_its_own_host(workspace):
     assert (workspace / "same.key").read_bytes() == fresh_key.read_bytes()
 
 
-# The CLI's embed passes over the host's codes a block of whole frames at
-# a time: _BLOCK samples for the energies, _WRITE_BLOCK for the writes,
-# each rounded down to whole frames. Hosts end at and around the first or
-# second seam of each, with loud frames, which take the bits, around the
-# first (on both sides of it when the host reaches past it) and anywhere.
+# The CLI's embed sums the energies of the host's codes a block of whole
+# frames at a time, _BLOCK samples rounded down to whole frames. Hosts end
+# at and around the first or second seam, with loud frames, which take the
+# bits, around the first (on both sides of it when the host reaches past
+# it) and anywhere.
 @settings(max_examples=30)
 @given(frame_size=st.sampled_from([3, 10, 16, 1023]),
-       block=st.sampled_from([_BLOCK, _WRITE_BLOCK]),
        seams=st.integers(1, 2),
        end=st.sampled_from(["-size", "-1", "0", "+1", "+size", "+size+half"]),
        loud=st.lists(st.integers(-3, 2), max_size=3),
@@ -162,8 +159,8 @@ def test_cli_embed_over_its_own_host(workspace):
        level=st.sampled_from([200, 20_000]),
        seed=st.integers(0, 2**16))
 def test_cli_embed_matches_the_library_across_block_seams(
-        tmp_path_factory, frame_size, block, seams, end, loud, spread, level, seed):
-    seam = max(block // frame_size, 1) * frame_size
+        tmp_path_factory, frame_size, seams, end, loud, spread, level, seed):
+    seam = max(_BLOCK // frame_size, 1) * frame_size
     length = seams * seam + {"-size": -frame_size, "-1": -1, "0": 0, "+1": 1,
                              "+size": frame_size,
                              "+size+half": frame_size + frame_size // 2}[end]

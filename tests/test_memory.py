@@ -9,8 +9,8 @@ one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
 ``gbtmark extract`` reads only the keyed frames of the WAV file, so it
 holds a small fraction of the host. ``gbtmark embed`` works on the host's
 int16 PCM codes and makes no float64 copy of the host: it holds the codes
-(0.25), the frame energies (0.1) and one 65 536-sample float64 block (0.41
-of this host), 0.77 in all, under 1.0.
+(0.25), the frame energies and their partitioned copy (0.1 each) and one
+65 536-sample float64 block (0.41 of this host), 0.82 in all, under 1.0.
 """
 
 import dataclasses

@@ -318,10 +318,10 @@ def test_select_frames_capacity_error_reports_exact_eligible_count():
 
 def test_embed_with_full_scan_selection_gives_the_same_key(
         speech_clips, embedded_clips, watermark, monkeypatch):
-    # embed selects through select_frames' core over (samples, scale)
+    # embed selects through select_frames' core over the samples
     monkeypatch.setattr(gbtmark.watermark, "_select",
-                        lambda samples, scale, params, bit_count: select_frames_full_scan(
-                            samples * scale, make_plan(params.graph), params.coeff_count,
+                        lambda samples, params, bit_count: select_frames_full_scan(
+                            samples, make_plan(params.graph), params.coeff_count,
                             params.ws, bit_count))
     for clip, result in zip(speech_clips, embedded_clips):
         reference = embed(clip, watermark, EmbedParams())
