@@ -3,7 +3,8 @@ line-oriented embedding key files.
 
 Readers reject anything outside the supported formats instead of
 coercing (no down-mixing, no resampling); writers produce files the
-readers round-trip exactly, up to the documented WAV quantization.
+readers round-trip exactly, and a WAV read and written back keeps its
+exact PCM codes.
 """
 
 import os
@@ -95,12 +96,14 @@ def _read_keyed_frames(path, key: EmbeddingKey):
 
 
 def _pcm(samples):
-    # int16 PCM, block by block: scaled and rounded in the block buffer,
-    # then stored; |x| <= 1 keeps rint(32767 x) in int16's range unclamped
+    # int16 PCM, block by block: scaled by 32768 and rounded in the block
+    # buffer, then stored; |x| <= 1 gives rint(32768 x) in -32768..32768,
+    # so only the top code is clipped, to 32767
     pcm = np.empty(len(samples), dtype="<i2")
     for block, scaled in _blocks(len(samples)):
-        np.multiply(samples[block], 32767.0, out=scaled)
+        np.multiply(samples[block], 32768.0, out=scaled)
         np.rint(scaled, out=scaled)
+        np.minimum(scaled, 32767.0, out=scaled)
         pcm[block] = scaled
     return pcm
 
@@ -114,27 +117,17 @@ def _write_pcm(path, rate, pcm):
 
 
 def write_wav(path, signal: AudioSignal) -> None:
-    """Write mono 16-bit PCM; samples scale by 32767 and round half to
-    even. Nothing is clamped: samples in [-1, 1] give codes in +-32767."""
+    """Write mono 16-bit PCM; samples scale by 32768 and round half to
+    even, and only 1.0's code 32768 is clipped, to 32767. So the signal
+    read_wav makes of a WAV file is written back as the same codes."""
     _write_pcm(path, signal.sample_rate, _pcm(signal.samples))
-
-
-def _round_trip(codes):
-    # write_wav's code for each sample read_wav makes of a code p, in place:
-    # rint(32767 p / 32768) is p itself for |p| <= 16384 and one step
-    # nearer 0 beyond, for all 65 536 codes (ROADMAP item 11)
-    if codes.max() > 16384:
-        codes -= codes > 16384
-    if codes.min() < -16384:
-        codes += codes < -16384
 
 
 def _write_marked(path, pcm, key: EmbeddingKey, rows) -> None:
     # write_wav of embed's signal for the host read_wav makes of the PCM
     # codes pcm, made in pcm itself, so no second full-length array is
     # made: a keyed frame's codes are _pcm's of its row, every other code
-    # is _round_trip's of the host's
-    _round_trip(pcm)
+    # is the host's, as write_wav writes it back
     _frames(pcm, rows.shape[1])[key.frame_indices] = _pcm(rows.ravel()).reshape(rows.shape)
     _write_pcm(path, key.sample_rate, pcm)
 

@@ -226,15 +226,23 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
 
 
 def _energies(frames):
-    # each frame's sum of squares of its _values, a block of frames at a
-    # time so int16 codes are never all made float64 at once; a frame's
-    # sum does not depend on the block it is in
+    # each frame's sum of squares of its _values. The squares of int16 codes
+    # are whole numbers up to 2**30 and a frame's sum of them stays below
+    # 2**41, so gemv sums them exactly, weighted by 2**-30 = (2**-15)**2,
+    # a block of whole frames at a time in one reused buffer. Float samples
+    # take einsum: gemv's sum of a non-integer row depends on its block.
+    if frames.dtype.kind != "i":
+        return np.einsum("ij,ij->i", frames, frames)
     energies = np.empty(len(frames))
+    weights = np.full(frames.shape[1], 2.0**-30)
     step = max(_BLOCK // frames.shape[1], 1)
+    buffer = np.empty((min(step, len(frames)), frames.shape[1]))
     for first in range(0, len(frames), step):
-        rows = _values(frames[first:first + step])
-        np.einsum("ij,ij->i", rows, rows, out=energies[first:first + step])
-        del rows  # else it lives on while the next block's values are made
+        rows = frames[first:first + step]
+        squares = buffer[:len(rows)]
+        squares[...] = rows
+        np.square(squares, out=squares)
+        np.matmul(squares, weights, out=energies[first:first + step])
     return energies
 
 
@@ -303,9 +311,8 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     order. Each selected frame's leading coefficient matrix M becomes
     M + (+-ws) u1 v1^T, which moves its largest singular value by ws.
     Frames that carry no bit keep their exact samples in the returned
-    signal (a WAV written from it can move codes above 16 384 by one, as
-    write_wav scales by 32767; ``fileio._round_trip`` states that rule per
-    code); modified frames are clamped to [-1, 1].
+    signal, so write_wav writes a WAV host's codes back unchanged there;
+    modified frames are clamped to [-1, 1].
     """
     key, rows = _mark(host.samples, host.sample_rate, watermark,
                       params if params is not None else EmbedParams())

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import wave
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gbtmark.cli import build_parser, main
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
 from gbtmark.transform import GraphConfig
-from gbtmark.watermark import EmbedParams, _mark
+from gbtmark.watermark import EmbedParams, _energies, _frames, _mark, _values
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
@@ -73,8 +74,8 @@ def _clipping_host():
 
 
 def _loud_host():
-    # peak-normalised to 0.99 (32 439 codes): write_wav's 32767 scale moves
-    # the codes above 16 384 of samples that embed leaves as they are
+    # peak-normalised to 0.99 (32 440 codes): the samples embed leaves as
+    # they are span codes above 16 384 too, which the WAV must keep exactly
     samples = speech_like(3.0, 8000, seed=2).samples
     return AudioSignal(0.99 * samples / np.abs(samples).max(), 8000)
 
@@ -102,11 +103,12 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
 
 
 def _every_code_host():
-    # int16 PCM holding each of the 65 536 codes: 700 frames at -32768
-    # outrank every other frame and take the 625 bits (the first 625 of the
-    # tie), so the ramp of all codes after them is written unkeyed,
-    # -32768, +-16384, +-16385 and 32767 included
-    return np.concatenate([np.full(7000, -32768), np.arange(-32768, 32768)])
+    # each of the 65 536 int16 codes, which write_wav writes exactly: 700
+    # frames at -32768 outrank every other frame and take the 625 bits (the
+    # first 625 of the tie), so the ramp of all codes after them is written
+    # unkeyed, -32768, +-16384, +-16385 and 32767 included
+    codes = np.concatenate([np.full(7000, -32768), np.arange(-32768, 32768)])
+    return AudioSignal(codes / 32768, 8000)
 
 
 @pytest.mark.parametrize("make_host", [
@@ -119,14 +121,9 @@ def _every_code_host():
 def test_cli_embed_writes_write_wav_of_embed(make_host, tmp_path):
     # the CLI writes its WAV from the host's codes and the marked frames;
     # the bytes are write_wav's of the library's signal, loud samples and
-    # clips too. A host given as codes is written as it stands, since
-    # write_wav makes no -32768.
+    # clips too
     path, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
-    host = make_host()
-    if isinstance(host, AudioSignal):
-        write_wav(path, host)
-    else:
-        write_raw_wav(path, host.tolist())
+    write_wav(path, make_host())
     write_pbm(mark, random_watermark())
     out = tmp_path / "m.wav"
     assert run_cli(["embed", path, mark, out, tmp_path / "m.key"]) == 0
@@ -145,13 +142,25 @@ def test_cli_embed_over_its_own_host(workspace):
     assert (workspace / "same.key").read_bytes() == fresh_key.read_bytes()
 
 
-# The CLI's embed sums the energies of the host's codes a block of whole
-# frames at a time, _BLOCK samples rounded down to whole frames. Hosts end
-# at and around the first or second seam, with loud frames, which take the
+def with_seam_examples(test):
+    # hosts one frame short of, at and one frame past the first seam, at
+    # the smallest, the default and the two largest frame sizes
+    for frame_size in (3, 10, 1023, 1024):
+        for end in ("-size", "0", "+size"):
+            test = example(frame_size=frame_size, seams=1, end=end, loud=[], spread=[],
+                           level=20_000, seed=0)(test)
+    return test
+
+
+# The CLI's embed sums the energies of the host's codes, as integers, a
+# block of whole frames at a time, _BLOCK samples rounded down to whole
+# frames; they must equal the library's, bit for bit. Hosts end at and
+# around the first or second seam, with full-scale frames, which take the
 # bits, around the first (on both sides of it when the host reaches past
 # it) and anywhere.
 @settings(max_examples=30)
-@given(frame_size=st.sampled_from([3, 10, 16, 1023]),
+@with_seam_examples
+@given(frame_size=st.sampled_from([3, 10, 16, 1023, 1024]),
        seams=st.integers(1, 2),
        end=st.sampled_from(["-size", "-1", "0", "+1", "+size", "+size+half"]),
        loud=st.lists(st.integers(-3, 2), max_size=3),
@@ -166,14 +175,17 @@ def test_cli_embed_matches_the_library_across_block_seams(
                              "+size+half": frame_size + frame_size // 2}[end]
     rng = np.random.default_rng(seed)
     pcm = rng.integers(-level, level + 1, length)
-    # constant frames louder than any noise frame, either sign, full scale
-    # included; the ones the host holds in whole carry one bit each
+    # constant frames louder than any noise frame, the first all -32768 and
+    # the rest at either sign's full scale or one step inside it; the ones
+    # the host holds in whole carry one bit each
     total = length // frame_size
     frames = sorted({seam // frame_size + at for at in loud + [-2, -1, 0]}
                     & set(range(total)) | {int(at * (total - 1)) for at in spread})
-    for index in frames:
-        pcm[index * frame_size:(index + 1) * frame_size] = rng.choice([-1, 1]) * (
-            32767 - rng.integers(0, 2))
+    for n, index in enumerate(frames):
+        pcm[index * frame_size:(index + 1) * frame_size] = (
+            rng.choice([-32768, -32767, 32766, 32767]) if n else -32768)
+    codes = _frames(pcm.astype("<i2"), frame_size)
+    assert np.array_equal(_energies(codes), _energies(_values(codes)))
     folder = tmp_path_factory.getbasetemp() / "seam"  # each example overwrites the last
     folder.mkdir(exist_ok=True)
     path, mark = folder / "host.wav", folder / "wm.pbm"
@@ -305,6 +317,16 @@ def test_attack_crop_preserves_length(workspace):
     assert run_cli(["attack", "crop", workspace / "host.wav", out,
                     "--fraction", 0.2]) == 0
     assert len(read_wav(out)) == len(read_wav(workspace / "host.wav"))
+
+
+def test_attack_unit_gain_copies_full_scale_pcm(tmp_path):
+    # a read and a write keep every code, -32768 and 32767 included
+    path, out = tmp_path / "full.wav", tmp_path / "out.wav"
+    codes = np.arange(-32768, 32768)
+    write_raw_wav(path, codes.tolist())
+    assert run_cli(["attack", "amplitude_scale", path, out, "--factor", 1.0]) == 0
+    with wave.open(str(out), "rb") as handle:
+        assert handle.readframes(handle.getnframes()) == codes.astype("<i2").tobytes()
 
 
 # each kind's option and one valid value for it, none a grid default

@@ -86,6 +86,22 @@ def test_read_wav_maps_any_pcm_exactly_into_the_unit_range(tmp_path):
     check()
 
 
+def test_write_wav_of_read_wav_keeps_every_pcm_code(tmp_path):
+    # read_wav maps code p to p/32768 and write_wav scales by 32768, so a
+    # read and a write give back the data bytes, full scale included
+    path, out = tmp_path / "pcm.wav", tmp_path / "out.wav"
+
+    @example(pcm=[-32768, 32767, 16384, 16385, -16384, -16385, 0])
+    @given(pcm=st.lists(st.integers(-32768, 32767), min_size=1, max_size=300))
+    def check(pcm):
+        write_raw_wav(path, pcm)
+        write_wav(out, read_wav(path))
+        with wave.open(str(out), "rb") as handle:
+            assert handle.readframes(handle.getnframes()) == np.array(pcm, "<i2").tobytes()
+
+    check()
+
+
 def test_write_wav_zero_stored_as_zero(tmp_path):
     path = tmp_path / "zero.wav"
     write_wav(path, AudioSignal(np.zeros(4), 8000))
@@ -106,21 +122,21 @@ def test_read_wav_signal_is_read_only(tmp_path):
 def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
     # full scale and the steps just inside it, negative zero, subnormals,
     # every exact half step between two PCM codes (rounded half to even)
-    # and random samples; no code needs clamping
-    k = np.arange(-32767, 32767)
+    # and random samples; only the top code, 1.0's 32768, is clipped
+    k = np.arange(-32768, 32767)
     rng = np.random.default_rng(12)
     tiny = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308]
     inside = [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
-    samples = np.concatenate([[1.0, -1.0, -0.0, 0.0], tiny, inside, (k + 0.5) / 32767,
+    samples = np.concatenate([[1.0, -1.0, -0.0, 0.0], tiny, inside, (k + 0.5) / 32768,
                               rng.uniform(-1.0, 1.0, 10_000)])
     path = tmp_path / "pcm.wav"
     write_wav(path, AudioSignal(samples, 8000))
     with wave.open(str(path), "rb") as handle:
         pcm = np.frombuffer(handle.readframes(handle.getnframes()), dtype="<i2")
-    expected = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    expected = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     assert np.array_equal(pcm, expected)
-    assert list(pcm[:10]) == [32767, -32767, 0, 0, 0, 0, 0, 0, 32767, -32767]
-    scaled = samples * 32767.0
+    assert list(pcm[:10]) == [32767, -32768, 0, 0, 0, 0, 0, 0, 32767, -32768]
+    scaled = samples * 32768.0
     ties = scaled - np.floor(scaled) == 0.5
     assert ties.sum() > 30_000 and not (pcm[ties] % 2).any()
 
@@ -128,10 +144,10 @@ def test_write_wav_pcm_matches_round_clip_formula(tmp_path):
 @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_write_wav_bytes_match_one_pass_across_block_edges(tmp_path, size):
     # write_wav works block by block; its PCM must be the one-pass
-    # formula's, with half steps and +-1 clamps on both sides of each edge
+    # formula's, with half steps and +-1 on both sides of each edge
     rng = np.random.default_rng(size)
     samples = rng.uniform(-1.0, 1.0, size)
-    halves = (rng.integers(-32767, 32767, size) + 0.5) / 32767
+    halves = (rng.integers(-32768, 32767, size) + 0.5) / 32768
     samples[::3] = halves[::3]
     for edge in range(_BLOCK, size, _BLOCK):
         samples[edge - 1], samples[edge] = 1.0, -1.0
@@ -141,7 +157,7 @@ def test_write_wav_bytes_match_one_pass_across_block_edges(tmp_path, size):
     write_wav(path, AudioSignal(samples, 8000))
     with wave.open(str(path), "rb") as handle:
         raw = handle.readframes(handle.getnframes())
-    expected = np.clip(np.rint(samples * 32767.0), -32768, 32767).astype("<i2")
+    expected = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2")
     assert raw == expected.tobytes()
 
 
@@ -156,12 +172,12 @@ def test_wav_roundtrip_quantization_bound(tmp_path):
 
 
 def test_wav_roundtrip_full_scale(tmp_path):
-    # the writer scales by 32767, so -1.0 stores as -32767, not -32768
+    # the writer scales by 32768, so -1.0 stores as -32768 and 1.0 as the
+    # top code, 32767
     path = tmp_path / "fs.wav"
     write_wav(path, AudioSignal(np.array([1.0, -1.0]), 8000))
     back = read_wav(path)
-    assert abs(back.samples[0] - 1.0) <= 1 / 32767
-    assert abs(back.samples[1] + 1.0) <= 1 / 32767
+    assert list(back.samples) == [32767 / 32768, -1.0]
 
 
 def test_read_wav_rejects_stereo(tmp_path):
