@@ -138,10 +138,12 @@ def _frames(samples, frame_size: int) -> np.ndarray:
     return samples[:count * frame_size].reshape(count, frame_size)
 
 
+_CODE_SCALE = 2.0**-15  # int16 PCM code p stands for p * 2**-15 = p / 32768
+
+
 def _values(samples):
-    # the float64 signal values samples stand for: read_wav's p * 2**-15 =
-    # p / 32768 for int16 PCM codes p, float samples themselves (not copied)
-    return samples * 2.0**-15 if samples.dtype.kind == "i" else samples
+    # the float64 values samples stand for: codes scaled, floats not copied
+    return samples * _CODE_SCALE if samples.dtype.kind == "i" else samples
 
 
 def _leading(basis, frames, k):
@@ -228,19 +230,17 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
 def _energies(frames):
     # each frame's sum of squares of its _values. The squares of int16 codes
     # are whole numbers up to 2**30 and a frame's sum of them stays below
-    # 2**41, so gemv sums them exactly, weighted by 2**-30 = (2**-15)**2,
+    # 2**41, so gemv sums them exactly, weighted by _CODE_SCALE**2 = 2**-30,
     # a block of whole frames at a time in one reused buffer. Float samples
     # take einsum: gemv's sum of a non-integer row depends on its block.
     if frames.dtype.kind != "i":
         return np.einsum("ij,ij->i", frames, frames)
-    energies = np.empty(len(frames))
-    weights = np.full(frames.shape[1], 2.0**-30)
+    energies, weights = np.empty(len(frames)), np.full(frames.shape[1], _CODE_SCALE**2)
     step = max(_BLOCK // frames.shape[1], 1)
     buffer = np.empty((min(step, len(frames)), frames.shape[1]))
     for first in range(0, len(frames), step):
-        rows = frames[first:first + step]
-        squares = buffer[:len(rows)]
-        squares[...] = rows
+        squares = buffer[:min(step, len(frames) - first)]
+        squares[...] = frames[first:first + step]
         np.square(squares, out=squares)
         np.matmul(squares, weights, out=energies[first:first + step])
     return energies
