@@ -1,4 +1,5 @@
-"""In-memory audio representation."""
+"""Sample arrays, float64 values in [-1, 1] or int16 PCM codes, and their
+frames; only the helpers here tell values and codes apart."""
 
 from dataclasses import dataclass
 
@@ -87,3 +88,75 @@ def _blocks(size):
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
         yield slice(start, stop), buffer[:stop - start]
+
+
+_CODE_SCALE = 2.0**-15  # int16 PCM code p stands for p * 2**-15 = p / 32768
+
+
+def _values(samples):
+    # the float64 values samples stand for: codes scaled, floats not copied
+    return samples * _CODE_SCALE if samples.dtype.kind == "i" else samples
+
+
+def _pcm(samples):
+    # int16 PCM, block by block: scaled by 32768 and rounded in the block
+    # buffer, then stored; |x| <= 1 gives rint(32768 x) in -32768..32768,
+    # so only the top code is clipped, to 32767
+    pcm = np.empty(len(samples), dtype="<i2")
+    for block, scaled in _blocks(len(samples)):
+        np.multiply(samples[block], 1 / _CODE_SCALE, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.minimum(scaled, 32767.0, out=scaled)
+        pcm[block] = scaled
+    return pcm
+
+
+def _store(frames, rows, values):
+    # _values' inverse, the one write-back of marked frames: the float64
+    # values stored in the given rows of frames, through _pcm for codes
+    if frames.dtype.kind == "i":
+        values = _pcm(values.ravel()).reshape(values.shape)
+    frames[rows] = values
+
+
+def _frames(samples, frame_size: int) -> np.ndarray:
+    # the whole frames of the samples as a (count, frame_size) view; embed
+    # writes through it, and a partial last frame is left out
+    count = samples.size // frame_size
+    return samples[:count * frame_size].reshape(count, frame_size)
+
+
+def _gather(samples, frame_size: int, indices) -> np.ndarray:
+    # A key's frames (indices strictly increasing), one row each in the
+    # samples' dtype: frames past the end read as zeros, a partial last
+    # frame is zero-padded. An index is compared, never multiplied, so any
+    # int64 is safe, and a memmap is read only at the keyed frames.
+    frames = _frames(samples, frame_size)
+    full = len(frames)
+    inside = int(np.searchsorted(indices, full))
+    rows = frames[indices[:inside]]
+    if inside < indices.size:
+        past = np.zeros((indices.size - inside, frame_size), rows.dtype)
+        if indices[inside] == full:
+            past[0] = _fit_length(samples[full * frame_size:], frame_size)
+        rows = np.concatenate([rows, past])
+    return rows
+
+
+def _energies(frames):
+    # each frame's sum of squares of its _values. The squares of int16 codes
+    # are whole numbers up to 2**30 and a frame's sum of them stays below
+    # 2**41, so gemv sums them exactly, weighted by _CODE_SCALE**2 = 2**-30,
+    # a block of whole frames at a time in one reused buffer. Float samples
+    # take einsum: gemv's sum of a non-integer row depends on its block.
+    if frames.dtype.kind != "i":
+        return np.einsum("ij,ij->i", frames, frames)
+    energies, weights = np.empty(len(frames)), np.full(frames.shape[1], _CODE_SCALE**2)
+    step = max(_BLOCK // frames.shape[1], 1)
+    buffer = np.empty((min(step, len(frames)), frames.shape[1]))
+    for first in range(0, len(frames), step):
+        squares = buffer[:min(step, len(frames) - first)]
+        squares[...] = frames[first:first + step]
+        np.square(squares, out=squares)
+        np.matmul(squares, weights, out=energies[first:first + step])
+    return energies

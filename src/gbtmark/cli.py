@@ -8,8 +8,9 @@ from pathlib import Path
 
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
-from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
-from .fileio import (_read_keyed_frames, _read_pcm, _write_marked, read_key, read_pbm,
+from .errors import (AudioFormatError, CodecError, GbtmarkError, KeyFormatError,
+                     ValidationError)
+from .fileio import (_read_keyed_frames, _read_pcm, _write_pcm, read_key, read_pbm,
                      read_wav, write_key, write_pbm, write_wav)
 from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
@@ -87,28 +88,54 @@ def _codec_from(args) -> CodecCommand:
                         decode if args.codec_decode is None else args.codec_decode)
 
 
+def _same_file(path, other) -> bool:
+    # existing files by device and inode, which hard links share; two files
+    # not made yet by their resolved paths; an existing and a missing never
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return not (os.path.exists(path) or os.path.exists(other)) and (
+            os.path.realpath(path) == os.path.realpath(other))
+
+
+def _refuse_overlap(args, output, *others):
+    # an output on the path of an input or of another output would destroy
+    # that file or lose this one, so it is refused before anything is written
+    path = getattr(args, output)
+    for name in others:
+        other = getattr(args, name)
+        if other is not None and _same_file(path, other):
+            raise ValidationError(f"{output} {path} is the same file as {name} {other}")
+
+
 def _cmd_embed(args) -> int:
-    # the host's PCM codes stand for read_wav's signal (see
-    # watermark._values), so no float64 copy of the host is made
+    # out_wav may be the host, which is read whole before anything is written
+    _refuse_overlap(args, "out_key", "out_wav", "host", "watermark")
+    _refuse_overlap(args, "out_wav", "watermark")
+    # the host's PCM codes stand for read_wav's signal (see audio._values), so
+    # no float64 copy of the host is made; _mark stores the marked codes in them
     rate, pcm = _read_pcm(args.host)
     watermark = read_pbm(args.watermark)
-    key, rows = _mark(pcm, rate, watermark, _params_from(args))
-    quality = _embed_psnr(pcm, key, rows)
-    _write_marked(args.out_wav, pcm, key, rows)  # turns pcm into the marked codes
+    key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
+    quality = _embed_psnr(host, marked, len(pcm))
+    # the key first: a failed key write leaves the host as it was
     write_key(args.out_key, key)
+    _write_pcm(args.out_wav, rate, pcm)
     print(f"psnr: {quality.psnr_db:.2f} dB")
     print(f"payload: {payload(rate, args.frame_size):g} bits/s")
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
+    _refuse_overlap(args, "out_pbm", "wav", "key", "reference")
     # the key first: it names the only frames of the WAV that are read
     key = read_key(args.key)
+    reference = None if args.reference is None else read_pbm(args.reference)
     recovered = _read_bits(*_read_keyed_frames(args.wav, key), key)
+    # the BER before the write, so a reference of other dimensions writes no file
+    report = "" if reference is None else f"ber: {ber(reference, recovered):.6f}\n"
     write_pbm(args.out_pbm, recovered)
-    if args.reference is not None:
-        reference = read_pbm(args.reference)
-        print(f"ber: {ber(reference, recovered):.6f}")
+    print(report, end="")
     return EXIT_OK
 
 

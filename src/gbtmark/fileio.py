@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _blocks
+from .audio import AudioSignal, _adopt, _gather, _pcm, _values
 from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
-from .watermark import (EmbeddingKey, EmbedParams, WatermarkImage, _frames, _gather,
-                        _values)
+from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
 
 MAX_PBM_DIMENSION = 4096
 # the header holds the byte rate, twice the sample rate, in 32 bits
@@ -95,19 +94,6 @@ def _read_keyed_frames(path, key: EmbeddingKey):
     return rate, _values(frames)
 
 
-def _pcm(samples):
-    # int16 PCM, block by block: scaled by 32768 and rounded in the block
-    # buffer, then stored; |x| <= 1 gives rint(32768 x) in -32768..32768,
-    # so only the top code is clipped, to 32767
-    pcm = np.empty(len(samples), dtype="<i2")
-    for block, scaled in _blocks(len(samples)):
-        np.multiply(samples[block], 32768.0, out=scaled)
-        np.rint(scaled, out=scaled)
-        np.minimum(scaled, 32767.0, out=scaled)
-        pcm[block] = scaled
-    return pcm
-
-
 def _write_pcm(path, rate, pcm):
     _integer(f"{path}: a WAV file's sample rate", rate, f"at most {MAX_WAV_RATE}",
              lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
@@ -121,15 +107,6 @@ def write_wav(path, signal: AudioSignal) -> None:
     even, and only 1.0's code 32768 is clipped, to 32767. So the signal
     read_wav makes of a WAV file is written back as the same codes."""
     _write_pcm(path, signal.sample_rate, _pcm(signal.samples))
-
-
-def _write_marked(path, pcm, key: EmbeddingKey, rows) -> None:
-    # write_wav of embed's signal for the host read_wav makes of the PCM
-    # codes pcm, made in pcm itself, so no second full-length array is
-    # made: a keyed frame's codes are _pcm's of its row, every other code
-    # is the host's, as write_wav writes it back
-    _frames(pcm, rows.shape[1])[key.frame_indices] = _pcm(rows.ravel()).reshape(rows.shape)
-    _write_pcm(path, key.sample_rate, pcm)
 
 
 def read_pbm(path) -> WatermarkImage:

@@ -1,4 +1,4 @@
-"""Embedding and extraction of image bits in audio frames.
+"""The watermark scheme: embedding and extraction of image bits in audio frames.
 
 One watermark bit goes into one frame: the frame's leading transform
 coefficients are reshaped to a small matrix, and the bit is written by
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _BLOCK, AudioSignal, _adopt, _check_range
+from .audio import (AudioSignal, _adopt, _check_range, _energies, _frames, _gather,
+                    _store, _values)
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
 from .transform import GraphConfig, make_plan
@@ -131,21 +132,6 @@ class WatermarkedResult:
     key: EmbeddingKey
 
 
-def _frames(samples, frame_size: int) -> np.ndarray:
-    # the whole frames of the samples as a (count, frame_size) view; embed
-    # writes through it, and a partial last frame is left out
-    count = samples.size // frame_size
-    return samples[:count * frame_size].reshape(count, frame_size)
-
-
-_CODE_SCALE = 2.0**-15  # int16 PCM code p stands for p * 2**-15 = p / 32768
-
-
-def _values(samples):
-    # the float64 values samples stand for: codes scaled, floats not copied
-    return samples * _CODE_SCALE if samples.dtype.kind == "i" else samples
-
-
 def _leading(basis, frames, k):
     # each frame's leading k coefficients as a row-major r x c matrix, r
     # the largest divisor of k not above sqrt(k), one row for a prime k.
@@ -227,25 +213,6 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
     return _select(signal.samples, params, bit_count)
 
 
-def _energies(frames):
-    # each frame's sum of squares of its _values. The squares of int16 codes
-    # are whole numbers up to 2**30 and a frame's sum of them stays below
-    # 2**41, so gemv sums them exactly, weighted by _CODE_SCALE**2 = 2**-30,
-    # a block of whole frames at a time in one reused buffer. Float samples
-    # take einsum: gemv's sum of a non-integer row depends on its block.
-    if frames.dtype.kind != "i":
-        return np.einsum("ij,ij->i", frames, frames)
-    energies, weights = np.empty(len(frames)), np.full(frames.shape[1], _CODE_SCALE**2)
-    step = max(_BLOCK // frames.shape[1], 1)
-    buffer = np.empty((min(step, len(frames)), frames.shape[1]))
-    for first in range(0, len(frames), step):
-        squares = buffer[:min(step, len(frames) - first)]
-        squares[...] = frames[first:first + step]
-        np.square(squares, out=squares)
-        np.matmul(squares, weights, out=energies[first:first + step])
-    return energies
-
-
 def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
     # select_frames of the signal whose _values the samples are, with the
     # same results for a signal's float64 samples and for the int16 PCM
@@ -284,15 +251,17 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
 
 
 def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
-    # embed's key and its keyed frames' marked rows, a new float64 array,
-    # for the host signal whose _values the samples are; they are only read
+    # embed into the samples in place, for the host signal whose _values
+    # they are; returns the key and the keyed frames' host and marked rows
     basis = make_plan(params.graph)
     chosen = _select(samples, params, watermark.bits.size)
     k = params.coeff_count
-    marked = _values(_frames(samples, params.graph.frame_size)[chosen])
+    frames = _frames(samples, params.graph.frame_size)
+    host = _values(frames[chosen])
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    s_ref, change = _smax_change(_leading(basis, marked, k), shift)
-    marked += change.reshape(-1, k) @ basis[:, :k].T
+    s_ref, change = _smax_change(_leading(basis, host, k), shift)
+    marked = change.reshape(-1, k) @ basis[:, :k].T
+    marked += host
     np.clip(marked, -1.0, 1.0, out=marked)
     # the clip leaves a NaN change as NaN; every other sample is the
     # host's, already checked, so a marked signal needs no scan of its own
@@ -300,7 +269,8 @@ def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedPar
     key = EmbeddingKey(sample_rate=sample_rate, params=params,
                        watermark_width=watermark.width, watermark_height=watermark.height,
                        frame_indices=chosen, s_max=s_ref)
-    return key, marked
+    _store(frames, chosen, marked)
+    return key, host, marked
 
 
 def embed(host: AudioSignal, watermark: WatermarkImage,
@@ -314,29 +284,10 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     signal, so write_wav writes a WAV host's codes back unchanged there;
     modified frames are clamped to [-1, 1].
     """
-    key, rows = _mark(host.samples, host.sample_rate, watermark,
+    samples = host.samples.copy()  # _mark marks it in place
+    key, _, _ = _mark(samples, host.sample_rate, watermark,
                       params if params is not None else EmbedParams())
-    samples = host.samples.copy()
-    _frames(samples, key.params.graph.frame_size)[key.frame_indices] = rows
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
-
-
-def _gather(samples, frame_size: int, indices) -> np.ndarray:
-    # A key's frames (indices strictly increasing), one row each in the
-    # samples' dtype: frames past the end read as zeros, a partial last
-    # frame is zero-padded. An index is compared, never multiplied, so any
-    # int64 is safe, and a memmap is read only at the keyed frames.
-    frames = _frames(samples, frame_size)
-    full = len(frames)
-    inside = int(np.searchsorted(indices, full))
-    rows = frames[indices[:inside]]
-    if inside < indices.size:
-        past = np.zeros((indices.size - inside, frame_size), rows.dtype)
-        if indices[inside] == full:
-            tail = samples[full * frame_size:]
-            past[0, :tail.size] = tail
-        rows = np.concatenate([rows, past])
-    return rows
 
 
 def _read_bits(sample_rate: int, frames, key: EmbeddingKey) -> WatermarkImage:

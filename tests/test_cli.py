@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_pbm,
                      read_wav, write_key, write_pbm, write_wav)
 from gbtmark.attacks import ATTACKS
-from gbtmark.audio import _BLOCK
+from gbtmark.audio import _BLOCK, _energies, _frames, _values
 from gbtmark.cli import build_parser, main
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
 from gbtmark.transform import GraphConfig
-from gbtmark.watermark import EmbedParams, _energies, _frames, _mark, _values
+from gbtmark.watermark import EmbedParams, _mark
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 from test_attacks import BAD_ENCODE_TEMPLATES, fake_codec
@@ -93,8 +93,10 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
-    key, rows = _mark(host.samples, host.sample_rate, random_watermark(), EmbedParams())
-    whole, framed = psnr(host, result.signal), _embed_psnr(host.samples, key, rows)
+    samples = host.samples.copy()  # _mark stores the marked frames in it
+    _, rows, marked = _mark(samples, host.sample_rate, random_watermark(), EmbedParams())
+    assert np.array_equal(samples, result.signal.samples)
+    whole, framed = psnr(host, result.signal), _embed_psnr(rows, marked, len(host))
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
@@ -140,6 +142,71 @@ def test_cli_embed_over_its_own_host(workspace):
     assert run_cli(["embed", host, mark, host, workspace / "same.key"]) == 0
     assert host.read_bytes() == fresh.read_bytes()
     assert (workspace / "same.key").read_bytes() == fresh_key.read_bytes()
+
+
+def snapshot(folder):
+    """Every file in the folder with its bytes."""
+    return {path.name: path.read_bytes() for path in folder.iterdir() if path.is_file()}
+
+
+def test_cli_embed_writes_the_key_first(workspace):
+    # a key that cannot be written fails the embed before the marked WAV
+    # is written, so an embed over its own host leaves the host as it was
+    before = snapshot(workspace)
+    argv = ["embed", workspace / "host.wav", workspace / "wm.pbm", workspace / "host.wav",
+            workspace / "missing" / "k.key"]
+    assert run_cli(argv) == 2
+    assert snapshot(workspace) == before
+
+
+@pytest.mark.parametrize(("out_wav", "out_key"), [
+    ("out", "out"), ("out.wav", "./sub/../out.wav"), ("out.wav", "alias/out.wav"),
+    ("out.wav", "host.wav"), ("out.wav", "link.wav"), ("out.wav", "wm.pbm"),
+    ("wm.pbm", "out.key"),
+])
+def test_cli_embed_refuses_an_output_on_another_path(workspace, capsys, out_wav,
+                                                     out_key):
+    # the key on the WAV output (by name, or through a symlinked folder), the
+    # host (by name or through a hard link) or the watermark, and the WAV on
+    # the watermark, exit 1 writing nothing
+    (workspace / "sub").mkdir()
+    (workspace / "alias").symlink_to(workspace, target_is_directory=True)
+    os.link(workspace / "host.wav", workspace / "link.wav")
+    before = snapshot(workspace)
+    argv = ["embed", workspace / "host.wav", workspace / "wm.pbm", workspace / out_wav,
+            workspace / out_key]
+    assert run_cli(argv) == 1
+    assert "is the same file as" in capsys.readouterr().err
+    assert snapshot(workspace) == before
+
+
+@pytest.mark.parametrize("target", ["wav", "key", "reference"])
+def test_cli_extract_refuses_an_output_on_an_input(workspace, capsys, target):
+    # the PBM written over the reference would be compared with itself and
+    # read a BER of 0; over the WAV or the key it would destroy an input
+    files = {"wav": workspace / "m.wav", "key": workspace / "m.key",
+             "reference": workspace / "wm.pbm"}
+    assert run_cli(["embed", workspace / "host.wav", files["reference"], files["wav"],
+                    files["key"]]) == 0
+    capsys.readouterr()
+    before = snapshot(workspace)
+    argv = ["extract", files["wav"], files["key"], files[target],
+            "--reference", files["reference"]]
+    assert run_cli(argv) == 1
+    assert "is the same file as" in capsys.readouterr().err
+    assert snapshot(workspace) == before
+
+
+def test_cli_extract_checks_the_reference_before_writing(workspace, capsys):
+    # a missing, malformed or wrongly sized reference writes no PBM
+    wav, key, out = workspace / "m.wav", workspace / "m.key", workspace / "out.pbm"
+    assert run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm", wav, key]) == 0
+    (workspace / "bad.pbm").write_text("P1\n2 2\n0 1\n")
+    write_pbm(workspace / "small.pbm", WatermarkImage(2, 2, [0, 1, 1, 0]))
+    for reference, status in (("missing.pbm", 2), ("bad.pbm", 2), ("small.pbm", 1)):
+        assert run_cli(["extract", wav, key, out, "--reference",
+                        workspace / reference]) == status
+        assert not out.exists()
 
 
 def with_seam_examples(test):

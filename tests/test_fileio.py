@@ -23,10 +23,9 @@ from gbtmark import (
     write_pbm,
     write_wav,
 )
-from gbtmark.audio import _BLOCK
+from gbtmark.audio import _BLOCK, _gather
 from gbtmark.fileio import _read_keyed_frames, _wav_data
 from gbtmark.synth import speech_like
-from gbtmark.watermark import _gather
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
 

@@ -26,8 +26,9 @@ from gbtmark import (
     psnr,
     select_frames,
 )
+from gbtmark.audio import _frames
 from gbtmark.synth import speech_like
-from gbtmark.watermark import _frames, _leading, _smax, _smax_change
+from gbtmark.watermark import _leading, _smax, _smax_change
 
 from conftest import embed_oracle_gap, random_watermark
 from oracles import ar_noise, select_frames_full_scan
