@@ -1,6 +1,7 @@
 """Sample arrays, float64 values in [-1, 1] or int16 PCM codes, and their
 frames; only the helpers here tell values and codes apart."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,14 @@ def _fit_length(samples, length):
     return np.concatenate([samples, np.zeros(length - samples.size)])
 
 
-def _blocks(size):
-    # a slice for each consecutive _BLOCK-sample block of range(size), and
-    # a float64 buffer of the block's length; one buffer serves every block
-    buffer = np.empty(min(size, _BLOCK))
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
+def _blocks(shape):
+    # the one block walk: a slice for each consecutive block of the leading
+    # axis of the given shape, at most _BLOCK values and at least one row,
+    # and a float64 buffer of the block's shape that every block shares
+    step = max(_BLOCK // math.prod(shape[1:]), 1)
+    buffer = np.empty((min(step, shape[0]), *shape[1:]))
+    for start in range(0, shape[0], step):
+        stop = min(start + step, shape[0])
         yield slice(start, stop), buffer[:stop - start]
 
 
@@ -99,11 +102,11 @@ def _values(samples):
 
 
 def _pcm(samples):
-    # int16 PCM, block by block: scaled by 32768 and rounded in the block
-    # buffer, then stored; |x| <= 1 gives rint(32768 x) in -32768..32768,
-    # so only the top code is clipped, to 32767
-    pcm = np.empty(len(samples), dtype="<i2")
-    for block, scaled in _blocks(len(samples)):
+    # int16 PCM of float64 values of any shape, block by block: scaled by
+    # 32768 and rounded in the block buffer, then stored; |x| <= 1 gives
+    # rint(32768 x) in -32768..32768, so only the top code is clipped, to 32767
+    pcm = np.empty(samples.shape, dtype="<i2")
+    for block, scaled in _blocks(samples.shape):
         np.multiply(samples[block], 1 / _CODE_SCALE, out=scaled)
         np.rint(scaled, out=scaled)
         np.minimum(scaled, 32767.0, out=scaled)
@@ -112,11 +115,9 @@ def _pcm(samples):
 
 
 def _store(frames, rows, values):
-    # _values' inverse, the one write-back of marked frames: the float64
-    # values stored in the given rows of frames, through _pcm for codes
-    if frames.dtype.kind == "i":
-        values = _pcm(values.ravel()).reshape(values.shape)
-    frames[rows] = values
+    # _values' inverse, the one write-back of marked frames: float64 value
+    # rows stored in the given rows of frames as stored, codes through _pcm
+    frames[rows] = _pcm(values) if frames.dtype.kind == "i" else values
 
 
 def _frames(samples, frame_size: int) -> np.ndarray:
@@ -147,16 +148,13 @@ def _energies(frames):
     # each frame's sum of squares of its _values. The squares of int16 codes
     # are whole numbers up to 2**30 and a frame's sum of them stays below
     # 2**41, so gemv sums them exactly, weighted by _CODE_SCALE**2 = 2**-30,
-    # a block of whole frames at a time in one reused buffer. Float samples
-    # take einsum: gemv's sum of a non-integer row depends on its block.
+    # a _blocks block of whole frames at a time. Float samples take einsum:
+    # gemv's sum of a non-integer row depends on its block.
     if frames.dtype.kind != "i":
         return np.einsum("ij,ij->i", frames, frames)
     energies, weights = np.empty(len(frames)), np.full(frames.shape[1], _CODE_SCALE**2)
-    step = max(_BLOCK // frames.shape[1], 1)
-    buffer = np.empty((min(step, len(frames)), frames.shape[1]))
-    for first in range(0, len(frames), step):
-        squares = buffer[:min(step, len(frames) - first)]
-        squares[...] = frames[first:first + step]
+    for block, squares in _blocks(frames.shape):
+        squares[...] = frames[block]
         np.square(squares, out=squares)
-        np.matmul(squares, weights, out=energies[first:first + step])
+        np.matmul(squares, weights, out=energies[block])
     return energies

@@ -112,8 +112,8 @@ def _cmd_embed(args) -> int:
     # out_wav may be the host, which is read whole before anything is written
     _refuse_overlap(args, "out_key", "out_wav", "host", "watermark")
     _refuse_overlap(args, "out_wav", "watermark")
-    # the host's PCM codes stand for read_wav's signal (see audio._values), so
-    # no float64 copy of the host is made; _mark stores the marked codes in them
+    # _mark takes the host's PCM codes as stored (see watermark._leading), so
+    # no float64 copy of the host is made; it stores the marked codes in them
     rate, pcm = _read_pcm(args.host)
     watermark = read_pbm(args.watermark)
     key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
@@ -148,6 +148,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    _refuse_overlap(args, "out_csv", "watermark")
+    for clip in Path(args.corpus_dir).glob("*.wav"):
+        if _same_file(args.out_csv, clip):
+            raise ValidationError(f"out_csv {args.out_csv} is the same file as {clip}")
     watermark = read_pbm(args.watermark)
     report = run_benchmark(args.corpus_dir, watermark,
                            params=_params_from(args), seed=args.seed,

@@ -84,14 +84,13 @@ def read_wav(path) -> AudioSignal:
 
 
 def _read_keyed_frames(path, key: EmbeddingKey):
-    # The sample rate of a WAV file and the key's frames of it, as extract
-    # reads them from read_wav's signal, with the same checks; only the
-    # pages holding those frames are read from the file.
+    # The sample rate of a WAV file and the key's frames of it as int16 code
+    # rows, which _read_bits takes as stored (see watermark._leading), with
+    # read_wav's checks; only the pages holding those frames are read.
     with open(path, "rb") as file:
         rate, offset, size = _wav_data(path, file)
         pcm = np.memmap(file, dtype="<i2", mode="r", offset=offset, shape=(size // 2,))
-        frames = _gather(pcm, key.params.graph.frame_size, key.frame_indices)
-    return rate, _values(frames)
+        return rate, _gather(pcm, key.params.graph.frame_size, key.frame_indices)
 
 
 def _write_pcm(path, rate, pcm):

@@ -33,7 +33,7 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     # squared errors summed per block; up to one block this is np.mean's
     # own pairwise sum, so bit-equal to it
     total = 0.0
-    for block, error in _blocks(len(test)):
+    for block, error in _blocks(test.samples.shape):
         np.subtract(test.samples[block], reference.samples[block], out=error)
         total += np.add.reduce(np.square(error, out=error))
     return _quality(total, len(test))

@@ -132,15 +132,17 @@ class WatermarkedResult:
     key: EmbeddingKey
 
 
-def _leading(basis, frames, k):
-    # each frame's leading k coefficients as a row-major r x c matrix, r
-    # the largest divisor of k not above sqrt(k), one row for a prime k.
-    # On OpenBLAS the full-basis product reads a frame bit-equal in batches
-    # of 2 to 33 rows and in the full batch (checked at k = 1, 4, 6 and 9);
-    # basis[:, :k] does not at k = 1. A one-row batch goes to gemv and
-    # differs in the last bits (ROADMAP item 2).
-    rows = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
-    return (frames @ basis)[:, :k].reshape(-1, rows, k // rows)
+def _leading(rows, params):
+    # The one projection from stored frames: rows as stored, int16 codes or
+    # float values, to each row's leading k = params.coeff_count coefficients
+    # as a row-major r x c matrix, r the largest divisor of k not above
+    # sqrt(k). On OpenBLAS the full-basis product reads a row bit-equal in
+    # batches of 2 to 33 rows and in the full batch (checked at k = 1, 4, 6
+    # and 9); basis[:, :k] does not at k = 1. A one-row batch goes to gemv
+    # and differs in the last bits (ROADMAP item 2).
+    k = params.coeff_count
+    r = next(r for r in range(math.isqrt(k), 0, -1) if k % r == 0)
+    return (_values(rows) @ make_plan(params.graph))[:, :k].reshape(-1, r, k // r)
 
 
 def _halves(mats):
@@ -220,7 +222,6 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
     # are made in float64.
     bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
                          ValidationError)
-    basis = make_plan(params.graph)
     size = params.graph.frame_size
     total = len(samples) // size
     if total < 1:
@@ -239,7 +240,7 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
         cut = np.partition(energies, total - wanted)[total - wanted]
         new = np.flatnonzero((energies >= cut) & (energies < upper))
         new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(basis, _values(frames[new]), params.coeff_count))
+        smax = _smax(_leading(frames[new], params))
         winners = np.concatenate([winners, new[smax > params.ws]])
         if winners.size >= bit_count:
             return np.sort(winners[:bit_count])
@@ -253,14 +254,13 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
 def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
     # embed into the samples in place, for the host signal whose _values
     # they are; returns the key and the keyed frames' host and marked rows
-    basis = make_plan(params.graph)
     chosen = _select(samples, params, watermark.bits.size)
-    k = params.coeff_count
     frames = _frames(samples, params.graph.frame_size)
     host = _values(frames[chosen])
     shift = np.where(watermark.bits == 1, params.ws, -params.ws)
-    s_ref, change = _smax_change(_leading(basis, host, k), shift)
-    marked = change.reshape(-1, k) @ basis[:, :k].T
+    s_ref, change = _smax_change(_leading(host, params), shift)
+    change = change.reshape(len(host), -1)
+    marked = change @ make_plan(params.graph)[:, :change.shape[1]].T
     marked += host
     np.clip(marked, -1.0, 1.0, out=marked)
     # the clip leaves a NaN change as NaN; every other sample is the
@@ -290,15 +290,14 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
 
 
-def _read_bits(sample_rate: int, frames, key: EmbeddingKey) -> WatermarkImage:
-    # the key's bits from its frames, as _gather gives them, of a signal
-    # sampled at sample_rate
+def _read_bits(sample_rate: int, rows, key: EmbeddingKey) -> WatermarkImage:
+    # the key's bits from its frames of a signal sampled at sample_rate, the
+    # rows as _gather gives them, codes or values as stored (see _leading)
     if sample_rate != key.sample_rate:
         raise ValidationError(
             f"signal is sampled at {sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
-    basis = make_plan(key.params.graph)
-    bits = _smax(_leading(basis, frames, key.params.coeff_count)) > key.s_max
+    bits = _smax(_leading(rows, key.params)) > key.s_max
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)
 
 

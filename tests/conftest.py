@@ -80,7 +80,7 @@ def with_wav_edit_examples(**fixed):
     return decorate
 
 
-def embed_oracle_gap(basis, candidates, params):
+def embed_oracle_gap(candidates, params):
     """Largest gap between frames marked by ``embed`` and the 2x2 oracle.
 
     Keeps the candidate frames that are eligible and whose two singular
@@ -91,15 +91,15 @@ def embed_oracle_gap(basis, candidates, params):
     coefficient matrix is compared with ``shift_top_singular_value``.
     Returns the number of frames kept and the largest absolute gap.
     """
-    sv = np.linalg.svd(_leading(basis, candidates, 4), compute_uv=False)
+    sv = np.linalg.svd(_leading(candidates, params), compute_uv=False)
     frames = candidates[(sv[:, 0] > params.ws) & (sv[:, 0] - sv[:, 1] >= 1e-6)]
-    before = _leading(basis, frames, 4)
+    before = _leading(frames, params)
     host = AudioSignal(frames.reshape(-1), 8000)
     gap = 0.0
     for bit, delta in ((1, params.ws), (0, -params.ws)):
         mark = WatermarkImage(len(frames), 1, np.full(len(frames), bit))
         marked = embed(host, mark, params).signal.samples.reshape(frames.shape)
-        after = _leading(basis, marked, 4)
+        after = _leading(marked, params)
         for got, mat in zip(after, before):
             gap = max(gap, np.max(np.abs(got - shift_top_singular_value(mat, delta))))
     return len(frames), gap

@@ -136,8 +136,7 @@ def test_criterion_09_transform_correctness(default_basis):
                               PUBLISHED_8x8)
 
         # embed's rank-1 update against the closed-form 2x2 SVD, both bits
-        kept, gap = embed_oracle_gap(default_basis, rng.uniform(-0.5, 0.5, (60, n)),
-                                     EmbedParams())
+        kept, gap = embed_oracle_gap(rng.uniform(-0.5, 0.5, (60, n)), EmbedParams())
         assert kept >= 50
         assert gap <= 1e-9
 

@@ -197,6 +197,21 @@ def test_cli_extract_refuses_an_output_on_an_input(workspace, capsys, target):
     assert snapshot(workspace) == before
 
 
+@pytest.mark.parametrize("target", ["wm.pbm", "corpus/clip.wav", "link.csv"])
+def test_cli_benchmark_refuses_an_output_on_an_input(workspace, capsys, target):
+    # the CSV over the watermark or a corpus clip (by name or through a hard
+    # link) would replace that input; it exits 1 before reading any file
+    corpus = workspace / "corpus"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(2.0, 8000, seed=1))
+    os.link(corpus / "clip.wav", workspace / "link.csv")
+    before = snapshot(workspace), snapshot(corpus)
+    argv = ["benchmark", corpus, workspace / "wm.pbm", workspace / target]
+    assert run_cli(argv) == 1
+    assert "is the same file as" in capsys.readouterr().err
+    assert (snapshot(workspace), snapshot(corpus)) == before
+
+
 def test_cli_extract_checks_the_reference_before_writing(workspace, capsys):
     # a missing, malformed or wrongly sized reference writes no PBM
     wav, key, out = workspace / "m.wav", workspace / "m.key", workspace / "out.pbm"

@@ -23,7 +23,7 @@ from gbtmark import (
     write_pbm,
     write_wav,
 )
-from gbtmark.audio import _BLOCK, _gather
+from gbtmark.audio import _BLOCK, _gather, _values
 from gbtmark.fileio import _read_keyed_frames, _wav_data
 from gbtmark.synth import speech_like
 
@@ -273,16 +273,20 @@ def keyed(key, indices):
 
 
 def frame_readings(path, key):
-    """The key's frames of a WAV file as the keyed-frame reader gives them
-    and as read_wav then the in-memory gather give them: each a (rate,
-    frames) pair, or AudioFormatError."""
+    """The key's frames of a WAV file as the keyed-frame reader's code rows
+    stand for them (their _values) and as read_wav then the in-memory
+    gather give them: each a (rate, frames) pair, or AudioFormatError."""
+    def keyed():
+        rate, rows = _read_keyed_frames(path, key)
+        return rate, _values(rows)
+
     def in_memory():
         signal = read_wav(path)
         return signal.sample_rate, _gather(signal.samples, key.params.graph.frame_size,
                                            key.frame_indices)
 
     readings = []
-    for read in (lambda: _read_keyed_frames(path, key), in_memory):
+    for read in (keyed, in_memory):
         try:
             readings.append(read())
         except AudioFormatError:

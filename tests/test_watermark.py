@@ -26,9 +26,9 @@ from gbtmark import (
     psnr,
     select_frames,
 )
-from gbtmark.audio import _frames
+from gbtmark.audio import _frames, _gather, _values
 from gbtmark.synth import speech_like
-from gbtmark.watermark import _leading, _smax, _smax_change
+from gbtmark.watermark import _leading, _mark, _read_bits, _smax, _smax_change
 
 from conftest import embed_oracle_gap, random_watermark
 from oracles import ar_noise, select_frames_full_scan
@@ -62,8 +62,8 @@ def leading_of_random_frames(k, count=5):
     # all coefficients of random frames of the default 10-sample graph,
     # and _leading's matrices of them
     frames = np.random.default_rng(k).uniform(-0.5, 0.5, (count, 10))
-    basis = make_plan(GraphConfig())
-    return frames @ basis, _leading(basis, frames, k)
+    params = EmbedParams(coeff_fraction=k / 10)
+    return frames @ make_plan(params.graph), _leading(frames, params)
 
 
 def test_reshape_k4_row_major():
@@ -239,11 +239,11 @@ def test_select_frames_real_clip_capacity():
     assert np.all(np.diff(chosen) > 0)
 
 
-def test_select_frames_eligibility_threshold(default_basis):
+def test_select_frames_eligibility_threshold():
     # eligible means the kernel's smax > ws: a frame exactly at the
     # strength is out, and one a single ulp above it is in
     signal = ar_noise(10, seed=21, rms=0.2)
-    smax = float(_smax(_leading(default_basis, signal.samples.reshape(-1, 10), 4))[0])
+    smax = float(_smax(_leading(signal.samples.reshape(-1, 10), EmbedParams()))[0])
     with pytest.raises(CapacityError):
         select_frames(signal, EmbedParams(ws=smax), 1)
     below = EmbedParams(ws=np.nextafter(smax, 0.0))
@@ -438,12 +438,11 @@ def test_a_bit_is_a_rank_one_change_of_the_leading_coefficients(coeff_fraction, 
     assert np.max(sv[:, 1:], initial=0.0) <= 1e-12
 
 
-def test_embed_matches_closed_form_oracle(default_basis):
+def test_embed_matches_closed_form_oracle():
     # rank-1 singular value shift cross-checked against an independent
     # quadratic-formula SVD of the 2x2 coefficient matrix
     rng = np.random.default_rng(12)
-    kept, gap = embed_oracle_gap(default_basis, rng.uniform(-0.5, 0.5, (100, 10)),
-                                 EmbedParams())
+    kept, gap = embed_oracle_gap(rng.uniform(-0.5, 0.5, (100, 10)), EmbedParams())
     assert kept >= 50
     assert gap <= 1e-9
 
@@ -453,6 +452,21 @@ def test_extract_unmarked_host_reads_zero(speech_clips, embedded_clips):
     # so the unmarked host ties everywhere, and a tie reads as bit 0
     for host, result in zip(speech_clips, embedded_clips):
         assert not np.any(extract(host, result.key).bits)
+
+
+def test_code_rows_read_as_their_values():
+    # rows as stored: a key's int16 code rows and their _values give
+    # bit-equal matrices and the same image
+    codes = np.random.default_rng(31).integers(-20_000, 20_000, 4000, dtype=np.int16)
+    watermark = random_watermark(10, 10, seed=4)
+    key, _, _ = _mark(codes, 8000, watermark, EmbedParams())
+    rows = _gather(codes, 10, key.frame_indices)
+    values = _values(rows)
+    assert rows.dtype == np.int16 and values.dtype == np.float64
+    assert _leading(rows, key.params).tobytes() == _leading(values, key.params).tobytes()
+    image = _read_bits(8000, rows, key)
+    assert np.array_equal(image.bits, _read_bits(8000, values, key).bits)
+    assert np.array_equal(image.bits, watermark.bits)
 
 
 def test_extract_rejects_rate_mismatch(embedded_clips):
