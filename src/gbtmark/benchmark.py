@@ -100,9 +100,8 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
             if spec is None:
                 attacked = marked.signal
             else:
-                # a kind that reads no seed runs the grid's own spec
-                if "seed" in ATTACKS[spec.kind].extras:
-                    spec = replace(spec, seed=seed + file_index)
+                # apply passes the seed only to a kind that reads one
+                spec = replace(spec, seed=seed + file_index)
                 try:
                     attacked = spec.apply(marked.signal, codec=codec)
                 except CodecError:

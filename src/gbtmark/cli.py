@@ -6,12 +6,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import (AudioFormatError, CodecError, GbtmarkError, KeyFormatError,
                      ValidationError)
-from .fileio import (_read_keyed_frames, _read_pcm, _write_pcm, read_key, read_pbm,
-                     read_wav, write_key, write_pbm, write_wav)
+from .fileio import (_read_pcm, _write_pcm, read_key, read_pbm, read_wav, write_key,
+                     write_pbm, write_wav)
 from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
 from .watermark import EmbedParams, _mark, _read_bits
@@ -109,12 +111,13 @@ def _refuse_overlap(args, output, *others):
 
 
 def _cmd_embed(args) -> int:
-    # out_wav may be the host, which is read whole before anything is written
     _refuse_overlap(args, "out_key", "out_wav", "host", "watermark")
     _refuse_overlap(args, "out_wav", "watermark")
-    # _mark takes the host's PCM codes as stored (see watermark._leading), so
-    # no float64 copy of the host is made; it stores the marked codes in them
+    # _mark marks the host's PCM codes as stored (see watermark._leading), in
+    # one in-memory int16 copy and no float64 one; no map of the host is left
+    # when out_wav, which may be the host, is written
     rate, pcm = _read_pcm(args.host)
+    pcm = np.array(pcm)
     watermark = read_pbm(args.watermark)
     key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
     quality = _embed_psnr(host, marked, len(pcm))
@@ -131,7 +134,7 @@ def _cmd_extract(args) -> int:
     # the key first: it names the only frames of the WAV that are read
     key = read_key(args.key)
     reference = None if args.reference is None else read_pbm(args.reference)
-    recovered = _read_bits(*_read_keyed_frames(args.wav, key), key)
+    recovered = _read_bits(*_read_pcm(args.wav), key)
     # the BER before the write, so a reference of other dimensions writes no file
     report = "" if reference is None else f"ber: {ber(reference, recovered):.6f}\n"
     write_pbm(args.out_pbm, recovered)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, _adopt, _gather, _pcm, _values
+from .audio import AudioSignal, _adopt, _pcm, _values
 from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
 from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
@@ -26,11 +26,10 @@ _SPACE = bytes(code for code in range(128) if chr(code).isspace())
 
 
 def _wav_data(path, file):
-    # The one header step of read_wav and _read_keyed_frames: every format
-    # check, then the sample rate, the data's byte offset and the bytes of
-    # it that wave would read. wave leaves the file just past the data
-    # chunk's header, and reads at most as far as the RIFF chunk's size
-    # and the file reach.
+    # The header step of _read_pcm: every format check, then the sample
+    # rate, the data's byte offset and the bytes of it that wave would
+    # read. wave leaves the file just past the data chunk's header, and
+    # reads at most as far as the RIFF chunk's size and the file reach.
     try:
         with wave.open(file) as handle:
             channels = handle.getnchannels()
@@ -66,37 +65,27 @@ def _wav_data(path, file):
 
 
 def _read_pcm(path):
-    # the sample rate and the int16 PCM codes of a WAV file, read once after
-    # _wav_data's checks into a new array; a memmap of the host would break
-    # an embed that writes over the file it reads
+    # The one PCM reader: the sample rate and a read-only map of a WAV file's
+    # int16 codes, after _wav_data's checks. Only the pages read are loaded;
+    # a caller that writes over the file copies the codes first.
     with open(path, "rb") as file:
         rate, offset, size = _wav_data(path, file)
-        file.seek(offset)
-        return rate, np.fromfile(file, dtype="<i2", count=size // 2)
+        return rate, np.memmap(file, "<i2", "r", offset=offset, shape=(size // 2,))
 
 
 def read_wav(path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file; integer sample i maps to i/32768."""
     rate, pcm = _read_pcm(path)
-    # an int16 code over 32768 is finite and in [-1, 32767/32768], so the
-    # signal's value scan could never fail and is skipped
+    # scaled straight from the map, with no int16 copy; a code over 32768 is
+    # finite and in [-1, 32767/32768], so the value scan is skipped
     return _adopt(_values(pcm), rate, in_range=True)
-
-
-def _read_keyed_frames(path, key: EmbeddingKey):
-    # The sample rate of a WAV file and the key's frames of it as int16 code
-    # rows, which _read_bits takes as stored (see watermark._leading), with
-    # read_wav's checks; only the pages holding those frames are read.
-    with open(path, "rb") as file:
-        rate, offset, size = _wav_data(path, file)
-        pcm = np.memmap(file, dtype="<i2", mode="r", offset=offset, shape=(size // 2,))
-        return rate, _gather(pcm, key.params.graph.frame_size, key.frame_indices)
 
 
 def _write_pcm(path, rate, pcm):
     _integer(f"{path}: a WAV file's sample rate", rate, f"at most {MAX_WAV_RATE}",
              lambda hz: hz <= MAX_WAV_RATE, AudioFormatError)
-    with wave.open(str(path), "wb") as handle:
+    # opened here: a failed open inside wave.open leaves a writer whose __del__ raises
+    with open(path, "wb") as file, wave.open(file, "wb") as handle:
         handle.setparams((1, 2, rate, 0, "NONE", "not compressed"))  # mono PCM16
         handle.writeframes(pcm)
 

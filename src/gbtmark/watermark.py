@@ -290,13 +290,15 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
 
 
-def _read_bits(sample_rate: int, rows, key: EmbeddingKey) -> WatermarkImage:
-    # the key's bits from its frames of a signal sampled at sample_rate, the
-    # rows as _gather gives them, codes or values as stored (see _leading)
+def _read_bits(sample_rate: int, samples, key: EmbeddingKey) -> WatermarkImage:
+    # the key's bits from a signal sampled at sample_rate, its samples as
+    # stored (see _leading), a WAV file's map too: only the keyed frames are
+    # gathered, after the rate check
     if sample_rate != key.sample_rate:
         raise ValidationError(
             f"signal is sampled at {sample_rate} Hz but the key was "
             f"made at {key.sample_rate} Hz")
+    rows = _gather(samples, key.params.graph.frame_size, key.frame_indices)
     bits = _smax(_leading(rows, key.params)) > key.s_max
     return WatermarkImage(key.watermark_width, key.watermark_height, bits)
 
@@ -310,5 +312,4 @@ def extract(signal: AudioSignal, key: EmbeddingKey) -> WatermarkImage:
     singular value exceeds the key's, else 0, so an unmarked copy of the
     host reads all zeros.
     """
-    frames = _gather(signal.samples, key.params.graph.frame_size, key.frame_indices)
-    return _read_bits(signal.sample_rate, frames, key)
+    return _read_bits(signal.sample_rate, signal.samples, key)

@@ -483,23 +483,25 @@ def test_run_benchmark_checks_seed_before_any_work(tmp_path, monkeypatch):
 
 
 def test_run_benchmark_reseeds_only_the_kinds_that_read_a_seed(tmp_path, monkeypatch):
-    # awgn runs with the run's seed plus the file's position; a kind that
-    # reads no seed runs the grid's own spec object, not a re-checked copy
+    # every spec runs with the run's seed plus the file's position, and
+    # apply hands it only to a kind that reads one (awgn); the report keeps
+    # the grid's own specs
     for seed in (1, 2):
         write_wav(tmp_path / f"clip{seed}.wav", speech_like(2.0, 8000, seed=seed))
-    applied = []
-    apply = AttackSpec.apply
+    calls = []
+    for kind in ("awgn", "crop"):
+        attack = gbtmark.attacks.ATTACKS[kind]
 
-    def spy(spec, signal, codec=None):
-        applied.append(spec)
-        return apply(spec, signal, codec=codec)
+        def spy(signal, parameter, kind=kind, function=attack.function, **extras):
+            calls.append((kind, extras))
+            return function(signal, parameter, **extras)
 
-    monkeypatch.setattr(AttackSpec, "apply", spy)
+        monkeypatch.setitem(gbtmark.attacks.ATTACKS, kind, attack._replace(function=spy))
     grid = (("awgn", AttackSpec("awgn", 20.0)), ("crop", AttackSpec("crop", 0.2)))
     mark = WatermarkImage(2, 2, np.array([0, 1, 1, 0]))
-    gbtmark.benchmark.run_benchmark(tmp_path, mark, seed=5, grid=grid)
-    assert [(spec.kind, spec.seed) for spec in applied[0::2]] == [("awgn", 5), ("awgn", 6)]
-    assert len(applied) == 4 and all(spec is grid[1][1] for spec in applied[1::2])
+    report = gbtmark.benchmark.run_benchmark(tmp_path, mark, seed=5, grid=grid)
+    assert calls == [("awgn", {"seed": 5}), ("crop", {}), ("awgn", {"seed": 6}), ("crop", {})]
+    assert all(row.spec is spec for row, (_, spec) in zip(report.rows, grid))
 
 
 def test_wav_helpers_roundtrip(tmp_path):

@@ -159,6 +159,22 @@ def test_cli_embed_writes_the_key_first(workspace):
     assert snapshot(workspace) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "host.wav", "wm.pbm", "missing/out.wav", "out.key"],
+    ["embed", "host.wav", "wm.pbm", "folder", "out.key"],
+    ["attack", "crop", "host.wav", "missing/out.wav", "--fraction", "0.1"],
+], ids=["embed", "embed-over-a-folder", "attack"])
+def test_cli_wav_output_that_cannot_be_opened_exits_2(workspace, capsys, monkeypatch,
+                                                      argv):
+    # the WAV output is opened before wave takes it, so a failed open
+    # leaves no half-made wave writer to raise again when it is collected
+    (workspace / "folder").mkdir()
+    monkeypatch.chdir(workspace)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gbtmark: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(("out_wav", "out_key"), [
     ("out", "out"), ("out.wav", "./sub/../out.wav"), ("out.wav", "alias/out.wav"),
     ("out.wav", "host.wav"), ("out.wav", "link.wav"), ("out.wav", "wm.pbm"),

@@ -24,7 +24,7 @@ from gbtmark import (
     write_wav,
 )
 from gbtmark.audio import _BLOCK, _gather, _values
-from gbtmark.fileio import _read_keyed_frames, _wav_data
+from gbtmark.fileio import _read_pcm, _wav_data
 from gbtmark.synth import speech_like
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
@@ -273,17 +273,18 @@ def keyed(key, indices):
 
 
 def frame_readings(path, key):
-    """The key's frames of a WAV file as the keyed-frame reader's code rows
-    stand for them (their _values) and as read_wav then the in-memory
-    gather give them: each a (rate, frames) pair, or AudioFormatError."""
+    """The key's frames of a WAV file as the code rows gathered from
+    _read_pcm's map stand for them (their _values) and as read_wav then the
+    same gather give them: each a (rate, frames) pair, or AudioFormatError."""
+    size, indices = key.params.graph.frame_size, key.frame_indices
+
     def keyed():
-        rate, rows = _read_keyed_frames(path, key)
-        return rate, _values(rows)
+        rate, pcm = _read_pcm(path)
+        return rate, _values(_gather(pcm, size, indices))
 
     def in_memory():
         signal = read_wav(path)
-        return signal.sample_rate, _gather(signal.samples, key.params.graph.frame_size,
-                                           key.frame_indices)
+        return signal.sample_rate, _gather(signal.samples, size, indices)
 
     readings = []
     for read in (keyed, in_memory):

@@ -455,8 +455,8 @@ def test_extract_unmarked_host_reads_zero(speech_clips, embedded_clips):
 
 
 def test_code_rows_read_as_their_values():
-    # rows as stored: a key's int16 code rows and their _values give
-    # bit-equal matrices and the same image
+    # samples as stored: a key's int16 code rows and their _values give
+    # bit-equal matrices, and the codes and their _values the same image
     codes = np.random.default_rng(31).integers(-20_000, 20_000, 4000, dtype=np.int16)
     watermark = random_watermark(10, 10, seed=4)
     key, _, _ = _mark(codes, 8000, watermark, EmbedParams())
@@ -464,8 +464,8 @@ def test_code_rows_read_as_their_values():
     values = _values(rows)
     assert rows.dtype == np.int16 and values.dtype == np.float64
     assert _leading(rows, key.params).tobytes() == _leading(values, key.params).tobytes()
-    image = _read_bits(8000, rows, key)
-    assert np.array_equal(image.bits, _read_bits(8000, values, key).bits)
+    image = _read_bits(8000, codes, key)
+    assert np.array_equal(image.bits, _read_bits(8000, _values(codes), key).bits)
     assert np.array_equal(image.bits, watermark.bits)
 
 
