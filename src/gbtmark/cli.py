@@ -6,14 +6,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
 from .errors import (AudioFormatError, CodecError, GbtmarkError, KeyFormatError,
                      ValidationError)
-from .fileio import (_read_pcm, _write_pcm, read_key, read_pbm, read_wav, write_key,
-                     write_pbm, write_wav)
+from .audio import _frames, _store
+from .fileio import (_read_pcm, _staged, _write_pcm, read_key, read_pbm, read_wav,
+                     write_key, write_pbm, write_wav)
 from .metrics import _embed_psnr, ber, payload
 from .transform import GraphConfig
 from .watermark import EmbedParams, _mark, _read_bits
@@ -113,17 +112,21 @@ def _refuse_overlap(args, output, *others):
 def _cmd_embed(args) -> int:
     _refuse_overlap(args, "out_key", "out_wav", "host", "watermark")
     _refuse_overlap(args, "out_wav", "watermark")
-    # _mark marks the host's PCM codes as stored (see watermark._leading), in
-    # one in-memory int16 copy and no float64 one; no map of the host is left
-    # when out_wav, which may be the host, is written
+    # no copy of the host: _mark reads a read-only map of its PCM codes (see
+    # watermark._leading), the staged WAV is written from that map, and only
+    # its keyed frames are then stored, through a map of the staged file
     rate, pcm = _read_pcm(args.host)
-    pcm = np.array(pcm)
     watermark = read_pbm(args.watermark)
     key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
     quality = _embed_psnr(host, marked, len(pcm))
-    # the key first: a failed key write leaves the host as it was
-    write_key(args.out_key, key)
-    _write_pcm(args.out_wav, rate, pcm)
+    # the key replaces its target first, and no map is left when out_wav,
+    # which may be the host, is replaced
+    with _staged(args.out_key, args.out_wav) as (key_path, wav_path):
+        write_key(key_path, key)
+        _write_pcm(wav_path, rate, pcm)
+        _, staged = _read_pcm(wav_path, "r+")
+        _store(_frames(staged, args.frame_size), key.frame_indices, marked)
+        del pcm, staged
     print(f"psnr: {quality.psnr_db:.2f} dB")
     print(f"payload: {payload(rate, args.frame_size):g} bits/s")
     return EXIT_OK
@@ -137,7 +140,8 @@ def _cmd_extract(args) -> int:
     recovered = _read_bits(*_read_pcm(args.wav), key)
     # the BER before the write, so a reference of other dimensions writes no file
     report = "" if reference is None else f"ber: {ber(reference, recovered):.6f}\n"
-    write_pbm(args.out_pbm, recovered)
+    with _staged(args.out_pbm) as (pbm_path,):
+        write_pbm(pbm_path, recovered)
     print(report, end="")
     return EXIT_OK
 
@@ -146,7 +150,9 @@ def _cmd_attack(args) -> int:
     spec = AttackSpec(args.kind, args.parameter, seed=args.seed)
     signal = read_wav(args.wav_in)
     codec = _codec_from(args) if "codec" in ATTACKS[args.kind].extras else None
-    write_wav(args.wav_out, spec.apply(signal, codec=codec))
+    attacked = spec.apply(signal, codec=codec)
+    with _staged(args.wav_out) as (wav_path,):
+        write_wav(wav_path, attacked)
     return EXIT_OK
 
 
@@ -159,8 +165,8 @@ def _cmd_benchmark(args) -> int:
     report = run_benchmark(args.corpus_dir, watermark,
                            params=_params_from(args), seed=args.seed,
                            codec=_codec_from(args))
-    # encoded before the file is opened, so a failure leaves no file behind
-    Path(args.out_csv).write_bytes(report_to_csv(report).encode("utf-8"))
+    with _staged(args.out_csv) as (csv_path,):
+        Path(csv_path).write_bytes(report_to_csv(report).encode("utf-8"))
     if args.markdown:
         print(report_to_markdown(report), end="")
     return EXIT_OK

@@ -7,6 +7,8 @@ readers round-trip exactly, and a WAV read and written back keeps its
 exact PCM codes.
 """
 
+import contextlib
+import errno
 import os
 import wave
 from pathlib import Path
@@ -31,7 +33,7 @@ def _wav_data(path, file):
     # read. wave leaves the file just past the data chunk's header, and
     # reads at most as far as the RIFF chunk's size and the file reach.
     try:
-        with wave.open(file) as handle:
+        with wave.open(file, "rb") as handle:
             channels = handle.getnchannels()
             sample_width = handle.getsampwidth()
             rate = handle.getframerate()
@@ -64,13 +66,13 @@ def _wav_data(path, file):
     return rate, offset, size
 
 
-def _read_pcm(path):
-    # The one PCM reader: the sample rate and a read-only map of a WAV file's
-    # int16 codes, after _wav_data's checks. Only the pages read are loaded;
-    # a caller that writes over the file copies the codes first.
-    with open(path, "rb") as file:
+def _read_pcm(path, mode="r"):
+    # The one PCM reader: the sample rate and a map of a WAV file's int16
+    # codes, after _wav_data's checks, read-only or with mode "r+" writable
+    # in place. Only the pages read or written are loaded.
+    with open(path, "rb" if mode == "r" else "r+b") as file:
         rate, offset, size = _wav_data(path, file)
-        return rate, np.memmap(file, "<i2", "r", offset=offset, shape=(size // 2,))
+        return rate, np.memmap(file, "<i2", mode, offset=offset, shape=(size // 2,))
 
 
 def read_wav(path) -> AudioSignal:
@@ -88,6 +90,37 @@ def _write_pcm(path, rate, pcm):
     with open(path, "wb") as file, wave.open(file, "wb") as handle:
         handle.setparams((1, 2, rate, 0, "NONE", "not compressed"))  # mono PCM16
         handle.writeframes(pcm)
+
+
+@contextlib.contextmanager
+def _staged(*paths):
+    # All-or-nothing outputs: a new temporary file beside each path's target
+    # (a symlink's target, not the link), made with plain open's permissions
+    # before the block runs, so a missing folder or a folder in the way fails
+    # before any write. They replace the targets in the order given once the
+    # block completes; on any failure none of them is left.
+    staged = []
+    try:
+        for path in paths:
+            target = os.path.realpath(path)
+            # a short name, so that a target's name of any length can be staged
+            temp = os.path.join(os.path.dirname(target), f".gbtmark-{os.urandom(4).hex()}")
+            try:
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                open(temp, "xb").close()
+            except OSError as exc:
+                exc.filename = str(path)
+                raise
+            staged.append((temp, target))
+        yield [temp for temp, _ in staged]
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
+        raise
 
 
 def write_wav(path, signal: AudioSignal) -> None:

@@ -252,8 +252,9 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
 
 
 def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
-    # embed into the samples in place, for the host signal whose _values
-    # they are; returns the key and the keyed frames' host and marked rows
+    # the embedding of the host signal whose _values the samples are, which
+    # it leaves as they are: the key and the keyed frames' host and marked
+    # rows, which _store writes back into a copy of the samples
     chosen = _select(samples, params, watermark.bits.size)
     frames = _frames(samples, params.graph.frame_size)
     host = _values(frames[chosen])
@@ -269,7 +270,6 @@ def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedPar
     key = EmbeddingKey(sample_rate=sample_rate, params=params,
                        watermark_width=watermark.width, watermark_height=watermark.height,
                        frame_indices=chosen, s_max=s_ref)
-    _store(frames, chosen, marked)
     return key, host, marked
 
 
@@ -284,9 +284,10 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     signal, so write_wav writes a WAV host's codes back unchanged there;
     modified frames are clamped to [-1, 1].
     """
-    samples = host.samples.copy()  # _mark marks it in place
-    key, _, _ = _mark(samples, host.sample_rate, watermark,
-                      params if params is not None else EmbedParams())
+    params = params if params is not None else EmbedParams()
+    key, _, marked = _mark(host.samples, host.sample_rate, watermark, params)
+    samples = host.samples.copy()
+    _store(_frames(samples, params.graph.frame_size), key.frame_indices, marked)
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
 
 

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import io
 import os
 import subprocess
 import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_pbm,
                      read_wav, write_key, write_pbm, write_wav)
 from gbtmark.attacks import ATTACKS
-from gbtmark.audio import _BLOCK, _energies, _frames, _values
+from gbtmark.audio import _BLOCK, _energies, _frames, _store, _values
 from gbtmark.cli import build_parser, main
 from gbtmark.metrics import _embed_psnr
 from gbtmark.synth import speech_like
@@ -93,8 +95,9 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
-    samples = host.samples.copy()  # _mark stores the marked frames in it
-    _, rows, marked = _mark(samples, host.sample_rate, random_watermark(), EmbedParams())
+    samples = host.samples.copy()  # _store writes the marked frames into it
+    key, rows, marked = _mark(samples, host.sample_rate, random_watermark(), EmbedParams())
+    _store(_frames(samples, 10), key.frame_indices, marked)
     assert np.array_equal(samples, result.signal.samples)
     whole, framed = psnr(host, result.signal), _embed_psnr(rows, marked, len(host))
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
@@ -134,8 +137,9 @@ def test_cli_embed_writes_write_wav_of_embed(make_host, tmp_path):
 
 
 def test_cli_embed_over_its_own_host(workspace):
-    # the host is read into memory before the output is opened, so an
-    # embed that writes over the host file gives the bytes of a fresh path
+    # the WAV is staged from the host's map and replaces the host only once
+    # it is complete, so an embed that writes over the host file gives the
+    # bytes of a fresh path
     host, mark = workspace / "host.wav", workspace / "wm.pbm"
     fresh, fresh_key = workspace / "fresh.wav", workspace / "fresh.key"
     assert run_cli(["embed", host, mark, fresh, fresh_key]) == 0
@@ -166,13 +170,87 @@ def test_cli_embed_writes_the_key_first(workspace):
 ], ids=["embed", "embed-over-a-folder", "attack"])
 def test_cli_wav_output_that_cannot_be_opened_exits_2(workspace, capsys, monkeypatch,
                                                       argv):
-    # the WAV output is opened before wave takes it, so a failed open
-    # leaves no half-made wave writer to raise again when it is collected
+    # a WAV output that cannot be made fails with one error line, no
+    # half-made wave writer raising again when it is collected, and, as
+    # every output is staged, no key, no temporary and no other file changed
     (workspace / "folder").mkdir()
     monkeypatch.chdir(workspace)
+    before = snapshot(workspace)
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("gbtmark: error: ") and err.count("\n") == 1
+    assert snapshot(workspace) == before
+
+
+def _torn_write(path, *args):
+    # writes the start of a file, then fails as a full disk would
+    Path(path).write_bytes(b"RIFF")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(("argv", "writer"), [
+    (["embed", "host.wav", "wm.pbm", "out", "k.key"], "_write_pcm"),
+    (["embed", "host.wav", "wm.pbm", "host.wav", "k.key"], "_write_pcm"),
+    (["attack", "crop", "host.wav", "out", "--fraction", "0.1"], "write_wav"),
+    (["extract", "m.wav", "m.key", "out"], "write_pbm"),
+], ids=["embed", "embed-over-its-host", "attack", "extract"])
+def test_cli_write_that_fails_changes_no_file(workspace, monkeypatch, argv, writer):
+    # a write cut short leaves every target as it was, embed's key
+    # unwritten and its host intact, and no temporary
+    monkeypatch.chdir(workspace)
+    assert run_cli(["embed", "host.wav", "wm.pbm", "m.wav", "m.key"]) == 0
+    (workspace / "out").write_bytes(b"old")
+    monkeypatch.setattr(f"gbtmark.cli.{writer}", _torn_write)
+    before = snapshot(workspace)
+    assert run_cli(argv) == 2
+    assert snapshot(workspace) == before
+
+
+def test_cli_embed_writes_through_a_symlink(workspace):
+    # the link stays a link, and the file it points to gets the marked bytes
+    target, link = workspace / "old" / "target.wav", workspace / "link.wav"
+    target.parent.mkdir()
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    host, mark = workspace / "host.wav", workspace / "wm.pbm"
+    assert run_cli(["embed", host, mark, link, workspace / "link.key"]) == 0
+    assert run_cli(["embed", host, mark, workspace / "m.wav", workspace / "m.key"]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (workspace / "m.wav").read_bytes()
+
+
+def test_cli_outputs_have_plain_open_permissions(workspace):
+    # a staged output is made with open's mode under the umask, as a plain
+    # write would make it, not a private temporary file's 0600
+    previous = os.umask(0o027)
+    try:
+        (workspace / "plain").open("wb").close()
+        assert run_cli(["embed", workspace / "host.wav", workspace / "wm.pbm",
+                        workspace / "m.wav", workspace / "m.key"]) == 0
+    finally:
+        os.umask(previous)
+    mode = (workspace / "plain").stat().st_mode
+    assert mode & 0o777 == 0o640
+    for name in ("m.wav", "m.key"):
+        assert (workspace / name).stat().st_mode == mode
+
+
+def test_cli_success_leaves_no_temporary(workspace, monkeypatch):
+    # each command's folder holds its inputs and its outputs, nothing more
+    monkeypatch.chdir(workspace)
+    corpus = workspace / "corpus"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(2.0, 8000, seed=1))
+    names = {path.name for path in workspace.iterdir()}
+    for argv, outputs in (
+            (["embed", "host.wav", "wm.pbm", "m.wav", "m.key"], {"m.wav", "m.key"}),
+            (["attack", "awgn", "m.wav", "a.wav", "--snr", "30"], {"a.wav"}),
+            (["extract", "a.wav", "m.key", "out.pbm"], {"out.pbm"}),
+            (["benchmark", "corpus", "wm.pbm", "grid.csv"], {"grid.csv"})):
+        assert run_cli(argv) == 0
+        names |= outputs
+        assert {path.name for path in workspace.iterdir()} == names
+    assert [path.name for path in corpus.iterdir()] == ["clip.wav"]
 
 
 @pytest.mark.parametrize(("out_wav", "out_key"), [

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gbtmark import (
     write_wav,
 )
 from gbtmark.audio import _BLOCK, _gather, _values
-from gbtmark.fileio import _read_pcm, _wav_data
+from gbtmark.fileio import _read_pcm, _staged, _wav_data
 from gbtmark.synth import speech_like
 
 from conftest import EDITS, mutate, random_watermark, with_wav_edit_examples
@@ -761,3 +762,34 @@ def test_key_non_ascii(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"0.3", "0.3µ".encode(), 1))
     with pytest.raises(KeyFormatError, match="plain-text"):
         read_key(path)
+
+
+def test_staged_replaces_every_target_or_none(tmp_path):
+    # the temporaries replace their targets only when the block completes;
+    # a block that fails leaves the old targets and no temporary. A name as
+    # long as a file name can be is staged too
+    first, second = tmp_path / "first", tmp_path / ("s" * 255)
+    first.write_bytes(b"old")
+    with pytest.raises(RuntimeError), _staged(first, second) as temps:
+        for temp in temps:
+            Path(temp).write_bytes(b"new")
+        raise RuntimeError("failed after both writes")
+    assert sorted(tmp_path.iterdir()) == [first] and first.read_bytes() == b"old"
+    with _staged(first, second) as temps:
+        assert all(Path(temp).parent == tmp_path for temp in temps)
+        for temp in temps:
+            Path(temp).write_bytes(b"new")
+    assert sorted(tmp_path.iterdir()) == [first, second]
+    assert first.read_bytes() == second.read_bytes() == b"new"
+
+
+@pytest.mark.parametrize("second", ["missing/out", "folder"])
+def test_staged_fails_before_making_any_file(tmp_path, second):
+    # a target in a missing folder or on a folder is refused, named as given,
+    # before the block runs and with no temporary left for the first target
+    (tmp_path / "folder").mkdir()
+    with pytest.raises(OSError) as failure:
+        with _staged(tmp_path / "first", tmp_path / second):
+            pytest.fail("the block ran")
+    assert failure.value.filename == str(tmp_path / second)
+    assert [path.name for path in tmp_path.iterdir()] == ["folder"]
