@@ -150,9 +150,9 @@ def _cmd_attack(args) -> int:
     spec = AttackSpec(args.kind, args.parameter, seed=args.seed)
     signal = read_wav(args.wav_in)
     codec = _codec_from(args) if "codec" in ATTACKS[args.kind].extras else None
-    attacked = spec.apply(signal, codec=codec)
+    # staged first, so a target that cannot be made fails before the attack
     with _staged(args.wav_out) as (wav_path,):
-        write_wav(wav_path, attacked)
+        write_wav(wav_path, spec.apply(signal, codec=codec))
     return EXIT_OK
 
 
@@ -162,10 +162,11 @@ def _cmd_benchmark(args) -> int:
         if _same_file(args.out_csv, clip):
             raise ValidationError(f"out_csv {args.out_csv} is the same file as {clip}")
     watermark = read_pbm(args.watermark)
-    report = run_benchmark(args.corpus_dir, watermark,
-                           params=_params_from(args), seed=args.seed,
-                           codec=_codec_from(args))
+    # staged before the grid runs, as in _cmd_attack
     with _staged(args.out_csv) as (csv_path,):
+        report = run_benchmark(args.corpus_dir, watermark,
+                               params=_params_from(args), seed=args.seed,
+                               codec=_codec_from(args))
         Path(csv_path).write_bytes(report_to_csv(report).encode("utf-8"))
     if args.markdown:
         print(report_to_markdown(report), end="")

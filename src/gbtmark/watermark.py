@@ -205,10 +205,12 @@ def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> n
     on the ``params.graph.frame_size`` grid.
 
     Cost: every frame's energy, but singular values only for a prefix
-    of the frames ranked by (-energy, index). The prefix starts at the
+    of the frames ranked by energy. The prefix starts at the
     ``bit_count`` loudest frames (whole tie runs kept) and at least
     doubles while too few of it are eligible; each frame is tested at
-    most once, so the worst case costs what a full scan costs. When
+    most once, so the worst case costs what a full scan costs. Each new
+    band of the prefix is tested in frame order, and only the band whose
+    eligible frames overflow ``bit_count`` is ranked. When
     loud frames are ineligible (e.g. high-frequency content the leading
     coefficients miss), the prefix can grow to a full scan of the host.
     """
@@ -229,7 +231,8 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
                               f"{size} for one frame")
     frames = _frames(samples, size)
     energies = _energies(frames)
-    winners = np.empty(0, dtype=np.intp)  # eligible frames, in rank order
+    # the tested bands' eligible frames, which outrank every untested frame
+    winners = np.empty(0, dtype=np.intp)
     upper = np.inf  # frames at or above this energy are already tested
     tested = 0
     wanted = bit_count
@@ -238,13 +241,19 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
         # so a tie run is never split and the tested frames stay a prefix
         wanted = min(wanted, total)
         cut = np.partition(energies, total - wanted)[total - wanted]
-        new = np.flatnonzero((energies >= cut) & (energies < upper))
-        new = new[np.lexsort((new, -energies[new]))]
-        smax = _smax(_leading(frames[new], params))
-        winners = np.concatenate([winners, new[smax > params.ws]])
-        if winners.size >= bit_count:
-            return np.sort(winners[:bit_count])
-        tested += new.size
+        # the untested frames at or above it, in frame order; _leading
+        # reads a row the same at any place in a batch of the band's size
+        band = np.flatnonzero(energies >= cut)
+        band = band[energies[band] < upper]
+        eligible = band[_smax(_leading(frames[band], params)) > params.ws]
+        short = bit_count - winners.size
+        if eligible.size >= short:
+            # only the band that overflows is ranked, by (-energy, index)
+            if eligible.size > short:
+                eligible = eligible[np.lexsort((eligible, -energies[eligible]))[:short]]
+            return np.sort(np.concatenate([winners, eligible]))
+        winners = np.concatenate([winners, eligible])
+        tested += band.size
         if tested == total:
             raise CapacityError(eligible=int(winners.size), required=bit_count)
         upper = cut

@@ -182,6 +182,26 @@ def test_cli_wav_output_that_cannot_be_opened_exits_2(workspace, capsys, monkeyp
     assert snapshot(workspace) == before
 
 
+@pytest.mark.parametrize(("argv", "work"), [
+    (["attack", "awgn", "host.wav", "missing/out.wav", "--snr", "30"],
+     "gbtmark.attacks.AttackSpec.apply"),
+    (["benchmark", "corpus", "wm.pbm", "missing/out.csv"], "gbtmark.cli.run_benchmark"),
+], ids=["attack", "benchmark"])
+def test_cli_output_that_cannot_be_made_fails_before_the_work(workspace, monkeypatch,
+                                                               argv, work):
+    # the output is staged before the attack or the grid runs, so a target
+    # in a missing folder exits 2 without running it, and leaves no file
+    monkeypatch.chdir(workspace)
+    (workspace / "corpus").mkdir()
+    write_wav(workspace / "corpus" / "clip.wav", speech_like(2.0, 8000, seed=1))
+    calls = []
+    monkeypatch.setattr(work, lambda *args, **kwargs: calls.append(args))
+    before = snapshot(workspace), snapshot(workspace / "corpus")
+    assert run_cli(argv) == 2
+    assert calls == []
+    assert (snapshot(workspace), snapshot(workspace / "corpus")) == before
+
+
 def _torn_write(path, *args):
     # writes the start of a file, then fails as a full disk would
     Path(path).write_bytes(b"RIFF")

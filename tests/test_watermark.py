@@ -257,13 +257,17 @@ def full_scan(signal, params, bit_count):
 
 
 @contextlib.contextmanager
-def smax_batches():
-    """Record the batch size of every singular-value call select_frames makes."""
+def smax_batches(readings=None):
+    """Record the batch size of every singular-value call select_frames
+    makes, and append each call's readings to the given list."""
     sizes = []
 
     def counting(mats):
         sizes.append(len(mats))
-        return _smax(mats)
+        smax = _smax(mats)
+        if readings is not None:
+            readings.append(smax)
+        return smax
 
     with mock.patch.object(gbtmark.watermark, "_smax", counting):
         yield sizes
@@ -388,6 +392,67 @@ def test_select_frames_matches_full_scan_oracle():
 
     check()
     assert any(grew)  # some hosts made the tested prefix grow
+
+
+def build_code_frame(kind, amplitude, seed):
+    # an int16 code frame; the seed also picks a flat frame's sign, so
+    # frames of different codes tie in energy
+    if kind == "nyquist":
+        return (amplitude * NYQUIST).astype(np.int16)
+    if kind == "flat":
+        return np.full(10, amplitude if seed % 2 else -amplitude, dtype=np.int16)
+    rng = np.random.default_rng(seed)
+    return rng.integers(-amplitude, amplitude, 10, endpoint=True).astype(np.int16)
+
+
+def test_select_frames_on_codes_matches_full_scan_oracle():
+    # gbtmark embed selects on a WAV's int16 codes, whose energies come from
+    # _energies' exact gemv sums, not from einsum; a few amplitudes (smax of
+    # a flat frame 0.03, 0.10, 0.29 and 1.93, of a Nyquist frame 0.85 of its
+    # peak) make long tie runs, and loud ineligible frames
+    cut, whole, grew = [], [], []
+
+    @settings(max_examples=300)
+    @given(specs=st.lists(st.tuples(st.sampled_from(["nyquist", "flat", "noise"]),
+                                    st.sampled_from([0, 300, 1000, 3000, 20000]),
+                                    st.integers(0, 2**16)), min_size=1, max_size=60),
+           tail=st.integers(0, 9),
+           ws=st.one_of(st.sampled_from([0.02, 0.08, 0.3, 0.6]), st.floats(0.001, 0.9)),
+           data=st.data())
+    def check(specs, tail, ws, data):
+        codes = np.concatenate([build_code_frame(*spec) for spec in specs]
+                               + [np.full(tail, 300, dtype=np.int16)])
+        params = EmbedParams(ws=ws)
+        bit_count = data.draw(st.one_of(st.integers(1, max(1, len(specs) // 4)),
+                                        st.integers(1, len(specs))), label="bit_count")
+        try:
+            expected = select_frames_full_scan(_values(codes), make_plan(params.graph),
+                                               params.coeff_count, ws, bit_count)
+        except CapacityError as error:
+            expected = error
+        readings = []
+        with smax_batches(readings) as sizes:
+            try:
+                chosen = gbtmark.watermark._select(codes, params, bit_count)
+            except CapacityError as error:
+                chosen = error
+        assert 0 not in sizes and sum(sizes) <= len(specs)
+        if isinstance(expected, CapacityError):
+            assert isinstance(chosen, CapacityError)
+            assert (chosen.eligible, chosen.required) == (expected.eligible,
+                                                          expected.required)
+        else:
+            assert np.array_equal(chosen, expected)
+            # the last band's eligible frames overflow bit_count, or fill it
+            eligible = sum(int(np.sum(smax > ws)) for smax in readings)
+            cut.append(eligible > bit_count)
+            whole.append(eligible == bit_count)
+            grew.append(len(sizes) > 1)
+
+    check()
+    # some hosts ranked the band they cut, some took it whole, and some
+    # made the tested prefix grow
+    assert any(cut) and any(whole) and any(grew)
 
 
 def test_embed_k1_changes_coefficient_magnitude():
