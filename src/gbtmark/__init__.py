@@ -47,7 +47,6 @@ from .watermark import (
     WatermarkedResult,
     embed,
     extract,
-    select_frames,
 )
 
 __version__ = "0.1.0"

@@ -58,10 +58,12 @@ def build_laplacian(config: GraphConfig) -> np.ndarray:
 
 def _canonical(vals, vecs):
     # The sign and order of the basis columns decide every key's s_max: each
-    # column's largest-magnitude entry (lowest such row) is made positive, and
-    # columns whose eigenvalues tie within _EIGENVALUE_TIE go in the order of
-    # that entry's row. take keeps the row-major layout BLAS products see.
-    lead = np.abs(vecs).argmax(axis=0)
+    # column's lead, its lowest row within _EIGENVALUE_TIE of the largest
+    # magnitude (a chain's mirror rows tie up to rounding), is made positive,
+    # and columns whose eigenvalues tie within _EIGENVALUE_TIE go in the order
+    # of the lead's row. take keeps the row-major layout BLAS products see.
+    mags = np.abs(vecs)
+    lead = (mags >= mags.max(axis=0) - _EIGENVALUE_TIE).argmax(axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     runs = np.concatenate(([0], (vals[1:] - vals[:-1] > _EIGENVALUE_TIE).cumsum()))
     return (vecs * signs).take(np.lexsort((lead, runs)), axis=1)

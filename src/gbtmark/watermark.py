@@ -195,35 +195,15 @@ def _smax_change(mats, delta):
     return rotation[2] + reflection[2], change
 
 
-def select_frames(signal: AudioSignal, params: EmbedParams, bit_count: int) -> np.ndarray:
-    """Pick the frames that will each carry one watermark bit.
-
-    Frames whose largest singular value does not exceed the watermark
-    strength cannot take a bit-0 shift and are ineligible. Among the
-    rest, the ``bit_count`` highest-energy frames win (ties to the lower
-    index); the result is sorted by ascending frame index. Frames are cut
-    on the ``params.graph.frame_size`` grid.
-
-    Cost: every frame's energy, but singular values only for a prefix
-    of the frames ranked by energy. The prefix starts at the
-    ``bit_count`` loudest frames (whole tie runs kept) and at least
-    doubles while too few of it are eligible; each frame is tested at
-    most once, so the worst case costs what a full scan costs. Each new
-    band of the prefix is tested in frame order, and only the band whose
-    eligible frames overflow ``bit_count`` is ranked. When
-    loud frames are ineligible (e.g. high-frequency content the leading
-    coefficients miss), the prefix can grow to a full scan of the host.
-    """
-    return _select(signal.samples, params, bit_count)
-
-
 def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
-    # select_frames of the signal whose _values the samples are, with the
-    # same results for a signal's float64 samples and for the int16 PCM
-    # codes read_wav makes it of. Only the energies and the tested frames
-    # are made in float64.
-    bit_count = _integer("bit_count", bit_count, "an integer >= 1", lambda n: n >= 1,
-                         ValidationError)
+    # The frames embed marks (see its docstring), from the samples as stored,
+    # float64 values or the int16 codes read_wav makes them of, with the same
+    # result. Cost: every frame's energy, in float64, but singular values only
+    # for a prefix of the frames ranked by energy. The prefix starts at the
+    # bit_count loudest frames (whole tie runs kept) and at least doubles
+    # while too few of it are eligible; each frame is tested at most once, so
+    # the worst case, loud frames that are ineligible (e.g. high-frequency
+    # content the leading coefficients miss), costs a full scan of the host.
     size = params.graph.frame_size
     total = len(samples) // size
     if total < 1:
@@ -286,12 +266,15 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
           params: EmbedParams | None = None) -> WatermarkedResult:
     """Embed a binary image into the host signal.
 
-    Bits map row-major onto the selected frames in ascending frame
-    order. Each selected frame's leading coefficient matrix M becomes
-    M + (+-ws) u1 v1^T, which moves its largest singular value by ws.
-    Frames that carry no bit keep their exact samples in the returned
-    signal, so write_wav writes a WAV host's codes back unchanged there;
-    modified frames are clamped to [-1, 1].
+    Frames are cut on the ``params.graph.frame_size`` grid. A frame whose
+    largest singular value is at most ``ws`` cannot take a bit-0 shift and
+    is ineligible; of the rest, the highest-energy frames win, one per bit
+    (ties to the lower index), and the bits map row-major onto them in
+    ascending frame order. Each selected frame's leading coefficient
+    matrix M becomes M + (+-ws) u1 v1^T, which moves its largest singular
+    value by ws. Frames that carry no bit keep their exact samples in the
+    returned signal, so write_wav writes a WAV host's codes back unchanged
+    there; modified frames are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
     key, _, marked = _mark(host.samples, host.sample_rate, watermark, params)

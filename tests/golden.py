@@ -21,7 +21,10 @@ Entries are compared by kind. Text (stdout, PBM, CSV, markdown, the
 key's header lines), key frame indices, WAV headers and PCM samples
 must match exactly. A key's ``s_max`` values come from BLAS and LAPACK
 arithmetic, whose last bits differ between builds, so each may differ
-by ``S_MAX_ULPS`` units in the last place of the recorded value.
+by ``S_MAX_ULPS`` units in the last place of the recorded value. The
+basis's column signs do not depend on the build: each column's lead row
+is the lowest within a tolerance of its largest magnitude, so rounding
+in ``eigh`` does not pick between a chain's mirror rows.
 """
 
 import base64

@@ -26,7 +26,6 @@ from gbtmark import (
     WatermarkImage,
     payload,
     run_benchmark,
-    select_frames,
     write_wav,
 )
 from gbtmark.attacks import ATTACKS
@@ -74,9 +73,6 @@ SITES = [
      lambda v: EmbeddingKey(8000, PARAMS, 1, v, (0, 1, 2), (0.5,) * 3).watermark_height,
      operator.index),
     ("AudioSignal.sample_rate", lambda v: AudioSignal(HOST.samples, v).sample_rate,
-     operator.index),
-    ("select_frames.bit_count",
-     lambda v: len(select_frames(HOST, PARAMS, v)),
      operator.index),
     ("payload.sample_rate_hz", lambda v: payload(v, 10), lambda v: float(v) / 10),
     ("payload.frame_size", lambda v: payload(8000, v),

@@ -12,7 +12,7 @@ from gbtmark import (
     build_laplacian,
     make_plan,
 )
-from gbtmark.transform import _EIGENVALUE_TIE
+from gbtmark.transform import _EIGENVALUE_TIE, _canonical
 
 # Published adjacency for an 8-sample frame with weights 1 and 0.3.
 PUBLISHED_8x8 = np.array([
@@ -80,6 +80,12 @@ def test_laplacian_annihilates_constant_vector():
         assert np.max(np.abs(lap @ np.ones(n))) < 1e-12
 
 
+def lead_rows(basis):
+    """Each column's lowest row within _EIGENVALUE_TIE of its largest magnitude."""
+    mags = np.abs(basis)
+    return np.argmax(mags >= mags.max(axis=0) - _EIGENVALUE_TIE, axis=0)
+
+
 def plan_spectrum(config):
     """A basis, its Laplacian, and the eigenvalues its columns carry."""
     basis = make_plan(config)
@@ -113,8 +119,34 @@ def test_plan_first_eigenvector_is_positive_constant():
 
 def test_plan_sign_normalization():
     basis = make_plan(GraphConfig(frame_size=16))
-    lead = np.argmax(np.abs(basis), axis=0)
+    lead = lead_rows(basis)
     assert np.all(basis[lead, np.arange(16)] > 0)
+
+
+@pytest.mark.parametrize("n", [10, 16, 20, 32])
+@pytest.mark.parametrize("w2", [0.0, 0.3, 1.0])
+def test_plan_does_not_depend_on_the_node_order(n, w2):
+    # a chain read backwards is the same chain: the basis canonicalised from
+    # the decomposition of the reversed Laplacian J L J, mapped back through
+    # J, is the plan. Each column's largest entry ties its mirror row's up to
+    # rounding, so a lead picked by argmax alone differs between the two.
+    config = GraphConfig(frame_size=n, w2=w2)
+    lap = build_laplacian(config)
+    mirror = np.eye(n)[::-1]
+    vals, vecs = np.linalg.eigh(mirror @ lap @ mirror)
+    assert np.max(np.abs(_canonical(vals, mirror @ vecs) - make_plan(config))) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 10, 16, 64])
+def test_plan_without_second_neighbours_is_the_dct_ii(n):
+    # the path graph's Laplacian eigenvectors are the DCT-II basis vectors
+    # (Strang, "The Discrete Cosine Transform", SIAM Review 1999), column k
+    # sqrt(2/n) c_k cos(pi (2j + 1) k / 2n) with c_0 = 1/sqrt(2), c_k = 1
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    dct = np.sqrt(2 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+    dct[:, 0] /= np.sqrt(2)
+    dct *= np.sign(dct[lead_rows(dct), np.arange(n)])
+    assert np.max(np.abs(make_plan(GraphConfig(frame_size=n, w2=0.0)) - dct)) <= 1e-12
 
 
 def test_path4_eigenvalues_closed_form():
@@ -142,7 +174,7 @@ def test_plan_with_repeated_eigenvalues():
     make_plan.cache_clear()
     again = make_plan(GraphConfig(frame_size=3, w1=1.0, w2=1.0))
     assert np.array_equal(basis, again)
-    lead = np.argmax(np.abs(basis), axis=0)
+    lead = lead_rows(basis)
     assert np.all(basis[lead, np.arange(3)] > 0)
 
 
@@ -150,12 +182,13 @@ def test_plan_with_repeated_eigenvalues():
 @example(n=3, w1=1.0, w2=1.0)   # complete graph, spectrum {0, 3, 3}
 @example(n=4, w1=2.5, w2=2.5)   # another tied pair of eigenvalues
 def test_plan_basis_is_canonical(n, w1, w2):
-    # each column's first largest-magnitude entry is positive, and inside a
-    # run of tied eigenvalues the rows of those entries do not decrease
+    # each column's lead, its lowest row within _EIGENVALUE_TIE of the largest
+    # magnitude, is positive, and inside a run of tied eigenvalues the lead
+    # rows do not decrease
     config = GraphConfig(frame_size=n, w1=w1, w2=w2)
     basis = make_plan(config)
     vals = np.linalg.eigh(build_laplacian(config))[0]
-    lead = np.argmax(np.abs(basis), axis=0)
+    lead = lead_rows(basis)
     assert np.all(basis[lead, np.arange(n)] > 0)
     assert np.all(np.diff(lead)[np.diff(vals) <= _EIGENVALUE_TIE] >= 0)
 
@@ -164,25 +197,25 @@ def test_plan_basis_is_canonical(n, w1, w2):
 # column changes every key's s_max.
 DEFAULT_BASIS = np.array([
     [0.316227766017, 0.448214501470, 0.448829614110, 0.439295964758, 0.399408392695,
-     0.313221637125, -0.196267343886, 0.089338016548, -0.022450903460, 0.005808687917],
+     -0.313221637125, -0.196267343886, 0.089338016548, -0.022450903460, -0.005808687917],
     [0.316227766017, 0.393842041355, 0.237628570625, -0.002524338548, -0.268589077411,
-     -0.456250512624, 0.484416122999, -0.366881154291, 0.191660088950, 0.045997418765],
+     0.456250512624, 0.484416122999, -0.366881154291, 0.191660088950, -0.045997418765],
     [0.316227766017, 0.314113057283, -0.008051645295, -0.316748430753, -0.384969125767,
-     -0.140818573698, -0.242052199792, 0.488695479111, -0.439482281542, -0.205791828939],
+     0.140818573698, -0.242052199792, 0.488695479111, -0.439482281542, 0.205791828939],
     [0.316227766017, 0.201274756314, -0.262060238440, -0.415037749326, -0.082490779523,
-     0.324915739174, -0.312157641606, -0.134432045863, 0.476526294667, 0.404462515677],
+     -0.324915739174, -0.312157641606, -0.134432045863, 0.476526294667, -0.404462515677],
     [0.316227766017, 0.069380594181, -0.416346301001, -0.185544553442, 0.336640590006,
-     0.261395423652, 0.266061062286, -0.317051559162, -0.206253198614, -0.540287232096],
+     -0.261395423652, 0.266061062286, -0.317051559162, -0.206253198614, 0.540287232096],
     [0.316227766017, -0.069380594181, -0.416346301001, 0.185544553442, 0.336640590006,
-     -0.261395423652, 0.266061062286, 0.317051559162, -0.206253198614, 0.540287232096],
+     0.261395423652, 0.266061062286, 0.317051559162, -0.206253198614, -0.540287232096],
     [0.316227766017, -0.201274756314, -0.262060238440, 0.415037749326, -0.082490779523,
-     -0.324915739174, -0.312157641606, 0.134432045863, 0.476526294667, -0.404462515677],
+     0.324915739174, -0.312157641606, 0.134432045863, 0.476526294667, 0.404462515677],
     [0.316227766017, -0.314113057283, -0.008051645295, 0.316748430753, -0.384969125767,
-     0.140818573698, -0.242052199792, -0.488695479111, -0.439482281542, 0.205791828939],
+     -0.140818573698, -0.242052199792, -0.488695479111, -0.439482281542, -0.205791828939],
     [0.316227766017, -0.393842041355, 0.237628570625, 0.002524338548, -0.268589077411,
-     0.456250512624, 0.484416122999, 0.366881154291, 0.191660088950, -0.045997418765],
+     -0.456250512624, 0.484416122999, 0.366881154291, 0.191660088950, 0.045997418765],
     [0.316227766017, -0.448214501470, 0.448829614110, -0.439295964758, 0.399408392695,
-     -0.313221637125, -0.196267343886, -0.089338016548, -0.022450903460, -0.005808687917],
+     0.313221637125, -0.196267343886, -0.089338016548, -0.022450903460, 0.005808687917],
 ])
 
 
