@@ -8,8 +8,7 @@ from pathlib import Path
 
 from .attacks import ATTACKS, AttackSpec, CodecCommand
 from .benchmark import run_benchmark, report_to_csv, report_to_markdown
-from .errors import (AudioFormatError, CodecError, GbtmarkError, KeyFormatError,
-                     ValidationError)
+from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
 from .audio import _frames, _store
 from .fileio import (_read_pcm, _staged, _write_pcm, read_key, read_pbm, read_wav,
                      write_key, write_pbm, write_wav)
@@ -89,39 +88,18 @@ def _codec_from(args) -> CodecCommand:
                         decode if args.codec_decode is None else args.codec_decode)
 
 
-def _same_file(path, other) -> bool:
-    # existing files by device and inode, which hard links share; two files
-    # not made yet by their resolved paths; an existing and a missing never
-    try:
-        return os.path.samefile(path, other)
-    except OSError:
-        return not (os.path.exists(path) or os.path.exists(other)) and (
-            os.path.realpath(path) == os.path.realpath(other))
-
-
-def _refuse_overlap(args, output, *others):
-    # an output on the path of an input or of another output would destroy
-    # that file or lose this one, so it is refused before anything is written
-    path = getattr(args, output)
-    for name in others:
-        other = getattr(args, name)
-        if other is not None and _same_file(path, other):
-            raise ValidationError(f"{output} {path} is the same file as {name} {other}")
-
-
 def _cmd_embed(args) -> int:
-    _refuse_overlap(args, "out_key", "out_wav", "host", "watermark")
-    _refuse_overlap(args, "out_wav", "watermark")
-    # no copy of the host: _mark reads a read-only map of its PCM codes (see
-    # watermark._leading), the staged WAV is written from that map, and only
-    # its keyed frames are then stored, through a map of the staged file
-    rate, pcm = _read_pcm(args.host)
-    watermark = read_pbm(args.watermark)
-    key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
-    quality = _embed_psnr(host, marked, len(pcm))
     # the key replaces its target first, and no map is left when out_wav,
     # which may be the host, is replaced
-    with _staged(args.out_key, args.out_wav) as (key_path, wav_path):
+    with _staged((args.out_key, args.host, args.watermark),
+                 (args.out_wav, args.watermark)) as (key_path, wav_path):
+        # no copy of the host: _mark reads a read-only map of its PCM codes (see
+        # watermark._leading), the staged WAV is written from that map, and only
+        # its keyed frames are then stored, through a map of the staged file
+        rate, pcm = _read_pcm(args.host)
+        watermark = read_pbm(args.watermark)
+        key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
+        quality = _embed_psnr(host, marked, len(pcm))
         write_key(key_path, key)
         _write_pcm(wav_path, rate, pcm)
         _, staged = _read_pcm(wav_path, "r+")
@@ -133,14 +111,12 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _refuse_overlap(args, "out_pbm", "wav", "key", "reference")
-    # the key first: it names the only frames of the WAV that are read
-    key = read_key(args.key)
-    reference = None if args.reference is None else read_pbm(args.reference)
-    recovered = _read_bits(*_read_pcm(args.wav), key)
-    # the BER before the write, so a reference of other dimensions writes no file
-    report = "" if reference is None else f"ber: {ber(reference, recovered):.6f}\n"
-    with _staged(args.out_pbm) as (pbm_path,):
+    with _staged((args.out_pbm, args.wav, args.key, args.reference)) as (pbm_path,):
+        # the key first: it names the only frames of the WAV that are read
+        key = read_key(args.key)
+        reference = None if args.reference is None else read_pbm(args.reference)
+        recovered = _read_bits(*_read_pcm(args.wav), key)
+        report = "" if reference is None else f"ber: {ber(reference, recovered):.6f}\n"
         write_pbm(pbm_path, recovered)
     print(report, end="")
     return EXIT_OK
@@ -148,23 +124,16 @@ def _cmd_extract(args) -> int:
 
 def _cmd_attack(args) -> int:
     spec = AttackSpec(args.kind, args.parameter, seed=args.seed)
-    signal = read_wav(args.wav_in)
     codec = _codec_from(args) if "codec" in ATTACKS[args.kind].extras else None
-    # staged first, so a target that cannot be made fails before the attack
-    with _staged(args.wav_out) as (wav_path,):
-        write_wav(wav_path, spec.apply(signal, codec=codec))
+    with _staged((args.wav_out,)) as (wav_path,):
+        write_wav(wav_path, spec.apply(read_wav(args.wav_in), codec=codec))
     return EXIT_OK
 
 
 def _cmd_benchmark(args) -> int:
-    _refuse_overlap(args, "out_csv", "watermark")
-    for clip in Path(args.corpus_dir).glob("*.wav"):
-        if _same_file(args.out_csv, clip):
-            raise ValidationError(f"out_csv {args.out_csv} is the same file as {clip}")
-    watermark = read_pbm(args.watermark)
-    # staged before the grid runs, as in _cmd_attack
-    with _staged(args.out_csv) as (csv_path,):
-        report = run_benchmark(args.corpus_dir, watermark,
+    clips = Path(args.corpus_dir).glob("*.wav")
+    with _staged((args.out_csv, args.watermark, *clips)) as (csv_path,):
+        report = run_benchmark(args.corpus_dir, read_pbm(args.watermark),
                                params=_params_from(args), seed=args.seed,
                                codec=_codec_from(args))
         Path(csv_path).write_bytes(report_to_csv(report).encode("utf-8"))

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioSignal, _adopt, _pcm, _values
-from .errors import AudioFormatError, ConfigError, KeyFormatError, _integer
+from .errors import (AudioFormatError, ConfigError, KeyFormatError, ValidationError,
+                     _integer)
 from .transform import GraphConfig
 from .watermark import EmbeddingKey, EmbedParams, WatermarkImage
 
@@ -92,16 +93,33 @@ def _write_pcm(path, rate, pcm):
         handle.writeframes(pcm)
 
 
+def _same_file(path, other) -> bool:
+    # existing files by device and inode, which hard links share; two files
+    # not made yet by their resolved paths; an existing and a missing never
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return not (os.path.exists(path) or os.path.exists(other)) and (
+            os.path.realpath(path) == os.path.realpath(other))
+
+
 @contextlib.contextmanager
-def _staged(*paths):
-    # All-or-nothing outputs: a new temporary file beside each path's target
-    # (a symlink's target, not the link), made with plain open's permissions
-    # before the block runs, so a missing folder or a folder in the way fails
-    # before any write. They replace the targets in the order given once the
-    # block completes; on any failure none of them is left.
+def _staged(*outputs):
+    # All-or-nothing outputs, each given as (path, *inputs it may not
+    # replace), None for an input not given. An output that is the same file
+    # as an earlier output or as one of its inputs is refused first. Then a
+    # new temporary file beside each path's target (a symlink's target, not
+    # the link), made with plain open's permissions before the block runs, so
+    # a missing folder or a folder in the way fails before any write. They
+    # replace the targets in the order given once the block completes; on
+    # any failure none of them is left.
+    for at, (path, *inputs) in enumerate(outputs):
+        for other in [earlier for earlier, *_ in outputs[:at]] + inputs:
+            if other is not None and _same_file(path, other):
+                raise ValidationError(f"{path} is the same file as {other}")
     staged = []
     try:
-        for path in paths:
+        for path, *_ in outputs:
             target = os.path.realpath(path)
             # a short name, so that a target's name of any length can be staged
             temp = os.path.join(os.path.dirname(target), f".gbtmark-{os.urandom(4).hex()}")

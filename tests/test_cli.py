@@ -183,15 +183,18 @@ def test_cli_wav_output_that_cannot_be_opened_exits_2(workspace, capsys, monkeyp
 
 
 @pytest.mark.parametrize(("argv", "work"), [
+    (["embed", "host.wav", "wm.pbm", "missing/out.wav", "out.key"], "gbtmark.cli._mark"),
+    (["extract", "m.wav", "m.key", "missing/out.pbm"], "gbtmark.cli._read_bits"),
     (["attack", "awgn", "host.wav", "missing/out.wav", "--snr", "30"],
      "gbtmark.attacks.AttackSpec.apply"),
     (["benchmark", "corpus", "wm.pbm", "missing/out.csv"], "gbtmark.cli.run_benchmark"),
-], ids=["attack", "benchmark"])
+], ids=["embed", "extract", "attack", "benchmark"])
 def test_cli_output_that_cannot_be_made_fails_before_the_work(workspace, monkeypatch,
                                                                argv, work):
-    # the output is staged before the attack or the grid runs, so a target
+    # the outputs are staged before the command's work runs, so a target
     # in a missing folder exits 2 without running it, and leaves no file
     monkeypatch.chdir(workspace)
+    assert run_cli(["embed", "host.wav", "wm.pbm", "m.wav", "m.key"]) == 0
     (workspace / "corpus").mkdir()
     write_wav(workspace / "corpus" / "clip.wav", speech_like(2.0, 8000, seed=1))
     calls = []
@@ -296,8 +299,8 @@ def test_cli_embed_refuses_an_output_on_another_path(workspace, capsys, out_wav,
 
 @pytest.mark.parametrize("target", ["wav", "key", "reference"])
 def test_cli_extract_refuses_an_output_on_an_input(workspace, capsys, target):
-    # the PBM written over the reference would be compared with itself and
-    # read a BER of 0; over the WAV or the key it would destroy an input
+    # the PBM written over the WAV, the key or the reference would replace
+    # an input
     files = {"wav": workspace / "m.wav", "key": workspace / "m.key",
              "reference": workspace / "wm.pbm"}
     assert run_cli(["embed", workspace / "host.wav", files["reference"], files["wav"],

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import wave
 from pathlib import Path
@@ -15,6 +16,7 @@ from gbtmark import (
     EmbedParams,
     GraphConfig,
     KeyFormatError,
+    ValidationError,
     WatermarkImage,
     embed,
     read_key,
@@ -770,12 +772,12 @@ def test_staged_replaces_every_target_or_none(tmp_path):
     # long as a file name can be is staged too
     first, second = tmp_path / "first", tmp_path / ("s" * 255)
     first.write_bytes(b"old")
-    with pytest.raises(RuntimeError), _staged(first, second) as temps:
+    with pytest.raises(RuntimeError), _staged((first,), (second,)) as temps:
         for temp in temps:
             Path(temp).write_bytes(b"new")
         raise RuntimeError("failed after both writes")
     assert sorted(tmp_path.iterdir()) == [first] and first.read_bytes() == b"old"
-    with _staged(first, second) as temps:
+    with _staged((first,), (second,)) as temps:
         assert all(Path(temp).parent == tmp_path for temp in temps)
         for temp in temps:
             Path(temp).write_bytes(b"new")
@@ -789,7 +791,38 @@ def test_staged_fails_before_making_any_file(tmp_path, second):
     # before the block runs and with no temporary left for the first target
     (tmp_path / "folder").mkdir()
     with pytest.raises(OSError) as failure:
-        with _staged(tmp_path / "first", tmp_path / second):
+        with _staged((tmp_path / "first",), (tmp_path / second,)):
             pytest.fail("the block ran")
     assert failure.value.filename == str(tmp_path / second)
     assert [path.name for path in tmp_path.iterdir()] == ["folder"]
+
+
+
+@pytest.mark.parametrize(("outputs", "clash"), [
+    ((("out",), ("out",)), "out is the same file as out"),
+    ((("out",), ("alias/out",)), "alias/out is the same file as out"),
+    ((("out",), ("link", None, "in")), "link is the same file as in"),
+], ids=["earlier-output", "earlier-output-through-a-symlinked-folder",
+        "input-through-a-hard-link"])
+def test_staged_refuses_an_output_on_another_file(tmp_path, monkeypatch, outputs, clash):
+    # the second output is the same file as the first, or as an input it
+    # lists after a None, which is skipped; it is refused naming both paths
+    # before any temporary exists, the first output's included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+    Path("in").write_bytes(b"in")
+    os.link("in", "link")
+    with pytest.raises(ValidationError, match=f"^{clash}$"):
+        with _staged(*outputs):
+            pytest.fail("the block ran")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["alias", "in", "link"]
+
+
+def test_staged_replaces_an_input_it_does_not_list(tmp_path):
+    # only the listed inputs are kept: an output may replace any other file
+    host, mark = tmp_path / "host", tmp_path / "mark"
+    host.write_bytes(b"host")
+    mark.write_bytes(b"mark")
+    with _staged((host, mark, None)) as (temp,):
+        Path(temp).write_bytes(b"new")
+    assert (host.read_bytes(), mark.read_bytes()) == (b"new", b"mark")

@@ -344,9 +344,35 @@ def build_frame(ws, kind, scale, seed):
     return np.random.default_rng(seed).uniform(-peak, peak, 10)
 
 
-def test_select_frames_matches_full_scan_oracle():
-    grew = []
+def check_select(samples, params, bit_count):
+    """Check _select on samples, float64 values or int16 codes, against
+    the full-scan oracle. Returns the eligible frames of the bands it
+    tested and the number of bands, or None when both raise the same
+    CapacityError."""
+    values = _values(samples) if samples.dtype == np.int16 else samples
+    try:
+        expected = select_frames_full_scan(values, make_plan(params.graph),
+                                           params.coeff_count, params.ws, bit_count)
+    except CapacityError as error:
+        expected = error
+    readings = []
+    with smax_batches(readings) as sizes:
+        try:
+            chosen = _select(samples, params, bit_count)
+        except CapacityError as error:
+            chosen = error
+    # every round tests new frames, and no frame is tested twice
+    assert 0 not in sizes and sum(sizes) <= len(samples) // params.graph.frame_size
+    if isinstance(expected, CapacityError):
+        assert isinstance(chosen, CapacityError)
+        assert (chosen.eligible, chosen.required) == (expected.eligible,
+                                                      expected.required)
+        return None
+    assert np.array_equal(chosen, expected)
+    return sum(int(np.sum(smax > params.ws)) for smax in readings), len(sizes)
 
+
+def test_select_frames_matches_full_scan_oracle():
     @settings(max_examples=300)
     @given(specs=st.lists(frame_strategy(), min_size=1, max_size=60),
            tail=st.integers(0, 9),
@@ -355,32 +381,17 @@ def test_select_frames_matches_full_scan_oracle():
     def check(specs, tail, ws, data):
         samples = np.concatenate([build_frame(ws, *spec) for spec in specs]
                                  + [np.full(tail, 0.05)])
-        signal = AudioSignal(samples, 8000)
-        params = EmbedParams(ws=ws)
         # up to the frame count, small counts drawn more often
         bit_count = data.draw(st.one_of(st.integers(1, max(1, len(specs) // 4)),
                                         st.integers(1, len(specs))), label="bit_count")
-        try:
-            expected = full_scan(signal, params, bit_count)
-        except CapacityError as error:
-            expected = error
-        with smax_batches() as sizes:
-            try:
-                chosen = _select(signal.samples, params, bit_count)
-            except CapacityError as error:
-                chosen = error
-        # every round tests new frames, and no frame is tested twice
-        assert 0 not in sizes and sum(sizes) <= len(specs)
-        if isinstance(expected, CapacityError):
-            assert isinstance(chosen, CapacityError)
-            assert (chosen.eligible, chosen.required) == (expected.eligible,
-                                                          expected.required)
-        else:
-            assert np.array_equal(chosen, expected)
-            grew.append(len(sizes) > 1)
+        check_select(samples, EmbedParams(ws=ws), bit_count)
 
     check()
-    assert any(grew)  # some hosts made the tested prefix grow
+    # a listed host makes the tested prefix grow: its loudest frame, a
+    # Nyquist one, is ineligible, and the smooth one after it is not
+    samples = np.concatenate([build_frame(0.3, "nyquist", 1.1, 0),
+                              build_frame(0.3, "smooth", 0.5, 0)])
+    assert check_select(samples, EmbedParams(ws=0.3), 1) == (1, 2)
 
 
 def build_code_frame(kind, amplitude, seed):
@@ -399,8 +410,6 @@ def test_select_frames_on_codes_matches_full_scan_oracle():
     # _energies' exact gemv sums, not from einsum; a few amplitudes (smax of
     # a flat frame 0.03, 0.10, 0.29 and 1.93, of a Nyquist frame 0.85 of its
     # peak) make long tie runs, and loud ineligible frames
-    cut, whole, grew = [], [], []
-
     @settings(max_examples=300)
     @given(specs=st.lists(st.tuples(st.sampled_from(["nyquist", "flat", "noise"]),
                                     st.sampled_from([0, 300, 1000, 3000, 20000]),
@@ -411,37 +420,22 @@ def test_select_frames_on_codes_matches_full_scan_oracle():
     def check(specs, tail, ws, data):
         codes = np.concatenate([build_code_frame(*spec) for spec in specs]
                                + [np.full(tail, 300, dtype=np.int16)])
-        params = EmbedParams(ws=ws)
         bit_count = data.draw(st.one_of(st.integers(1, max(1, len(specs) // 4)),
                                         st.integers(1, len(specs))), label="bit_count")
-        try:
-            expected = select_frames_full_scan(_values(codes), make_plan(params.graph),
-                                               params.coeff_count, ws, bit_count)
-        except CapacityError as error:
-            expected = error
-        readings = []
-        with smax_batches(readings) as sizes:
-            try:
-                chosen = gbtmark.watermark._select(codes, params, bit_count)
-            except CapacityError as error:
-                chosen = error
-        assert 0 not in sizes and sum(sizes) <= len(specs)
-        if isinstance(expected, CapacityError):
-            assert isinstance(chosen, CapacityError)
-            assert (chosen.eligible, chosen.required) == (expected.eligible,
-                                                          expected.required)
-        else:
-            assert np.array_equal(chosen, expected)
-            # the last band's eligible frames overflow bit_count, or fill it
-            eligible = sum(int(np.sum(smax > ws)) for smax in readings)
-            cut.append(eligible > bit_count)
-            whole.append(eligible == bit_count)
-            grew.append(len(sizes) > 1)
+        check_select(codes, EmbedParams(ws=ws), bit_count)
 
     check()
-    # some hosts ranked the band they cut, some took it whole, and some
-    # made the tested prefix grow
-    assert any(cut) and any(whole) and any(grew)
+    # listed hosts: one ranks the band it cuts (three tied flat frames for
+    # one bit), one takes its band whole (two for two bits), and one grows
+    # the tested prefix past a louder, ineligible Nyquist frame
+    flat = [build_code_frame("flat", 1000, seed) for seed in range(3)]
+    nyquist = build_code_frame("nyquist", 3000, 0)
+    for frames, bit_count, ws, expected in (
+            (flat, 1, 0.08, (3, 1)),
+            (flat[:2], 2, 0.08, (2, 1)),
+            ([nyquist, flat[0]], 1, 0.09, (1, 2))):
+        codes = np.concatenate(frames)
+        assert check_select(codes, EmbedParams(ws=ws), bit_count) == expected
 
 
 def test_embed_k1_changes_coefficient_magnitude():
