@@ -12,7 +12,7 @@ from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
 from .audio import _frames, _store
 from .fileio import (_read_pcm, _staged, _write_pcm, read_key, read_pbm, read_wav,
                      write_key, write_pbm, write_wav)
-from .metrics import _embed_psnr, ber, payload
+from .metrics import _quality, ber, payload
 from .transform import GraphConfig
 from .watermark import EmbedParams, _mark, _read_bits
 
@@ -95,11 +95,12 @@ def _cmd_embed(args) -> int:
                  (args.out_wav, args.watermark)) as (key_path, wav_path):
         # no copy of the host: _mark reads a read-only map of its PCM codes (see
         # watermark._leading), the staged WAV is written from that map, and only
-        # its keyed frames are then stored, through a map of the staged file
+        # its keyed frames are then stored, through a map of the staged file;
+        # marking into that map, or into a copy-on-write map, was slower
         rate, pcm = _read_pcm(args.host)
         watermark = read_pbm(args.watermark)
-        key, host, marked = _mark(pcm, rate, watermark, _params_from(args))
-        quality = _embed_psnr(host, marked, len(pcm))
+        key, marked, squared_error = _mark(pcm, rate, watermark, _params_from(args))
+        quality = _quality(squared_error, len(pcm))
         write_key(key_path, key)
         _write_pcm(wav_path, rate, pcm)
         _, staged = _read_pcm(wav_path, "r+")

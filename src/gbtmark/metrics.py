@@ -39,14 +39,6 @@ def psnr(reference: AudioSignal, test: AudioSignal) -> QualityReport:
     return _quality(total, len(test))
 
 
-def _embed_psnr(host, marked, count) -> QualityReport:
-    # psnr of embed's signal against its host of count samples, from the
-    # host and marked rows _mark returns: every other sample of that signal
-    # is the host's, so its error is exactly 0
-    error = marked - host
-    return _quality(np.square(error, out=error).sum(), count)
-
-
 def _quality(squared_error_sum, count):
     # the one rule from a sum of squared errors over count samples to a
     # report; an error of exactly 0 is infinitely far below the peak

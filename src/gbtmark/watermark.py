@@ -242,8 +242,8 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
 
 def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
     # the embedding of the host signal whose _values the samples are, which
-    # it leaves as they are: the key and the keyed frames' host and marked
-    # rows, which _store writes back into a copy of the samples
+    # it leaves as they are: the key, the keyed frames' marked rows for _store
+    # to write back, and the signal's sum of squared errors, all in those rows
     chosen = _select(samples, params, watermark.bits.size)
     frames = _frames(samples, params.graph.frame_size)
     host = _values(frames[chosen])
@@ -259,7 +259,8 @@ def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedPar
     key = EmbeddingKey(sample_rate=sample_rate, params=params,
                        watermark_width=watermark.width, watermark_height=watermark.height,
                        frame_indices=chosen, s_max=s_ref)
-    return key, host, marked
+    error = np.subtract(marked, host, out=host)  # in place: temporaries slowed embed
+    return key, marked, np.square(error, out=error).sum()
 
 
 def embed(host: AudioSignal, watermark: WatermarkImage,
@@ -277,7 +278,7 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     there; modified frames are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
-    key, _, marked = _mark(host.samples, host.sample_rate, watermark, params)
+    key, marked, _ = _mark(host.samples, host.sample_rate, watermark, params)
     samples = host.samples.copy()
     _store(_frames(samples, params.graph.frame_size), key.frame_indices, marked)
     return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)

@@ -286,8 +286,9 @@ def test_crop_validates_fraction():
 
 # ----------------------------------------------------------------- mp3
 
-def fake_codec(tmp_path, delay=0):
-    """Codec stand-in: encode copies the file, decode optionally delays it."""
+def fake_codec(tmp_path, delay=0, rate=None):
+    """Codec stand-in: encode copies the file; decode delays it by delay
+    samples (a negative delay trims the start) and may relabel its rate."""
     decoder = tmp_path / "fake_decode.py"
     # the decoder runs in a child interpreter, which finds gbtmark where
     # this process imported it from, whatever its own sys.path holds
@@ -297,10 +298,10 @@ def fake_codec(tmp_path, delay=0):
         f"sys.path.insert(0, {str(package_root)!r})\n"
         "import numpy as np\n"
         "from gbtmark import AudioSignal, read_wav, write_wav\n"
-        f"delay = {delay}\n"
+        f"delay, rate = {delay}, {rate}\n"
         "x = read_wav(sys.argv[1])\n"
-        "out = np.concatenate([np.zeros(delay), x.samples])\n"
-        "write_wav(sys.argv[2], AudioSignal(out, x.sample_rate))\n"
+        "out = np.concatenate([np.zeros(max(delay, 0)), x.samples[max(-delay, 0):]])\n"
+        "write_wav(sys.argv[2], AudioSignal(out, rate or x.sample_rate))\n"
     )
     # the copier ignores the trailing bitrate argument
     copier = "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])"
@@ -334,6 +335,22 @@ def test_mp3_roundtrip_alignment_cancels_decoder_delay(tmp_path):
     out = AttackSpec("mp3", 64).apply(signal, codec=fake_codec(tmp_path, delay=576))
     assert len(out) == len(signal)
     assert np.max(np.abs(out.samples - signal.samples)) <= 1 / 32767
+
+
+def test_mp3_roundtrip_alignment_restores_a_trimmed_start(tmp_path):
+    # a decoder that drops the first samples: the lag is negative, and the
+    # output starts with that many zeros, then the input
+    signal = speech_like(1.0, 8000, seed=9)
+    out = AttackSpec("mp3", 64).apply(signal, codec=fake_codec(tmp_path, delay=-300))
+    assert len(out) == len(signal)
+    assert not np.any(out.samples[:300])
+    assert np.max(np.abs(out.samples[300:] - signal.samples[300:])) <= 1 / 32767
+
+
+def test_mp3_decoder_rate_must_match(tmp_path):
+    codec = fake_codec(tmp_path, rate=16000)
+    with pytest.raises(CodecError, match="decoder returned 16000 Hz audio for a 8000 Hz"):
+        AttackSpec("mp3", 64).apply(speech_like(0.5, 8000, seed=1), codec=codec)
 
 
 def test_mp3_missing_codec(tmp_path):

@@ -17,7 +17,7 @@ from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_
 from gbtmark.attacks import ATTACKS
 from gbtmark.audio import _BLOCK, _energies, _frames, _store, _values
 from gbtmark.cli import build_parser, main
-from gbtmark.metrics import _embed_psnr
+from gbtmark.metrics import _quality
 from gbtmark.synth import speech_like
 from gbtmark.transform import GraphConfig
 from gbtmark.watermark import EmbedParams, _mark
@@ -96,10 +96,11 @@ def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
     host = read_wav(path)
     result = embed(host, random_watermark())
     samples = host.samples.copy()  # _store writes the marked frames into it
-    key, rows, marked = _mark(samples, host.sample_rate, random_watermark(), EmbedParams())
+    key, marked, squared_error = _mark(samples, host.sample_rate, random_watermark(),
+                                       EmbedParams())
     _store(_frames(samples, 10), key.frame_indices, marked)
     assert np.array_equal(samples, result.signal.samples)
-    whole, framed = psnr(host, result.signal), _embed_psnr(rows, marked, len(host))
+    whole, framed = psnr(host, result.signal), _quality(squared_error, len(host))
     assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
@@ -682,6 +683,16 @@ def test_attack_mp3_without_codec(workspace, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert status == 3
     assert "not found" in err
+
+
+def test_attack_mp3_decoder_rate_mismatch(workspace, tmp_path, capsys):
+    codec = fake_codec(tmp_path, rate=16000)
+    status = run_cli(["attack", "mp3", workspace / "host.wav", workspace / "mp3.wav",
+                      "--bitrate", 64, "--codec-encode", codec.encode_template,
+                      "--codec-decode", codec.decode_template])
+    assert status == 3
+    assert "decoder returned 16000 Hz audio" in capsys.readouterr().err
+    assert not (workspace / "mp3.wav").exists()
 
 
 def test_attack_mp3_with_codec_from_environment(workspace, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import struct
 import wave
 from pathlib import Path
@@ -448,20 +449,27 @@ def test_write_pbm_exact_bytes(tmp_path):
     assert path.read_bytes() == b"P1\n1 3\n0\n1\n1\n"
 
 
-@pytest.mark.parametrize("content", [
-    "P4\n2 2\n1 0 0 1\n",          # wrong magic
-    "P1\n2\n1 0 0 1\n",            # missing height
-    "P1\n2 2\n1 0 0\n",            # too few bits
-    "P1\n2 2\n1 0 0 1 1\n",        # too many bits
-    "P1\n2 2\n1 0 0 2\n",          # non-binary digit
-    "P1\n5000 5000\n",             # dimensions too large
-    "P1\nx y\n1 0 0 1\n",          # unparseable dimensions
-    "P1\n2 2\n1 0 0 /\n",          # "/" sits just below "0"
-])
+# each malformed PBM and the message it is refused with
+MALFORMED_PBM = {
+    "P4\n2 2\n1 0 0 1\n": "missing PBM magic 'P1'",
+    "P1\n": "missing PBM dimensions",
+    "P1\n2\n": "missing PBM dimensions",
+    # no height: "1" is read as the height, so a 2x1 image with 3 bits
+    "P1\n2\n1 0 0 1\n": "expected 2 raster bits, got 3 usable",
+    "P1\n2 2\n1 0 0\n": "expected 4 raster bits, got 3 usable",
+    "P1\n2 2\n1 0 0 1 1\n": "expected 4 raster bits, got 5 usable",
+    "P1\n2 2\n1 0 0 2\n": "expected 4 raster bits, got 4 usable",  # non-binary
+    "P1\n5000 5000\n": "dimensions 5000x5000 outside",
+    "P1\nx y\n1 0 0 1\n": "bad PBM dimensions 'x' x 'y'",
+    "P1\n2 2\n1 0 0 /\n": "expected 4 raster bits, got 4 usable",  # "/" is below "0"
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_PBM)
 def test_read_pbm_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.pbm"
     path.write_text(content)
-    with pytest.raises(AudioFormatError):
+    with pytest.raises(AudioFormatError, match=re.escape(MALFORMED_PBM[content])):
         read_pbm(path)
 
 

@@ -112,6 +112,15 @@ def test_plan_refuses_a_laplacian_that_overflows():
         make_plan(GraphConfig(frame_size=10, w1=1e308, w2=1e308))
 
 
+def test_plan_reports_a_failed_eigendecomposition(monkeypatch):
+    # __wrapped__ is make_plan past its cache, which this leaves alone
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="eigendecomposition failed: Eigenvalues"):
+        make_plan.__wrapped__(GraphConfig())
+
+
 def test_plan_first_eigenvector_is_positive_constant():
     basis = make_plan(GraphConfig())
     assert np.allclose(basis[:, 0], np.full(10, 1 / np.sqrt(10)), atol=1e-12)

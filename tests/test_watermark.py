@@ -507,7 +507,7 @@ def test_code_rows_read_as_their_values():
     # bit-equal matrices, and the codes and their _values the same image
     codes = np.random.default_rng(31).integers(-20_000, 20_000, 4000, dtype=np.int16)
     watermark = random_watermark(10, 10, seed=4)
-    key, _, marked = _mark(codes, 8000, watermark, EmbedParams())
+    key, marked, _ = _mark(codes, 8000, watermark, EmbedParams())
     _store(_frames(codes, 10), key.frame_indices, marked)
     rows = _gather(codes, 10, key.frame_indices)
     values = _values(rows)
