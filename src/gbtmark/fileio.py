@@ -10,6 +10,7 @@ exact PCM codes.
 import contextlib
 import errno
 import os
+import warnings
 import wave
 from pathlib import Path
 
@@ -206,13 +207,29 @@ _KEY_HEADER = (
 )
 
 
-def _key_numbers(names, values, first):
-    # the lines from index first on: header values by their rows' int or float,
-    # records as int64 indices and float64 s_max (numpy parses with int and float)
-    head = max(len(_KEY_HEADER) - first, 0)
-    header = {name: kind(value)
-              for (name, kind, _), value in zip(_KEY_HEADER[first:], values)}
-    return header, np.array(names[head:], np.int64), np.array(values[head:], np.float64)
+# One number grammar for the whole key: Python's int and float without the
+# "_" digit groups (1_0) that numpy's C text reader refuses
+def _number(kind, text):
+    if "_" in text:
+        raise ValueError(f"could not convert string {text!r} to {kind.__name__}")
+    return kind(text)
+
+
+_RECORD = np.dtype([("index", np.int64), ("s_max", np.float64)])
+
+
+def _records(lines):
+    # the record lines as int64 indices and float64 s_max, in one pass of
+    # numpy's C text reader. It skips blank lines, so fewer rows than lines
+    # is a refusal, and so is any warning (numpy < 2 reads "5.0" as an int
+    # with a DeprecationWarning); no lines read as no records
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = (np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
+                 if lines else np.empty(0, _RECORD))
+    if len(table) != len(lines):
+        raise ValueError("expected two fields")
+    return table["index"], table["s_max"]
 
 
 def _bad_line(path, lines):
@@ -223,8 +240,11 @@ def _bad_line(path, lines):
         try:
             if len(fields) != 2:
                 raise ValueError("expected two fields")
-            _key_numbers(fields[:1], fields[1:], n - 1)
-        except (ValueError, OverflowError) as exc:
+            if n <= len(_KEY_HEADER):
+                _number(_KEY_HEADER[n - 1][1], fields[1])
+            else:
+                _records([line])
+        except (ValueError, Warning) as exc:
             return KeyFormatError(f"{path}: bad key record {line!r} on line {n}, {exc}")
 
 
@@ -247,21 +267,19 @@ def read_key(path) -> EmbeddingKey:
         lines = Path(path).read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"{path}: not a plain-text key file") from exc
-    # Every line holds two fields. Joined with " | ", the tokens then run
-    # field, field, "|", field, field, ...; the "|"s in the separator
-    # slots tell this from other line splits with the same token count.
-    tokens = " | ".join(lines).split()
-    if not (len(tokens) == 3 * len(lines) - 1
-            and tokens[2::3].count("|") == len(lines) - 1):
+    head = [line.split() for line in lines[:len(_KEY_HEADER)] or [""]]
+    if any(len(fields) != 2 for fields in head):
         raise _bad_line(path, lines)
-    names, values = tokens[0::3], tokens[1::3]
+    names = [name for name, _ in head]
     expected = [name for name, _, _ in _KEY_HEADER]
-    if names[:len(expected)] != expected:
+    if names != expected:
         raise KeyFormatError(f"{path}: key header must name {', '.join(expected)} "
-                             f"in order, got {', '.join(names[:len(expected)])}")
+                             f"in order, got {', '.join(names)}")
     try:
-        header, indices, s_max = _key_numbers(names, values, 0)
-    except (ValueError, OverflowError) as exc:
+        header = {name: _number(kind, value)
+                  for (name, kind, _), (_, value) in zip(_KEY_HEADER, head)}
+        indices, s_max = _records(lines[len(_KEY_HEADER):])
+    except (ValueError, Warning) as exc:
         raise _bad_line(path, lines) from exc
     _integer(f"{path}: key version", header["version"], str(KEY_FORMAT_VERSION),
              lambda version: version == KEY_FORMAT_VERSION, KeyFormatError)

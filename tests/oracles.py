@@ -2,16 +2,21 @@
 the tests.
 
 These deliberately avoid the library's code paths: the 2x2 SVD comes
-from the quadratic formula applied to the eigenproblem of M^T M, and
-frame selection scans every frame instead of an energy-ranked prefix.
+from the quadratic formula applied to the eigenproblem of M^T M, frame
+selection scans every frame instead of an energy-ranked prefix, and the
+key reader parses tokens with int, float and np.array instead of numpy's
+text reader.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import signal as sps
 
-from gbtmark import AudioSignal, CapacityError
+from gbtmark import (AudioSignal, CapacityError, ConfigError, EmbeddingKey, EmbedParams,
+                     GraphConfig, KeyFormatError)
+from gbtmark.fileio import _KEY_HEADER, KEY_FORMAT_VERSION
 
 
 def tone(freq_hz, duration_s=1.0, sample_rate=8000):
@@ -82,3 +87,43 @@ def select_frames_full_scan(samples, basis, k, ws, bit_count):
         raise CapacityError(eligible=int(eligible.size), required=int(bit_count))
     ranked = eligible[np.lexsort((eligible, -energies[eligible]))]
     return np.sort(ranked[:bit_count])
+
+
+def read_key_token_slots(path):
+    """Read a key file by token slots, as the library did before numpy's
+    text reader; returns an EmbeddingKey or raises KeyFormatError.
+
+    Joined with " | ", the lines of a key whose every line holds two
+    fields split into tokens running field, field, "|", field, field, ...
+    The header values parse with int or float and the records with
+    np.array, so "_" digit groups (1_0) are taken here and refused by
+    the library.
+    """
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise KeyFormatError(f"{path}: not a plain-text key file") from exc
+    tokens = " | ".join(lines).split()
+    if not (len(tokens) == 3 * len(lines) - 1
+            and tokens[2::3].count("|") == len(lines) - 1):
+        raise KeyFormatError(f"{path}: a line without two fields")
+    names, values = tokens[0::3], tokens[1::3]
+    head = len(_KEY_HEADER)
+    if names[:head] != [name for name, _, _ in _KEY_HEADER]:
+        raise KeyFormatError(f"{path}: header names out of order")
+    try:
+        header = {name: kind(value) for (name, kind, _), value in zip(_KEY_HEADER, values)}
+        indices = np.array(names[head:], np.int64)
+        s_max = np.array(values[head:], np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise KeyFormatError(f"{path}: a token that does not parse") from exc
+    if header["version"] != KEY_FORMAT_VERSION:
+        raise KeyFormatError(f"{path}: key version {header['version']}")
+    try:
+        graph = GraphConfig(header["frame_size"], header["w1"], header["w2"])
+        params = EmbedParams(ws=header["ws"], graph=graph,
+                             coeff_fraction=header["coeff_fraction"])
+        return EmbeddingKey(header["sample_rate"], params, header["wm_width"],
+                            header["wm_height"], indices, s_max)
+    except ConfigError as exc:
+        raise KeyFormatError(f"{path}: {exc}") from exc

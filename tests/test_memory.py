@@ -9,20 +9,23 @@ int16 codes straight into its one float64 copy and makes no int16 copy
 ``write_wav`` holds only its int16 PCM (0.25) plus
 one 65 536-sample block (0.41 of this host), and ``psnr`` only one block.
 ``gbtmark extract`` reads only the keyed frames of the WAV file, so it
-holds a small fraction of the host. ``gbtmark embed`` works on a
-read-only map of the host file's int16 PCM codes and makes no copy of
-them, in int16 or float64: at its peak it holds the frame energies (0.1)
-and one 65 536-sample float64 block (0.41 of this host), 0.52 as
-measured, under 0.6; a copy of the codes (0.25) would take it to 0.77.
+holds a small fraction of the host, and ``read_key`` holds about 120
+bytes per key record: its text, its lines and numpy's table of them.
+``gbtmark embed`` works on a read-only map of the host file's int16 PCM
+codes and makes no copy of them, in int16 or float64: at its peak it
+holds the frame energies (0.1) and one 65 536-sample float64 block (0.41
+of this host), 0.52 as measured, under 0.6; a copy of the codes (0.25)
+would take it to 0.77.
 """
 
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from gbtmark import (AttackSpec, embed, extract, psnr, read_wav, write_key, write_pbm,
-                     write_wav)
+from gbtmark import (AttackSpec, EmbeddingKey, EmbedParams, embed, extract, psnr,
+                     read_key, read_wav, write_key, write_pbm, write_wav)
 from gbtmark.cli import build_parser, main
 from gbtmark.synth import speech_like
 
@@ -34,6 +37,7 @@ WRITE_WAV_PEAK_LIMIT = 0.75  # int16 PCM plus one float64 block
 PSNR_PEAK_LIMIT = 0.5  # one float64 block
 CLI_EXTRACT_PEAK_LIMIT = 0.1  # the key, the keyed frames and the bits
 CLI_EMBED_PEAK_LIMIT = 0.6  # the energies and one float64 block, no copy of the codes
+READ_KEY_RECORD_LIMIT = 200  # traced peak bytes per key record
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +45,18 @@ def host():
     return speech_like(20.0, 8000, seed=1)  # 160 000 samples, 1.28 MB
 
 
-def peak_ratio(call, host):
+def traced_peak(call):
     # the peak counts what the call returns as well as its temporaries
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / host.samples.nbytes
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_ratio(call, host):
+    return traced_peak(call) / host.samples.nbytes
 
 
 def test_read_wav_peak_memory(host, tmp_path):
@@ -85,8 +93,8 @@ def test_extract_far_key_peak_memory(host):
 def test_cli_extract_peak_memory(host, tmp_path):
     # the whole host would be 1.0: extract gathers only the 256 keyed
     # frames (0.02 of this host) from the file. Parsing the key text holds
-    # about 290 bytes per bit (0.06 here), which grows with the mark, not
-    # the host, so the mark is 16x16: 25x25 would read 0.14 from the key
+    # about 140 bytes per bit (0.03 here), which grows with the mark, not
+    # the host, so the mark is 16x16: 25x25 reads 0.10 in all
     result = embed(host, random_watermark(16, 16))
     wav, key = tmp_path / "marked.wav", tmp_path / "marked.key"
     write_wav(wav, result.signal)
@@ -94,6 +102,17 @@ def test_cli_extract_peak_memory(host, tmp_path):
     build_parser()  # built once per process, before the traced call
     argv = ["extract", str(wav), str(key), str(tmp_path / "out.pbm")]
     assert peak_ratio(lambda: main(argv), host) <= CLI_EXTRACT_PEAK_LIMIT
+
+
+def test_read_key_peak_memory(tmp_path):
+    # a mark-dense key: 10 000 records, frame indices up to 48 000; the
+    # token-slot parse of every line held about 280 bytes per record
+    rng = np.random.default_rng(11)
+    indices = np.sort(rng.choice(48000, 10000, replace=False))
+    key = EmbeddingKey(8000, EmbedParams(), 100, 100, indices, rng.uniform(0.05, 3.0, 10000))
+    path = tmp_path / "dense.key"
+    write_key(path, key)
+    assert traced_peak(lambda: read_key(path)) / 10000 <= READ_KEY_RECORD_LIMIT
 
 
 def test_cli_embed_peak_memory(host, tmp_path):
