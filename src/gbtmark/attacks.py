@@ -25,7 +25,8 @@ from .audio import AudioSignal, _adopt, _fit_length
 from .errors import CodecError, ValidationError, _integer, _real
 from .fileio import read_wav, write_wav
 
-FIR_TAP_COUNT = 127  # type I linear phase, group delay 63 samples
+FIR_TAP_COUNT = 127  # type I linear phase
+_FIR_DELAY = (FIR_TAP_COUNT - 1) // 2  # the group delay, 63 samples
 MP3_ALIGN_MAX_LAG = 2048
 MP3_BITRATES = (16, 32, 64)
 # resample_poly holds the intermediate signal, rate / sample_rate times
@@ -55,28 +56,32 @@ def _awgn(signal, snr_db, seed):
 
 
 def _lowpass_taps(cutoff_hz, sample_rate):
-    mid = (FIR_TAP_COUNT - 1) // 2
-    m = np.arange(FIR_TAP_COUNT) - mid
+    m = np.arange(FIR_TAP_COUNT) - _FIR_DELAY
     fc = max(cutoff_hz / sample_rate, 1e-300)  # cycles per sample, never subnormal
     taps = 2.0 * fc * np.sinc(2.0 * fc * m) * np.hamming(FIR_TAP_COUNT)
     return taps / taps.sum()  # exact unit gain at DC
 
 
-def _apply_fir(x, taps):
-    # causal filter, advanced by the group delay so the output stays
-    # aligned with the input; the last delay samples read as zeros
-    delay = (FIR_TAP_COUNT - 1) // 2
-    out = np.convolve(x, taps)[delay:delay + x.size]
-    out[max(x.size - delay, 0):] = 0.0
+def _zero_tail(out):
+    # the last group-delay samples would need input past the end: zeros
+    out[max(out.size - _FIR_DELAY, 0):] = 0.0
     return out
 
 
+def _apply_fir(x, taps):
+    # causal filter, advanced by the group delay so the output stays
+    # aligned with the input
+    return _zero_tail(np.convolve(x, taps)[_FIR_DELAY:_FIR_DELAY + x.size])
+
+
 def _lowpass(signal, cutoff_hz):
-    # windowed-sinc FIR lowpass, compensated to zero phase; a cutoff at
-    # the Nyquist frequency degenerates to an identity filter
+    # windowed-sinc FIR lowpass, compensated to zero phase; at the Nyquist
+    # frequency it is the identity filter, and only the zeroed tail is left
     nyquist = signal.sample_rate / 2.0
     if cutoff_hz > nyquist:
         raise _past_limit("lowpass", cutoff_hz, signal, f"in (0, {nyquist:g}] Hz")
+    if cutoff_hz == nyquist:
+        return _zero_tail(signal.samples.copy())
     taps = _lowpass_taps(cutoff_hz, signal.sample_rate)
     return _apply_fir(signal.samples, taps)
 
@@ -87,7 +92,7 @@ def _highpass(signal, cutoff_hz):
     if cutoff_hz >= nyquist:
         raise _past_limit("highpass", cutoff_hz, signal, f"in (0, {nyquist:g}) Hz")
     taps = -_lowpass_taps(cutoff_hz, signal.sample_rate)
-    taps[(FIR_TAP_COUNT - 1) // 2] += 1.0
+    taps[_FIR_DELAY] += 1.0
     return _apply_fir(signal.samples, taps)
 
 

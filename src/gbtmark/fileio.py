@@ -218,23 +218,23 @@ def _number(kind, text):
 _RECORD = np.dtype([("index", np.int64), ("s_max", np.float64)])
 
 
-def _records(lines):
-    # the record lines as int64 indices and float64 s_max, in one pass of
-    # numpy's C text reader. It skips blank lines, so fewer rows than lines
-    # is a refusal, and so is any warning (numpy < 2 reads "5.0" as an int
-    # with a DeprecationWarning); no lines read as no records
+def _records(lines, dtype=_RECORD):
+    # the record lines as int64 "index" and float64 "s_max" (or dtype's
+    # columns), in one pass of numpy's C text reader. It skips blank lines,
+    # so fewer rows than lines is a refusal, and so is any warning (numpy < 2
+    # reads "5.0" as an int with a DeprecationWarning); no lines, no records
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = (np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
-                 if lines else np.empty(0, _RECORD))
+        table = (np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+                 if lines else np.empty(0, dtype))
     if len(table) != len(lines):
         raise ValueError("expected two fields")
-    return table["index"], table["s_max"]
+    return table
 
 
 def _bad_line(path, lines):
-    # the error naming the first line that lacks two fields or does not
-    # parse; read_key takes this pass per line only once it has failed
+    # the error naming the first line, and value, that does not parse;
+    # read_key takes this pass per line only once it has failed
     for n, line in enumerate(lines or [""], 1):
         fields = line.split()
         try:
@@ -243,7 +243,13 @@ def _bad_line(path, lines):
             if n <= len(_KEY_HEADER):
                 _number(_KEY_HEADER[n - 1][1], fields[1])
             else:
-                _records([line])
+                for name, text in zip(_RECORD.names, fields):
+                    try:
+                        _records([text], _RECORD[[name]])
+                    except (ValueError, Warning):
+                        raise ValueError(f"could not convert string {text!r} "
+                                         f"to {_RECORD[name]}") from None
+                _records([line])  # and the two together, as read_key reads them
         except (ValueError, Warning) as exc:
             return KeyFormatError(f"{path}: bad key record {line!r} on line {n}, {exc}")
 
@@ -278,7 +284,7 @@ def read_key(path) -> EmbeddingKey:
     try:
         header = {name: _number(kind, value)
                   for (name, kind, _), (_, value) in zip(_KEY_HEADER, head)}
-        indices, s_max = _records(lines[len(_KEY_HEADER):])
+        records = _records(lines[len(_KEY_HEADER):])
     except (ValueError, Warning) as exc:
         raise _bad_line(path, lines) from exc
     _integer(f"{path}: key version", header["version"], str(KEY_FORMAT_VERSION),
@@ -292,7 +298,7 @@ def read_key(path) -> EmbeddingKey:
                                coeff_fraction=header["coeff_fraction"]),
             watermark_width=header["wm_width"],
             watermark_height=header["wm_height"],
-            frame_indices=indices, s_max=s_max,
+            frame_indices=records["index"], s_max=records["s_max"],
         )
     except (ConfigError, KeyFormatError) as exc:
         raise KeyFormatError(f"{path}: {exc}") from exc

@@ -74,12 +74,20 @@ def test_lowpass_passband_preserved():
 
 
 def test_lowpass_at_nyquist_is_identity_filter():
-    probe = speech_like(1.0, 8000, seed=5)
-    out = AttackSpec("lowpass", 4000.0).apply(probe)
-    # taps collapse to a unit impulse; only the final 63 samples are
+    # the filter is a unit impulse: every sample comes back bit for bit,
+    # exact zeros included, and only the last min(63, n) samples are
     # lost to the delay compensation
-    assert np.allclose(out.samples[:-63], probe.samples[:-63], atol=1e-12)
-    assert np.all(out.samples[-63:] == 0)
+    for rate in (8000, 16000):
+        hosts = [speech_like(1.0, rate, seed=5).samples]
+        for n in (1, 62, 63, 64, 200):
+            x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            x[::3] = 0.0
+            hosts.append(x)
+        for x in hosts:
+            out = AttackSpec("lowpass", rate / 2).apply(AudioSignal(x, rate))
+            tail = min(63, x.size)
+            assert np.array_equal(out.samples[:x.size - tail], x[:x.size - tail])
+            assert np.all(out.samples[x.size - tail:] == 0.0)
 
 
 def test_lowpass_attenuates_stopband():

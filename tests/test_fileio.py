@@ -774,22 +774,29 @@ def test_key_edits_give_a_key_or_a_key_format_error(tmp_path):
     check()
 
 
-@pytest.mark.parametrize("line, text", [
-    (10, "1_0 0.5"),             # a record's index in "_" digit groups
-    (10, "3 0.1_5"),             # a record's s_max
-    (2, "sample_rate 8_000"),    # a header value
-    (11, "5.0 0.5"),             # an index written as a float
-    (11, "1e3 0.5"),             # an index with an exponent
-])
-def test_key_numbers_are_plain_decimals(tmp_path, line, text):
-    # numpy < 2 reads the last two as integers, with a DeprecationWarning
+PLAIN_DECIMAL_REFUSALS = [
+    (10, "1_0 0.5", "'1_0' to int64"),           # a record's index in "_" digit groups
+    (10, "3 0.1_5", "'0.1_5' to float64"),       # a record's s_max
+    (2, "sample_rate 8_000", "'8_000' to int"),  # a header value
+    (11, "5.0 0.5", "'5.0' to int64"),           # an index written as a float
+    (11, "1e3 0.5", "'1e3' to int64"),           # an index with an exponent
+]
+
+
+@pytest.mark.parametrize("line, text, value", PLAIN_DECIMAL_REFUSALS,
+                         ids=[f"{line}-{text}" for line, text, _ in PLAIN_DECIMAL_REFUSALS])
+def test_key_numbers_are_plain_decimals(tmp_path, line, text, value):
+    # numpy < 2 reads the last two as integers, with a DeprecationWarning;
+    # the message names the line and the value once each, whatever numpy says
     path = tmp_path / "grammar.key"
     write_key(path, sample_key())
     lines = path.read_text().splitlines()
     lines[line - 1] = text
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(KeyFormatError, match=f"bad key record {text!r} on line {line},"):
+    with pytest.raises(KeyFormatError) as caught:
         read_key(path)
+    assert str(caught.value) == (f"{path}: bad key record {text!r} on line {line}, "
+                                 f"could not convert string {value}")
 
 
 def test_key_unparseable_float(tmp_path):
