@@ -12,7 +12,7 @@ import numpy as np
 from .attacks import ATTACKS, AttackSpec, CodecCommand, _check_seed
 from .errors import CodecError, ValidationError
 from .fileio import read_wav
-from .metrics import ber, psnr
+from .metrics import ber
 from .watermark import EmbedParams, WatermarkImage, embed, extract
 
 # Union of the attack parameters reported for this scheme; both 64/32
@@ -93,9 +93,8 @@ def run_benchmark(corpus_dir, watermark: WatermarkImage,
     psnrs = []
     table = [[] for _ in grid]
     for file_index, path in enumerate(paths):
-        host = read_wav(path)
-        marked = embed(host, watermark, params)
-        psnrs.append(psnr(host, marked.signal).psnr_db)
+        marked = embed(read_wav(path), watermark, params)
+        psnrs.append(marked.quality.psnr_db)
         for row_index, (_, spec) in enumerate(grid):
             if spec is None:
                 attacked = marked.signal

@@ -12,7 +12,7 @@ from .errors import AudioFormatError, CodecError, GbtmarkError, KeyFormatError
 from .audio import _frames, _store
 from .fileio import (_read_pcm, _staged, _write_pcm, read_key, read_pbm, read_wav,
                      write_key, write_pbm, write_wav)
-from .metrics import _quality, ber, payload
+from .metrics import ber, payload
 from .transform import GraphConfig
 from .watermark import EmbedParams, _mark, _read_bits
 
@@ -99,8 +99,7 @@ def _cmd_embed(args) -> int:
         # marking into that map, or into a copy-on-write map, was slower
         rate, pcm = _read_pcm(args.host)
         watermark = read_pbm(args.watermark)
-        key, marked, squared_error = _mark(pcm, rate, watermark, _params_from(args))
-        quality = _quality(squared_error, len(pcm))
+        key, marked, quality = _mark(pcm, rate, watermark, _params_from(args))
         write_key(key_path, key)
         _write_pcm(wav_path, rate, pcm)
         _, staged = _read_pcm(wav_path, "r+")

@@ -7,7 +7,6 @@ import numpy as np
 
 from .audio import AudioSignal, _blocks
 from .errors import ValidationError, _integer, _real
-from .watermark import WatermarkImage
 
 
 @dataclass(frozen=True)
@@ -15,7 +14,7 @@ class QualityReport:
     """Distortion of a test signal against a reference.
 
     PSNR uses a fixed full-scale peak of 1.0; identical signals report
-    infinite PSNR.
+    infinite PSNR. ``embed`` reports its marked signal's as ``WatermarkedResult.quality``.
     """
 
     psnr_db: float
@@ -48,8 +47,8 @@ def _quality(squared_error_sum, count):
     return QualityReport(psnr_db=10.0 * math.log10(1.0 / mse), mse=mse)
 
 
-def ber(original: WatermarkImage, extracted: WatermarkImage) -> float:
-    """Fraction of mismatched bits between two equally sized images."""
+def ber(original, extracted) -> float:
+    """Fraction of mismatched bits between two equally sized WatermarkImages."""
     if (original.width, original.height) != (extracted.width, extracted.height):
         raise ValidationError(
             f"image dimensions differ: {original.width}x{original.height} vs "

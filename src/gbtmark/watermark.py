@@ -16,6 +16,7 @@ from .audio import (AudioSignal, _adopt, _check_range, _energies, _frames, _gath
                     _store, _values)
 from .errors import (CapacityError, ConfigError, KeyFormatError, ValidationError,
                      _integer, _real)
+from .metrics import QualityReport, _quality
 from .transform import GraphConfig, make_plan
 
 
@@ -126,10 +127,11 @@ class EmbeddingKey:
 
 @dataclass(frozen=True, eq=False)
 class WatermarkedResult:
-    """Watermarked signal plus the key needed to read it back."""
+    """Watermarked signal, the key to read it back, and its quality against the host."""
 
     signal: AudioSignal
     key: EmbeddingKey
+    quality: QualityReport
 
 
 def _leading(rows, params):
@@ -243,7 +245,7 @@ def _select(samples, params: EmbedParams, bit_count) -> np.ndarray:
 def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedParams):
     # the embedding of the host signal whose _values the samples are, which
     # it leaves as they are: the key, the keyed frames' marked rows for _store
-    # to write back, and the signal's sum of squared errors, all in those rows
+    # to write back, and the signal's QualityReport, from the errors in those rows
     chosen = _select(samples, params, watermark.bits.size)
     frames = _frames(samples, params.graph.frame_size)
     host = _values(frames[chosen])
@@ -260,7 +262,7 @@ def _mark(samples, sample_rate: int, watermark: WatermarkImage, params: EmbedPar
                        watermark_width=watermark.width, watermark_height=watermark.height,
                        frame_indices=chosen, s_max=s_ref)
     error = np.subtract(marked, host, out=host)  # in place: temporaries slowed embed
-    return key, marked, np.square(error, out=error).sum()
+    return key, marked, _quality(np.square(error, out=error).sum(), len(samples))
 
 
 def embed(host: AudioSignal, watermark: WatermarkImage,
@@ -278,10 +280,11 @@ def embed(host: AudioSignal, watermark: WatermarkImage,
     there; modified frames are clamped to [-1, 1].
     """
     params = params if params is not None else EmbedParams()
-    key, marked, _ = _mark(host.samples, host.sample_rate, watermark, params)
+    key, marked, quality = _mark(host.samples, host.sample_rate, watermark, params)
     samples = host.samples.copy()
     _store(_frames(samples, params.graph.frame_size), key.frame_indices, marked)
-    return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key)
+    return WatermarkedResult(_adopt(samples, host.sample_rate, in_range=True), key,
+                             quality)
 
 
 def _read_bits(sample_rate: int, samples, key: EmbeddingKey) -> WatermarkImage:

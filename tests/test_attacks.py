@@ -15,11 +15,16 @@ from gbtmark import (
     CodecError,
     ValidationError,
     WatermarkImage,
+    embed,
     read_wav,
+    report_to_csv,
+    write_pbm,
     write_wav,
 )
+from gbtmark.cli import main
 from gbtmark.synth import speech_like
 
+from conftest import random_watermark
 from oracles import ar_noise, tone
 
 
@@ -527,6 +532,25 @@ def test_run_benchmark_reseeds_only_the_kinds_that_read_a_seed(tmp_path, monkeyp
     report = gbtmark.benchmark.run_benchmark(tmp_path, mark, seed=5, grid=grid)
     assert calls == [("awgn", {"seed": 5}), ("crop", {}), ("awgn", {"seed": 6}), ("crop", {})]
     assert all(row.spec is spec for row, (_, spec) in zip(report.rows, grid))
+
+
+@pytest.mark.parametrize("rate", [8000, 16000])
+def test_run_benchmark_psnr_is_embeds_report(rate, tmp_path, capsys):
+    # the grid's embedding PSNR is the report embed returns, and so the
+    # CSV's psnr_embed is the figure gbtmark embed prints for the clip
+    corpus, mark = tmp_path / "corpus", tmp_path / "wm.pbm"
+    corpus.mkdir()
+    write_wav(corpus / "clip.wav", speech_like(2.0, rate, seed=1))
+    watermark = random_watermark()
+    write_pbm(mark, watermark)
+    report = gbtmark.benchmark.run_benchmark(corpus, watermark)
+    host = read_wav(corpus / "clip.wav")
+    assert report.psnrs[0] == embed(host, watermark).quality.psnr_db
+    rows = [line.split(",") for line in report_to_csv(report).splitlines()]
+    psnr_embed = next(row[4] for row in rows if row[:2] == ["clip.wav", "none"])
+    outputs = (tmp_path / "m.wav", tmp_path / "m.key")
+    assert main(["embed", *map(str, (corpus / "clip.wav", mark, *outputs))]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"psnr: {psnr_embed} dB"
 
 
 def test_wav_helpers_roundtrip(tmp_path):

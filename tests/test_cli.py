@@ -17,7 +17,6 @@ from gbtmark import (AttackSpec, AudioSignal, WatermarkImage, embed, psnr, read_
 from gbtmark.attacks import ATTACKS
 from gbtmark.audio import _BLOCK, _energies, _frames, _store, _values
 from gbtmark.cli import build_parser, main
-from gbtmark.metrics import _quality
 from gbtmark.synth import speech_like
 from gbtmark.transform import GraphConfig
 from gbtmark.watermark import EmbedParams, _mark
@@ -88,22 +87,25 @@ def _loud_host():
     lambda: AudioSignal(speech_like(3.0, 8000, seed=2).samples[:-5], 8000),
 ], ids=["default", "clipping", "partial-last-frame"])
 def test_embed_psnr_from_the_changed_frames(make_host, tmp_path, capsys):
-    # embed's PSNR comes from the frames it changed; it is psnr over the
-    # whole signal up to the order of the sum, and prints the same line
+    # one owner: _mark's report of the frames it changed is embed's quality
+    # and the line the CLI prints; psnr over the whole signal agrees with it
+    # up to the order of the sum
     path, mark = tmp_path / "host.wav", tmp_path / "wm.pbm"
     write_wav(path, make_host())
     write_pbm(mark, random_watermark())
     host = read_wav(path)
     result = embed(host, random_watermark())
     samples = host.samples.copy()  # _store writes the marked frames into it
-    key, marked, squared_error = _mark(samples, host.sample_rate, random_watermark(),
-                                       EmbedParams())
+    key, marked, quality = _mark(samples, host.sample_rate, random_watermark(),
+                                 EmbedParams())
     _store(_frames(samples, 10), key.frame_indices, marked)
     assert np.array_equal(samples, result.signal.samples)
-    whole, framed = psnr(host, result.signal), _quality(squared_error, len(host))
-    assert abs(framed.mse - whole.mse) <= 4 * np.spacing(whole.mse)
+    assert quality == result.quality  # a dataclass: field for field, exactly
+    whole = psnr(host, result.signal)
+    assert abs(result.quality.mse - whole.mse) <= 4 * np.spacing(whole.mse)
     assert run_cli(["embed", path, mark, tmp_path / "m.wav", tmp_path / "m.key"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == f"psnr: {whole.psnr_db:.2f} dB"
+    assert (capsys.readouterr().out.splitlines()[0]
+            == f"psnr: {result.quality.psnr_db:.2f} dB")
     if make_host is _clipping_host:
         assert np.abs(result.signal.samples).max() == 1.0  # embed clipped
 
